@@ -20,44 +20,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .factorize import factor_over_family, is_irreducible
-from .gf2poly import ONE, Poly, X, X1, _mul, bar, star, val_x, val_x1
-from .sigma import is_perfect, sigma_prime_power
-
-# Shape parameters (a, b) with Mi = 1 + x^a (x+1)^b.
-MERSENNE_AB = {
-    1: (1, 1),
-    2: (1, 2),
-    3: (2, 1),
-    4: (1, 3),
-    5: (3, 1),
-    6: (3, 2),
-    7: (3, 4),
-    8: (6, 1),
-    9: (2, 3),
-    10: (4, 3),
-    11: (1, 6),
-    12: (1, 8),
-    13: (8, 1),
-}
-
-# Shape parameters (a, b, c) with Sj = 1 + x^a (x+1)^b M1^c.
-TWO_MERSENNE_ABN = {
-    1: (1, 1, 1),
-    2: (2, 2, 1),
-    3: (1, 3, 4),
-    4: (3, 1, 1),
-    5: (1, 3, 1),
-    6: (3, 1, 4),
-    7: (1, 1, 3),
-    8: (3, 3, 1),
-    9: (1, 1, 5),
-    10: (4, 1, 1),
-    11: (1, 2, 1),
-    12: (2, 1, 2),
-    13: (1, 4, 1),
-    14: (2, 1, 1),
-    15: (1, 2, 2),
-}
+from .gf2poly import ONE, Poly, X, X1, _mul, bar, is_odd, star, val_x, val_x1
+from .sigma import (
+    MERSENNE_AB,
+    TWO_MERSENNE_ABN,
+    _shape,
+    is_perfect,
+    mersenne,
+    sigma_prime_power,
+    two_mersenne,
+)
 
 # Odd-index perfect entries as (a, b, catalog prime powers); the even
 # index in each pair is the conjugate of its predecessor, which is how
@@ -109,21 +81,6 @@ class CatalogEntry:
             "params": list(params) if params is not None else None,
             "bar_partner": self.bar_partner,
         }
-
-
-def _shape(a: int, b: int) -> Poly:
-    """1 + x^a (x+1)^b."""
-    return Poly(1 ^ _mul(1 << a, (X1**b).bits))
-
-
-def mersenne(i: int) -> Poly:
-    a, b = MERSENNE_AB[i]
-    return _shape(a, b)
-
-
-def two_mersenne(j: int) -> Poly:
-    a, b, c = TWO_MERSENNE_ABN[j]
-    return Poly(1 ^ _mul(_mul(1 << a, (X1**b).bits), (mersenne(1) ** c).bits))
 
 
 def _perfect_poly(k: int, primes: dict[str, Poly]) -> Poly:
@@ -225,11 +182,6 @@ def catalog_json() -> list[dict]:
 # representation chains
 
 
-def _is_odd_poly(p: Poly) -> bool:
-    """No root at 0 or 1, i.e. coprime to x and to x+1."""
-    return bool(p.bits & 1) and bool(p.bits.bit_count() & 1)
-
-
 @dataclass(frozen=True)
 class Representation:
     """Valuation chain of an odd polynomial.
@@ -255,7 +207,7 @@ def representation(p: Poly) -> Representation:
     """Iterated extraction of linear-prime valuations from 1 + P."""
     if p.degree < 1:
         raise ValueError("constant polynomial has no representation")
-    if not _is_odd_poly(p):
+    if not is_odd(p):
         raise ValueError("even polynomial has no representation")
     pairs = []
     q = p
@@ -397,7 +349,7 @@ def is_admissible(
     for p in family:
         if not is_irreducible(p):
             raise ValueError(f"family member {p.text()} is reducible")
-        if not _is_odd_poly(p):
+        if not is_odd(p):
             raise ValueError(f"family member {p.text()} is even")
         if p.bits not in seen:
             seen.add(p.bits)

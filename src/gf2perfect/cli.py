@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .catalog import (
@@ -152,6 +153,9 @@ def _cmd_tables(args, parser):
 
 
 def _cmd_search(args, parser):
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        parser.error(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
     res = run_search(args.stage, stage2_rule=args.rule, jobs=args.jobs)
     if args.json:
         print(json.dumps(res.to_json(), indent=2))
@@ -318,7 +322,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes (results are identical for any value)",
+        help=(
+            "worker processes, from 1 to the CPU count "
+            "(results are identical for any value)"
+        ),
     )
 
     p = add("reciprocal", _cmd_reciprocal, "classify reciprocals of shaped primes")

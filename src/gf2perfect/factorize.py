@@ -26,7 +26,6 @@ from .gf2poly import (
     _gcd,
     _mod,
     _mul,
-    _powmod,
     _sqrt,
     _square,
 )
@@ -46,7 +45,9 @@ def _prime_divisors(n):
     return out
 
 
-@lru_cache(maxsize=None)
+# Bounded so long sweeps cannot grow it without limit; the working set
+# of the exploratory sweeps is under a thousand entries.
+@lru_cache(maxsize=4096)
 def _is_irreducible_bits(a):
     d = _degree(a)
     # x and x+1 are the degree-1 primes; degree >= 2 needs the real test.
@@ -152,14 +153,7 @@ class FactorMap:
     def product(self) -> Poly:
         bits = 1
         for p, e in self.entries:
-            q = p.bits
-            k = e
-            while k:
-                if k & 1:
-                    bits = _mul(bits, q)
-                k >>= 1
-                if k:
-                    q = _square(q)
+            bits = _mul(bits, (p**e).bits)
         return Poly(bits)
 
     def to_json(self) -> dict:

@@ -21,11 +21,6 @@ from __future__ import annotations
 
 NEG_INF = float("-inf")
 
-# Degree above which multiplication switches from the shift-XOR
-# schoolbook loop to the guard-bit integer product.  Both paths are
-# exercised and compared by the test suite.
-_CLMUL_THRESHOLD = 256
-
 
 class PolyParseError(ValueError):
     """Raised for malformed polynomial text; carries the bad offset."""
@@ -43,7 +38,8 @@ def _degree(a):
     return a.bit_length() - 1 if a else NEG_INF
 
 
-def _mul_schoolbook(a, b):
+def _mul(a, b):
+    # Shift-XOR product; the operand loop runs over the shorter one.
     if a.bit_length() < b.bit_length():
         a, b = b, a
     c = 0
@@ -53,45 +49,6 @@ def _mul_schoolbook(a, b):
         a <<= 1
         b >>= 1
     return c
-
-
-def _mul_clmul(a, b):
-    # Carry-less product via one big integer multiplication.  Each
-    # coefficient is given a 16-bit lane; a column sum never exceeds
-    # min(len(a), len(b)) so lanes cannot overflow for any operand
-    # below 2^65535 bits, far beyond anything this package touches.
-    na = a.bit_length()
-    nb = b.bit_length()
-    wide_a = 0
-    i = 0
-    while a:
-        if a & 1:
-            wide_a |= 1 << (i << 4)
-        a >>= 1
-        i += 1
-    wide_b = 0
-    i = 0
-    while b:
-        if b & 1:
-            wide_b |= 1 << (i << 4)
-        b >>= 1
-        i += 1
-    prod = wide_a * wide_b
-    nlanes = na + nb - 1
-    raw = prod.to_bytes(2 * nlanes + 2, "little")
-    c = 0
-    for k in range(nlanes):
-        if raw[2 * k] & 1:
-            c |= 1 << k
-    return c
-
-
-def _mul(a, b):
-    if a == 0 or b == 0:
-        return 0
-    if a.bit_length() > _CLMUL_THRESHOLD and b.bit_length() > _CLMUL_THRESHOLD:
-        return _mul_clmul(a, b)
-    return _mul_schoolbook(a, b)
 
 
 def _divmod(a, b):
@@ -155,18 +112,6 @@ def _derivative(a):
         n += 1
     mask = ((1 << n) - 1) // 3  # 0b0101...01
     return (a >> 1) & mask
-
-
-def _powmod(base, e, modulus):
-    result = 1
-    base = _mod(base, modulus)
-    while e:
-        if e & 1:
-            result = _mod(_mul(result, base), modulus)
-        e >>= 1
-        if e:
-            base = _mod(_square(base), modulus)
-    return result
 
 
 def _bar(a):
@@ -318,29 +263,45 @@ class Poly:
     def __lt__(self, other):
         # Degree first, then little-endian coefficient value; for this
         # packing both collapse to plain integer comparison.
+        if not isinstance(other, Poly):
+            return NotImplemented
         return self.bits < other.bits
 
     def __le__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
         return self.bits <= other.bits
 
     # -- arithmetic ----------------------------------------------------------
 
+    # Foreign operands get NotImplemented, so Python raises TypeError.
+
     def __add__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
         return Poly(self.bits ^ other.bits)
 
     __sub__ = __add__
 
     def __mul__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
         return Poly(_mul(self.bits, other.bits))
 
     def __divmod__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
         q, r = _divmod(self.bits, other.bits)
         return Poly(q), Poly(r)
 
     def __floordiv__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
         return Poly(_divmod(self.bits, other.bits)[0])
 
     def __mod__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
         return Poly(_mod(self.bits, other.bits))
 
     def __pow__(self, e):
@@ -365,29 +326,9 @@ class Poly:
 # module-level operations (the names the rest of the package uses)
 
 
-def add(a: Poly, b: Poly) -> Poly:
-    """Sum of two polynomials (XOR of coefficient vectors)."""
-    return a + b
-
-
-def mul(a: Poly, b: Poly) -> Poly:
-    """Product of two polynomials."""
-    return a * b
-
-
-def divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder of a by nonzero b, deg r < deg b."""
-    return divmod(a, b)
-
-
 def gcd(a: Poly, b: Poly) -> Poly:
     """Greatest common divisor (monic for free over GF(2))."""
     return Poly(_gcd(a.bits, b.bits))
-
-
-def power(a: Poly, e: int) -> Poly:
-    """a raised to a nonnegative integer exponent."""
-    return a ** e
 
 
 def derivative(a: Poly) -> Poly:

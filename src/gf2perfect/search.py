@@ -24,19 +24,26 @@ from dataclasses import dataclass
 from functools import partial
 
 from .catalog import (
-    MERSENNE_AB,
     chain_length,
     family_degree_sum,
-    mersenne,
     name_of,
     mersenne_family,
     prime_family,
-    two_mersenne,
     two_mersenne_family,
 )
 from .factorize import FactorMap, factor_full, factor_over_family, is_irreducible
 from .gf2poly import Poly, X, X1, _divmod, _mul, star, val_x, val_x1
-from .sigma import US, U1S, ExponentTuple, sigma, sigma_exponents, sigma_prime_power
+from .sigma import (
+    MERSENNE_AB,
+    US,
+    U1S,
+    ExponentTuple,
+    assemble,
+    decompose_exponent,
+    sigma,
+    sigma_exponents,
+    sigma_prime_power,
+)
 
 # Counts the three sieve stages are calibrated against, and the names
 # of the catalog entries the confirmed survivors must match.  The
@@ -57,16 +64,9 @@ STAGE2_RULES = ("uniform", "strict")
 _M1_BITS = 0b111
 
 
-def _decompose(value):
-    """Split value = 2^t * s - 1 canonically: t maximal, s odd."""
-    k = value + 1
-    t = (k & -k).bit_length() - 1
-    return t, k >> t
-
-
 def _solve_slot(value, cap, odd_allowed):
     """The (t, s) decomposition if it fits the slot bounds, else None."""
-    t, s = _decompose(value)
+    t, s = decompose_exponent(value)
     if t <= cap and s in odd_allowed:
         return t, s
     return None
@@ -98,13 +98,11 @@ _STAGE1_PREFIXES = tuple(
 )
 
 
-def _stage1_chunk(prefixes, require_large_unit=False):
+def _stage1_chunk(prefixes):
     rows = []
     for n, u, m, v in prefixes:
         a = (u << n) - 1
         if a < 1 or a > (v << m) - 1:
-            continue
-        if require_large_unit and u < 3 and v < 3:
             continue
         for n1 in range(5):
             for u1 in U1S:
@@ -133,7 +131,7 @@ def _stage2_chunk(rows, rule="uniform"):
                 continue
         elif any(x not in REPRESENTABLE_EXPONENTS for x in d[1:]):
             continue
-        m1, v1 = _decompose(d[0])
+        m1, v1 = decompose_exponent(d[0])
         out.append((n, u, m, v, n1, u1, n2, u2) + d + (m1, v1))
     return out
 
@@ -166,10 +164,7 @@ def _stage3_chunk(rows):
     for row in rows:
         n, u, m, v, n1, u1, n2, u2 = row[:8]
         d = row[8:16]
-        a = (u << n) - 1
-        b = (v << m) - 1
-        mj = tuple(_decompose(x)[0] for x in d)
-        vj = tuple(_decompose(x)[1] for x in d)
+        mj, vj = zip(*(decompose_exponent(x) for x in d))
         t = ExponentTuple.from_parts(
             n=n,
             u=u,
@@ -181,25 +176,23 @@ def _stage3_chunk(rows):
             vj=vj,
         )
         exps = sigma_exponents(t, relax_tail=True)
-        witness = _match_free_slots(a - exps.alpha, b - exps.beta)
+        witness = _match_free_slots(t.a - exps.alpha, t.b - exps.beta)
         if witness is None:
             continue
-        n3, n4, n5 = witness
-        c = (
-            exps.gamma[0],
-            (u2 << n2) - 1,
-            (u2 << n2) - 1,
-            (1 << n4) - 1,
-            (1 << n5) - 1,
+        _n3, n4, n5 = witness
+        # M3 takes its exponent from (n2, u2), the same as M2.
+        t1, s1 = decompose_exponent(exps.gamma[0])
+        candidate = ExponentTuple.from_parts(
+            n=n,
+            u=u,
+            m=m,
+            v=v,
+            ni=(t1, n2, n2, n4, n5),
+            ui=(s1, u2, u2, 1, 1),
+            mj=mj,
+            vj=vj,
         )
-        bits = _mul(1 << a, (X1 ** b).bits)
-        for i in range(1, 6):
-            if c[i - 1]:
-                bits = _mul(bits, (mersenne(i) ** c[i - 1]).bits)
-        for j in range(1, 9):
-            if d[j - 1]:
-                bits = _mul(bits, (two_mersenne(j) ** d[j - 1]).bits)
-        out.append((bits, row, witness, c))
+        out.append((assemble(candidate).bits, row, witness, candidate.c))
     return out
 
 
@@ -303,11 +296,9 @@ def run_search(stage, stage2_rule="uniform", jobs=1) -> StageResult:
     rows1 = _run_chunks(_stage1_chunk, _STAGE1_PREFIXES, jobs)
     counts["1"] = len(rows1)
     if counts["1"] != REFERENCE_STAGE_COUNTS["1"]:
-        alt = len(_stage1_chunk(_STAGE1_PREFIXES, require_large_unit=True))
         diff["1"] = {
             "reference": REFERENCE_STAGE_COUNTS["1"],
             "count": counts["1"],
-            "variants": {"require u >= 3 or v >= 3": alt},
         }
     if key == "1":
         return StageResult("1", tuple(rows1), counts["1"], counts, diff or None)

@@ -15,6 +15,8 @@ exponent in its factorization over the fixed catalog families), and
 SigmaExponents gives the exponent of each catalog prime in sigma of
 that candidate as a closed integer formula.  No polynomial arithmetic
 is involved there, which is what makes the exhaustive search cheap.
+The shape parameters of the Mersenne and 2-Mersenne primes live here
+too, so the formulas need nothing from the catalog layer above.
 """
 
 from __future__ import annotations
@@ -81,10 +83,7 @@ def sigma(a: Poly) -> Poly:
     """Sum of all divisors; multiplicative over the factorization."""
     if a.bits == 0:
         raise ValueError("sigma of the zero polynomial")
-    bits = 1
-    for prime, exp in factor_full(a):
-        bits = _mul(bits, _sigma_pp_split_unchecked(prime, exp).bits)
-    return Poly(bits)
+    return sigma_of_factor_map(factor_full(a))
 
 
 def sigma_of_factor_map(fm: FactorMap) -> Poly:
@@ -144,6 +143,57 @@ def is_indecomposable_perfect(a: Poly) -> bool:
 
 # ---------------------------------------------------------------------------
 # symbolic exponent calculus
+
+# Shape parameters (a, b) with Mi = 1 + x^a (x+1)^b.
+MERSENNE_AB = {
+    1: (1, 1),
+    2: (1, 2),
+    3: (2, 1),
+    4: (1, 3),
+    5: (3, 1),
+    6: (3, 2),
+    7: (3, 4),
+    8: (6, 1),
+    9: (2, 3),
+    10: (4, 3),
+    11: (1, 6),
+    12: (1, 8),
+    13: (8, 1),
+}
+
+# Shape parameters (a, b, c) with Sj = 1 + x^a (x+1)^b M1^c.
+TWO_MERSENNE_ABN = {
+    1: (1, 1, 1),
+    2: (2, 2, 1),
+    3: (1, 3, 4),
+    4: (3, 1, 1),
+    5: (1, 3, 1),
+    6: (3, 1, 4),
+    7: (1, 1, 3),
+    8: (3, 3, 1),
+    9: (1, 1, 5),
+    10: (4, 1, 1),
+    11: (1, 2, 1),
+    12: (2, 1, 2),
+    13: (1, 4, 1),
+    14: (2, 1, 1),
+    15: (1, 2, 2),
+}
+
+
+def _shape(a: int, b: int) -> Poly:
+    """1 + x^a (x+1)^b."""
+    return Poly(1 ^ _mul(1 << a, (X1**b).bits))
+
+
+def mersenne(i: int) -> Poly:
+    a, b = MERSENNE_AB[i]
+    return _shape(a, b)
+
+
+def two_mersenne(j: int) -> Poly:
+    a, b, c = TWO_MERSENNE_ABN[j]
+    return Poly(1 ^ _mul(_mul(1 << a, (X1**b).bits), (mersenne(1) ** c).bits))
 
 
 def chi(w: int, t: int) -> int:
@@ -294,8 +344,6 @@ def sigma_exponents(t: ExponentTuple, relax_tail: bool = False) -> SigmaExponent
     relax_tail is forwarded to the domain validation; the formulas
     themselves do not depend on it.
     """
-    from .catalog import MERSENNE_AB, TWO_MERSENNE_ABN
-
     t.validate(relax_tail)
     n, u, m, v = t.n, t.u, t.m, t.v
     n1, n2, n3 = t.ni[0], t.ni[1], t.ni[2]
@@ -357,8 +405,6 @@ def sigma_exponents(t: ExponentTuple, relax_tail: bool = False) -> SigmaExponent
 
 def assemble(t: ExponentTuple) -> Poly:
     """Materialize the candidate x^a (x+1)^b prod Mi^ci prod Sj^dj."""
-    from .catalog import mersenne, two_mersenne
-
     bits = 1 << t.a
     bits = _mul(bits, (X1 ** t.b).bits)
     for i, ci in enumerate(t.c, start=1):
@@ -372,8 +418,6 @@ def assemble(t: ExponentTuple) -> Poly:
 
 def sigma_of_tuple(t: ExponentTuple) -> Poly:
     """sigma of the candidate, from its known factorization."""
-    from .catalog import mersenne, two_mersenne
-
     bits = _sigma_pp_split_unchecked(Poly(2), t.a).bits
     bits = _mul(bits, _sigma_pp_split_unchecked(X1, t.b).bits)
     for i, ci in enumerate(t.c, start=1):

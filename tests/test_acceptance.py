@@ -25,7 +25,7 @@ from gf2perfect.catalog import (
     two_mersenne_family,
 )
 from gf2perfect.factorize import factor_full, is_irreducible, is_squarefree
-from gf2perfect.gf2poly import ONE, Poly, X, X1, bar, gcd, power, star
+from gf2perfect.gf2poly import ONE, Poly, X, X1, bar, gcd, star
 from gf2perfect.search import (
     conjecture_scan,
     explore_reciprocal,

@@ -1,9 +1,11 @@
 """Exit codes and output of every CLI verb, driven through main()."""
 
 import json
+import os
 
 import pytest
 
+from gf2perfect import cli
 from gf2perfect.cli import main
 
 
@@ -140,6 +142,19 @@ def test_search_json_stable_across_jobs(capsys):
     assert out1 == out2
     blob = json.loads(out1)
     assert blob["names"] == ["T2", "T11", "T4", "T7", "T5", "T8"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", str((os.cpu_count() or 1) + 1)])
+def test_search_rejects_out_of_range_jobs(capsys, monkeypatch, jobs):
+    # The check must fire before the sieve, so no worker ever starts.
+    def no_search(*args, **kwargs):
+        raise AssertionError("run_search reached with a bad --jobs")
+
+    monkeypatch.setattr(cli, "run_search", no_search)
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_search_strict_rule(capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from gf2perfect.catalog import mersenne, name_of, prime_family, two_mersenne
 from gf2perfect.factorize import (
     FactorMap,
+    _is_irreducible_bits,
     factor_full,
     factor_over_family,
     is_irreducible,
@@ -110,3 +111,12 @@ def test_squarefree():
     assert not is_squarefree(X ** 2)
     assert not is_squarefree(mersenne(1) ** 2)
     assert is_squarefree(mersenne(1) * mersenne(2))
+
+
+def test_irreducibility_cache_is_bounded():
+    maxsize = _is_irreducible_bits.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+    # Twice the bound in fresh inputs forces evictions.
+    for bits in range(2, 2 * maxsize + 2):
+        _is_irreducible_bits(bits)
+    assert _is_irreducible_bits.cache_info().currsize <= maxsize

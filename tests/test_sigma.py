@@ -13,7 +13,7 @@ from gf2perfect.catalog import (
     two_mersenne,
 )
 from gf2perfect.factorize import FactorMap, factor_over_family
-from gf2perfect.gf2poly import ONE, Poly, X, X1, bar, power, val_x, val_x1
+from gf2perfect.gf2poly import ONE, Poly, X, X1, bar, val_x, val_x1
 from gf2perfect.sigma import (
     MAX_OMEGA_FOR_DECOMPOSITION,
     US,
@@ -81,8 +81,8 @@ def test_sigma_multiplicative_over_coprime_parts():
     for _ in range(200):
         picks = rng.sample(pool, 4)
         e = [rng.randint(1, 5) for _ in picks]
-        left = power(picks[0], e[0]) * power(picks[1], e[1])
-        right = power(picks[2], e[2]) * power(picks[3], e[3])
+        left = picks[0] ** e[0] * picks[1] ** e[1]
+        right = picks[2] ** e[2] * picks[3] ** e[3]
         assert sigma(left * right) == sigma(left) * sigma(right)
 
 
@@ -224,7 +224,7 @@ def test_exponent_formulas_match_actual_divisor_sums():
         assert exps.gamma[1] == exps.gamma[2]
         alpha, beta = val_x(s), val_x1(s)
         assert (alpha, beta) == (exps.alpha, exps.beta)
-        odd = s // (power(X, alpha) * power(X1, beta))
+        odd = s // (X**alpha * X1**beta)
         fm = factor_over_family(odd, fam)
         assert fm is not None, t
         for i, m in enumerate(mers):
