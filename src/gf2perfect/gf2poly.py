@@ -21,6 +21,11 @@ from __future__ import annotations
 
 NEG_INF = float("-inf")
 
+# Largest k that Poly.parse accepts in a term x^k (7 decimal digits).
+# The packed form of x^k takes k bits, so this bounds what a short
+# string can allocate.
+MAX_PARSE_EXPONENT = 1 << 20
+
 
 class PolyParseError(ValueError):
     """Raised for malformed polynomial text; carries the bad offset."""
@@ -163,10 +168,10 @@ class Poly:
         """Read a polynomial from canonical text or from hex form.
 
         The grammar is a '+'-separated sum of terms "1", "x" or "x^k"
-        with decimal k >= 2; repeated terms cancel in pairs.  A string
-        starting with "0x" is read as the coefficient bits instead,
-        lowest hex digit first.  The single term "0" denotes the zero
-        polynomial.
+        with decimal 2 <= k <= MAX_PARSE_EXPONENT; repeated terms
+        cancel in pairs.  A string starting with "0x" is read as the
+        coefficient bits instead, so "0x13" is x^4+x+1.  The single
+        term "0" denotes the zero polynomial.
         """
         if not isinstance(text, str):
             raise PolyParseError("polynomial text must be a string", 0)
@@ -193,8 +198,13 @@ class Poly:
                 exponent = 1
             elif term.startswith("x^"):
                 digits = term[2:]
-                if not digits.isdigit():
+                if not (digits.isascii() and digits.isdigit()):
                     raise PolyParseError(f"malformed exponent {digits!r}", offset + 2)
+                # Bound the length before int(), which refuses overlong
+                # digit strings, and the value before the shift below.
+                digits = digits.lstrip("0") or "0"
+                if len(digits) > 7 or int(digits) > MAX_PARSE_EXPONENT:
+                    raise PolyParseError(f"exponent exceeds {MAX_PARSE_EXPONENT}", offset + 2)
                 exponent = int(digits)
                 if exponent < 2:
                     raise PolyParseError("exponents below 2 must be written as 1 or x", offset + 2)
@@ -203,13 +213,6 @@ class Poly:
             bits ^= 1 << exponent
             pos += len(piece) + 1
         return cls(bits)
-
-    @classmethod
-    def monomial(cls, k):
-        """x^k."""
-        if k < 0:
-            raise ValueError("negative exponent")
-        return cls(1 << k)
 
     # -- rendering ---------------------------------------------------------
 
@@ -247,9 +250,6 @@ class Poly:
 
     def is_zero(self):
         return self.bits == 0
-
-    def is_one(self):
-        return self.bits == 1
 
     def __bool__(self):
         return self.bits != 0
@@ -305,7 +305,9 @@ class Poly:
         return Poly(_mod(self.bits, other.bits))
 
     def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
+        if not isinstance(e, int):
+            return NotImplemented
+        if e < 0:
             raise ValueError("exponent must be a nonnegative integer")
         if e == 0:
             if self.bits == 0:

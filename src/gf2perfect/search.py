@@ -6,9 +6,11 @@ The centerpiece is a three-stage sieve over candidate shapes
 
 driven entirely by integer arithmetic on the closed-form divisor-sum
 exponents, followed by an independent fixed-point confirmation of the
-survivors.  Stage counts are compared against fixed reference values;
-a mismatch is never hidden, it is reported together with the counts of
-the documented filter variants so the divergence can be localized.
+survivors.  Stage 1 evaluates the formulas once per candidate; stage 2
+filters the slot exponents stage 1 carries.  Stage counts are compared
+against fixed reference values; a mismatch is never hidden, it is
+reported together with the counts of the documented filter variants
+so the divergence can be localized.
 
 The module also holds the smaller sweeps: divisor-sum factor tables
 over the fixed prime family, the reciprocal-polynomial exploration,
@@ -21,7 +23,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 from .catalog import (
     chain_length,
@@ -53,23 +54,20 @@ REFERENCE_STAGE_COUNTS = {"1": 10944, "2": 4484, "3": 44}
 FINAL_REFERENCE_NAMES = ("T2", "T4", "T5", "T7", "T8", "T11")
 
 # Exponent values of the form 2^m * v - 1 with m <= 3 and v in {1, 3}:
-# the room the first divisor-sum slot is allowed, reused by the
-# uniform stage-2 rule for the remaining slots.
+# the room of the M2 and S1 slots, reused by the uniform stage-2 rule
+# for the remaining divisor-sum slots.
 REPRESENTABLE_EXPONENTS = frozenset(
     (v << m) - 1 for m in range(4) for v in (1, 3)
 )
 
-STAGE2_RULES = ("uniform", "strict")
+# The stage-2 slot rules: each maps the exponents of S2..S8 in sigma
+# of a candidate to whether the candidate survives.
+STAGE2_RULES = {
+    "uniform": lambda tail: all(x in REPRESENTABLE_EXPONENTS for x in tail),
+    "strict": lambda tail: all(x in (0, 1) for x in tail),
+}
 
 _M1_BITS = 0b111
-
-
-def _solve_slot(value, cap, odd_allowed):
-    """The (t, s) decomposition if it fits the slot bounds, else None."""
-    t, s = decompose_exponent(value)
-    if t <= cap and s in odd_allowed:
-        return t, s
-    return None
 
 
 def _strip_m1(bits):
@@ -109,31 +107,24 @@ def _stage1_chunk(prefixes):
                 t = ExponentTuple.from_parts(
                     n=n, u=u, m=m, v=v, ni=(n1, 0, 0, 0, 0), ui=(u1, 1, 1, 1, 1)
                 )
-                slot = _solve_slot(sigma_exponents(t).gamma[1], 3, (1, 3))
-                if slot is None:
+                exps = sigma_exponents(t)
+                g = exps.gamma[1]
+                if g not in REPRESENTABLE_EXPONENTS:
                     continue
-                rows.append((n, u, m, v, n1, u1, slot[0], slot[1]))
+                # Every delta formula reads only (n, u, m, v, n1, u1), which
+                # this row fixes, so stage 2 can filter these deltas as is.
+                rows.append((n, u, m, v, n1, u1) + decompose_exponent(g) + exps.delta)
     return rows
 
 
-def _stage2_chunk(rows, rule="uniform"):
-    out = []
-    strict = rule == "strict"
-    for n, u, m, v, n1, u1, n2, u2 in rows:
-        t = ExponentTuple.from_parts(
-            n=n, u=u, m=m, v=v, ni=(n1, n2, 0, 0, 0), ui=(u1, u2, 1, 1, 1)
-        )
-        d = sigma_exponents(t).delta
-        if d[0] not in REPRESENTABLE_EXPONENTS:
-            continue
-        if strict:
-            if any(x not in (0, 1) for x in d[1:]):
-                continue
-        elif any(x not in REPRESENTABLE_EXPONENTS for x in d[1:]):
-            continue
-        m1, v1 = decompose_exponent(d[0])
-        out.append((n, u, m, v, n1, u1, n2, u2) + d + (m1, v1))
-    return out
+def _stage2_rows(rows1, rule):
+    """Stage-1 rows whose carried deltas pass the first slot and the rule."""
+    accept = STAGE2_RULES[rule]
+    return [
+        r + decompose_exponent(r[8])
+        for r in rows1
+        if r[8] in REPRESENTABLE_EXPONENTS and accept(r[9:16])
+    ]
 
 
 # Degree-pattern contributions of the slots left free at stage 3: the
@@ -277,9 +268,10 @@ class StageResult:
 def run_search(stage, stage2_rule="uniform", jobs=1) -> StageResult:
     """Run the sieve through the requested stage ("1", "2", "3", "final").
 
-    stage2_rule picks the documented filter variant for the second
-    stage: "uniform" bounds every divisor-sum slot the way the first
-    one is bounded, "strict" pins the later slots to exponents 0 and 1.
+    Stage 2 filters the slot exponents stage 1 computed, under the
+    rule stage2_rule names in STAGE2_RULES: "uniform" bounds every
+    divisor-sum slot the way the first one is bounded, "strict" pins
+    the later slots to exponents 0 and 1.
     Counts for each computed stage are recorded and compared against
     REFERENCE_STAGE_COUNTS by matches_reference; a divergent stage gets
     the counts of its filter variants spelled out in filter_diff.
@@ -301,22 +293,19 @@ def run_search(stage, stage2_rule="uniform", jobs=1) -> StageResult:
             "count": counts["1"],
         }
     if key == "1":
-        return StageResult("1", tuple(rows1), counts["1"], counts, diff or None)
+        rows = tuple(r[:8] for r in rows1)
+        return StageResult("1", rows, counts["1"], counts, diff or None)
 
-    rows2 = _run_chunks(partial(_stage2_chunk, rule=stage2_rule), rows1, jobs)
+    rows2 = _stage2_rows(rows1, stage2_rule)
     counts["2"] = len(rows2)
     if counts["2"] != REFERENCE_STAGE_COUNTS["2"]:
-        variants = {}
-        for rule in STAGE2_RULES:
-            if rule == stage2_rule:
-                variants[rule] = counts["2"]
-            else:
-                variants[rule] = len(_stage2_chunk(rows1, rule))
         diff["2"] = {
             "reference": REFERENCE_STAGE_COUNTS["2"],
             "count": counts["2"],
             "rule": stage2_rule,
-            "variants": variants,
+            "variants": {
+                rule: len(_stage2_rows(rows1, rule)) for rule in STAGE2_RULES
+            },
         }
     if key == "2":
         return StageResult("2", tuple(rows2), counts["2"], counts, diff or None)
@@ -343,18 +332,17 @@ def run_search(stage, stage2_rule="uniform", jobs=1) -> StageResult:
     return StageResult("final", final, counts["final"], counts, diff or None)
 
 
-def stage3_candidates(jobs=1):
+def stage3_candidates():
     """Stage-3 survivors with their generating data, before dedup.
 
     Returns (poly, stage2_row, free_slot_witness, mersenne_exponents)
     tuples in domain order; used by consistency checks that compare a
     candidate's factorization against the exponents that produced it.
     """
-    rows1 = _stage1_chunk(_STAGE1_PREFIXES)
-    rows2 = _stage2_chunk(rows1)
+    rows2 = _stage2_rows(_stage1_chunk(_STAGE1_PREFIXES), "uniform")
     return [
         (Poly(bits), row, witness, c)
-        for bits, row, witness, c in _run_chunks(_stage3_chunk, rows2, jobs)
+        for bits, row, witness, c in _stage3_chunk(rows2)
     ]
 
 

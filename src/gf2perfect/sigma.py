@@ -202,33 +202,6 @@ def chi(w: int, t: int) -> int:
 
 
 @dataclass(frozen=True)
-class IndicatorProfile:
-    """The four indicator sums the closed formulas share."""
-
-    xi1: int
-    xi2: int
-    xi3: int
-    xi4: int
-
-    def __post_init__(self):
-        for name in ("xi1", "xi2", "xi3", "xi4"):
-            value = getattr(self, name)
-            # The indicator argument sets are disjoint, so each sum is
-            # 0 or 1 even though three terms are added.
-            if not 0 <= value <= 1:
-                raise ValueError(f"{name} = {value} escapes {{0, 1}}")
-
-    @classmethod
-    def of(cls, u: int, v: int) -> "IndicatorProfile":
-        return cls(
-            xi1=chi(3, u) + chi(9, u) + chi(15, u),
-            xi2=chi(3, v) + chi(9, v) + chi(15, v),
-            xi3=chi(5, u) + chi(15, u),
-            xi4=chi(5, v) + chi(15, v),
-        )
-
-
-@dataclass(frozen=True)
 class ExponentTuple:
     """2-adic shape of a candidate's exponents over the catalog.
 
@@ -350,7 +323,12 @@ def sigma_exponents(t: ExponentTuple, relax_tail: bool = False) -> SigmaExponent
     u1, u2, u3 = t.ui[0], t.ui[1], t.ui[2]
     m1 = t.mj[0]
     v1 = t.vj[0]
-    prof = IndicatorProfile.of(u, v)
+    # The four indicator sums the formulas share.  Each compares one
+    # value against disjoint singletons, so it is 0 or 1.
+    xi1 = chi(3, u) + chi(9, u) + chi(15, u)
+    xi2 = chi(3, v) + chi(9, v) + chi(15, v)
+    xi3 = chi(5, u) + chi(15, u)
+    xi4 = chi(5, v) + chi(15, v)
 
     alpha = 2**m - 1
     beta = 2**n - 1
@@ -365,14 +343,14 @@ def sigma_exponents(t: ExponentTuple, relax_tail: bool = False) -> SigmaExponent
         beta += (2 ** t.mj[j - 1] - 1) * bj
         gamma1 += (2 ** t.mj[j - 1] - 1) * nuj
     gamma1 += (
-        prof.xi1 * 2**n
-        + prof.xi2 * 2**m
+        xi1 * 2**n
+        + xi2 * 2**m
         + chi(3, u2) * 2**n2
         + chi(3, u3) * 2**n3
     )
     gamma2 = chi(7, u) * 2**n + chi(7, v) * 2**m + chi(7, u1) * 2**n1
     gamma4 = (
-        prof.xi3 * 2**n
+        xi3 * 2**n
         + chi(15, v) * 2**m
         + chi(15, u1) * 2**n1
         + chi(3, u3) * 2**n3
@@ -380,7 +358,7 @@ def sigma_exponents(t: ExponentTuple, relax_tail: bool = False) -> SigmaExponent
     )
     gamma5 = (
         chi(15, u) * 2**n
-        + prof.xi4 * 2**m
+        + xi4 * 2**m
         + chi(15, u1) * 2**n1
         + chi(3, u2) * 2**n2
         + chi(3, v1) * 2**m1

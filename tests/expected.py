@@ -68,3 +68,21 @@ EXPECTED_STAGE_COUNTS = {"1": 10944, "2": 4484, "3": 44, "final": 6}
 COMPUTED_STAGE2_UNIFORM = 3314
 COMPUTED_STAGE2_STRICT = 2159
 EXPECTED_FINAL_NAMES = {"T2", "T4", "T5", "T7", "T8", "T11"}
+
+# sha256 of json.dumps(run_search(stage, stage2_rule=rule).to_json(),
+# sort_keys=True), keyed by rule, then stage; pins every sieve row
+
+SEARCH_JSON_SHA256 = {
+    "uniform": {
+        "1": "20b945b30d7ee61f64f055bcb845e4b1f71b3513aa4cc6c02001d75269208f4e",
+        "2": "d89d2537868e92887b7f96761a81b229e38fe734963caa1440c36bef22059e03",
+        "3": "bdab2157afd9589bf9dde6747f342aebf4eb97590f107fb2de290ce263910dee",
+        "final": "85c84c4bd78f3f882e01f5cda0255461c02255c46fee59a3cc867870a880f1cb",
+    },
+    "strict": {
+        "1": "20b945b30d7ee61f64f055bcb845e4b1f71b3513aa4cc6c02001d75269208f4e",
+        "2": "6cca57321b37408adb4995077cfe4f8a4e84016bd8709e63cc35aa39ff65fa0e",
+        "3": "b862c91157fca14a2362aaab5d3afbdac5a1442c8319137a43f6a3c2815c9a05",
+        "final": "5fb1a93af0e59d68e7c41ba136eb16c04d696ef1d92cf4ed341ef5e4a83fe526",
+    },
+}

@@ -10,8 +10,6 @@ and the test reports the variant counts rather than smoothing over the gap.
 import random
 import time
 
-import pytest
-
 from gf2perfect.catalog import (
     catalog_constants,
     chain_length,
@@ -19,7 +17,6 @@ from gf2perfect.catalog import (
     mersenne,
     mersenne_family,
     name_of,
-    perfect_family,
     prime_family,
     representation,
     two_mersenne_family,

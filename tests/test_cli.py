@@ -214,6 +214,7 @@ def test_admissible_failure(capsys):
         [],
         ["search", "--stage", "9"],
         ["admissible", "x^2+x"],
+        ["factor", "x^10000000000"],
     ],
 )
 def test_malformed_invocations_exit_2(capsys, argv):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gf2perfect.gf2poly import (
+    MAX_PARSE_EXPONENT,
     ONE,
     Poly,
     PolyParseError,
@@ -157,6 +158,17 @@ def test_power_of_zero():
         Poly(0) ** 0
 
 
+@pytest.mark.parametrize("e", [1.5, "2", Poly(2)])
+def test_non_int_exponent_raises_type_error(e):
+    with pytest.raises(TypeError):
+        Poly(3) ** e
+
+
+def test_negative_exponent_raises_value_error():
+    with pytest.raises(ValueError):
+        Poly(3) ** -1
+
+
 @pytest.mark.parametrize(
     "op",
     [
@@ -276,10 +288,21 @@ def test_parse_examples():
     assert Poly.parse("x+x").bits == 0  # repeated terms cancel
 
 
-@pytest.mark.parametrize("bad", ["", "  ", "x^^2", "x^1", "y", "x +", "0xg", "x^"])
+@pytest.mark.parametrize(
+    "bad", ["", "  ", "x^^2", "x^1", "y", "x +", "0xg", "x^", "x^\u00b2"]
+)
 def test_parse_errors(bad):
     with pytest.raises(PolyParseError):
         Poly.parse(bad)
+
+
+def test_parse_exponent_bound():
+    assert Poly.parse(f"x^{MAX_PARSE_EXPONENT}").degree == MAX_PARSE_EXPONENT
+    assert Poly.parse("x^" + "0" * 5000 + "2").bits == 0b100
+    for big_exponent in (MAX_PARSE_EXPONENT + 1, 10**10, "9" * 5000):
+        with pytest.raises(PolyParseError) as exc:
+            Poly.parse(f"1+x^{big_exponent}")
+        assert exc.value.offset == 4
 
 
 @given(big, big)

@@ -1,9 +1,11 @@
 """The sieve, the factor tables, and the survey routines."""
 
+import hashlib
+import json
+
 import pytest
 
 from gf2perfect.catalog import (
-    by_name,
     mersenne,
     name_of,
     prime_family,
@@ -14,6 +16,7 @@ from gf2perfect.gf2poly import Poly, X, X1, bar, val_x, val_x1
 from gf2perfect.search import (
     FINAL_REFERENCE_NAMES,
     REFERENCE_STAGE_COUNTS,
+    STAGE2_RULES,
     conjecture_scan,
     explore_reciprocal,
     run_search,
@@ -21,7 +24,12 @@ from gf2perfect.search import (
     stage3_candidates,
     verify_split_identities,
 )
-from gf2perfect.sigma import sigma
+from gf2perfect.sigma import (
+    ExponentTuple,
+    decompose_exponent,
+    sigma,
+    sigma_exponents,
+)
 from expected import (
     COMPUTED_STAGE2_STRICT,
     COMPUTED_STAGE2_UNIFORM,
@@ -34,6 +42,7 @@ from expected import (
     EXPECTED_STAR_MERSENNE_MAP,
     EXPECTED_STAR_PAIRS,
     EXPECTED_TABLE_ROWS,
+    SEARCH_JSON_SHA256,
 )
 
 
@@ -108,6 +117,26 @@ def test_run_search_rejects_bad_arguments():
         run_search("0")
     with pytest.raises(ValueError):
         run_search("final", stage2_rule="loose")
+
+
+@pytest.mark.parametrize("rule", list(STAGE2_RULES))
+def test_stage2_rows_carry_the_exponents_of_their_candidate(rule):
+    # Stage 2 filters the deltas stage 1 computed without the M2 slot;
+    # recompute them with the slot filled in.
+    for row in run_search("2", stage2_rule=rule).tuples:
+        n, u, m, v, n1, u1, n2, u2 = row[:8]
+        t = ExponentTuple.from_parts(
+            n=n, u=u, m=m, v=v, ni=(n1, n2, 0, 0, 0), ui=(u1, u2, 1, 1, 1)
+        )
+        assert row[8:16] == sigma_exponents(t).delta
+        assert row[16:18] == decompose_exponent(row[8])
+
+
+@pytest.mark.parametrize("rule", list(STAGE2_RULES))
+@pytest.mark.parametrize("stage", ["1", "2", "3", "final"])
+def test_search_json_is_pinned(stage, rule):
+    blob = json.dumps(run_search(stage, stage2_rule=rule).to_json(), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == SEARCH_JSON_SHA256[rule][stage]
 
 
 def test_stage3_candidates_are_internally_consistent():

@@ -13,7 +13,7 @@ from gf2perfect.catalog import (
     two_mersenne,
 )
 from gf2perfect.factorize import FactorMap, factor_over_family
-from gf2perfect.gf2poly import ONE, Poly, X, X1, bar, val_x, val_x1
+from gf2perfect.gf2poly import Poly, X, X1, val_x, val_x1
 from gf2perfect.sigma import (
     MAX_OMEGA_FOR_DECOMPOSITION,
     US,
