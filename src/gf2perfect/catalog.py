@@ -323,6 +323,11 @@ def _label(p: Poly) -> str:
     return name_of(p) or p.text()
 
 
+# Largest explicit scan budget is_admissible accepts.  The degree rule
+# gives 92 for the linear bases and the catalog family.
+MAX_H_BUDGET = 128
+
+
 def admissibility_budget(family: tuple[Poly, ...], s: Poly) -> int:
     """Scan bound for divisor sums of s: degrees of family and catalog
     primes combined, divided by the degree of s^2."""
@@ -342,8 +347,11 @@ def is_admissible(
     family, (iii) every member T feeds back into the family extended
     by the linear primes, through 1+T or through some divisor sum
     sigma(T^2h).  The existential h in (ii) and (iii) is scanned up to
-    a degree-based budget unless an explicit h_budget overrides it.
+    a degree-based budget unless an explicit h_budget, from 1 to
+    MAX_H_BUDGET, overrides it.
     """
+    if h_budget is not None and not 1 <= h_budget <= MAX_H_BUDGET:
+        raise ValueError(f"h_budget must be between 1 and {MAX_H_BUDGET}")
     members: list[Poly] = []
     seen: set[int] = set()
     for p in family:
@@ -356,8 +364,6 @@ def is_admissible(
             members.append(p)
     if not members:
         raise ValueError("family is empty")
-    if h_budget is not None and h_budget < 1:
-        raise ValueError("h_budget must be at least 1")
     fam = tuple(members)
 
     def budget(s: Poly) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .catalog import (
@@ -153,10 +152,7 @@ def _cmd_tables(args, parser):
 
 
 def _cmd_search(args, parser):
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.jobs <= cpus:
-        parser.error(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
-    res = run_search(args.stage, stage2_rule=args.rule, jobs=args.jobs)
+    res = run_search(args.stage, stage2_rule=args.rule)
     if args.json:
         print(json.dumps(res.to_json(), indent=2))
     else:
@@ -317,15 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=list(STAGE2_RULES),
         default="uniform",
         help="stage-2 slot rule (default uniform)",
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help=(
-            "worker processes, from 1 to the CPU count "
-            "(results are identical for any value)"
-        ),
     )
 
     p = add("reciprocal", _cmd_reciprocal, "classify reciprocals of shaped primes")

@@ -6,11 +6,12 @@ The centerpiece is a three-stage sieve over candidate shapes
 
 driven entirely by integer arithmetic on the closed-form divisor-sum
 exponents, followed by an independent fixed-point confirmation of the
-survivors.  Stage 1 evaluates the formulas once per candidate; stage 2
-filters the slot exponents stage 1 carries.  Stage counts are compared
-against fixed reference values; a mismatch is never hidden, it is
-reported together with the counts of the documented filter variants
-so the divergence can be localized.
+survivors.  Stage 1 evaluates the formulas once per (prefix, n1, u1)
+on bare ints; stage 2 filters the slot exponents stage 1 carries.  The
+stages are plain functions run one after another in one process.  Stage
+counts are compared against fixed reference values; a mismatch is never
+hidden, it is reported together with the counts of the documented
+filter variants so the divergence can be localized.
 
 The module also holds the smaller sweeps: divisor-sum factor tables
 over the fixed prime family, the reciprocal-polynomial exploration,
@@ -21,8 +22,8 @@ bookkeeping, and the chain-length scan behind the conjecture tooling.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 
 from .catalog import (
     chain_length,
@@ -41,6 +42,7 @@ from .sigma import (
     ExponentTuple,
     assemble,
     decompose_exponent,
+    prefix_exponents,
     sigma,
     sigma_exponents,
     sigma_prime_power,
@@ -67,6 +69,12 @@ STAGE2_RULES = {
     "strict": lambda tail: all(x in (0, 1) for x in tail),
 }
 
+# Largest inputs the sweeps accept; each one takes a few seconds at
+# most on a current CPU, and the cost grows steeply past it.
+MAX_RECIPROCAL_ABC = 16
+MAX_IDENTITY_EXP = 256
+MAX_SCAN_H = 40
+
 _M1_BITS = 0b111
 
 
@@ -82,38 +90,23 @@ def _strip_m1(bits):
 
 
 # ---------------------------------------------------------------------------
-# Sieve stage workers.  Top-level functions so the process pool can ship
-# them; each consumes a contiguous chunk of its input domain and returns
-# rows in domain order, so chunked results concatenate deterministically.
+# Sieve stages.  Each returns its rows in domain order.
 
 
-_STAGE1_PREFIXES = tuple(
-    (n, u, m, v)
-    for n in range(5)
-    for u in US
-    for m in range(5)
-    for v in US
-)
-
-
-def _stage1_chunk(prefixes):
+def _stage1_rows():
+    """Rows (n, u, m, v, n1, u1, n2, u2, d1, ..., d8), one per (prefix,
+    n1, u1) whose M2 exponent 2^n2 u2 - 1 is representable; d1..d8 are
+    the S1..S8 exponents in sigma of the candidate."""
     rows = []
-    for n, u, m, v in prefixes:
+    for n, u, m, v in product(range(5), US, range(5), US):
         a = (u << n) - 1
         if a < 1 or a > (v << m) - 1:
             continue
         for n1 in range(5):
             for u1 in U1S:
-                t = ExponentTuple.from_parts(
-                    n=n, u=u, m=m, v=v, ni=(n1, 0, 0, 0, 0), ui=(u1, 1, 1, 1, 1)
-                )
-                exps = sigma_exponents(t)
-                g = exps.gamma[1]
-                if g not in REPRESENTABLE_EXPONENTS:
-                    continue
-                # Every delta formula reads only (n, u, m, v, n1, u1), which
-                # this row fixes, so stage 2 can filter these deltas as is.
-                rows.append((n, u, m, v, n1, u1) + decompose_exponent(g) + exps.delta)
+                g, delta = prefix_exponents(n, u, m, v, n1, u1)
+                if g in REPRESENTABLE_EXPONENTS:
+                    rows.append((n, u, m, v, n1, u1) + decompose_exponent(g) + delta)
     return rows
 
 
@@ -150,7 +143,9 @@ def _match_free_slots(need_a, need_b):
     return None
 
 
-def _stage3_chunk(rows):
+def _stage3_rows(rows):
+    """(bits, stage-2 row, free-slot witness, Mersenne exponents) of each
+    candidate whose linear-prime valuations a free-slot witness balances."""
     out = []
     for row in rows:
         n, u, m, v, n1, u1, n2, u2 = row[:8]
@@ -184,31 +179,6 @@ def _stage3_chunk(rows):
             vj=vj,
         )
         out.append((assemble(candidate).bits, row, witness, candidate.c))
-    return out
-
-
-def _final_chunk(bits_list):
-    out = []
-    for bits in bits_list:
-        p = Poly(bits)
-        if val_x(p) + val_x1(p) == p.degree:
-            # splits into the two linear primes alone; not of interest
-            continue
-        if sigma(p) == p:
-            out.append(bits)
-    return out
-
-
-def _run_chunks(worker, items, jobs):
-    items = list(items)
-    if jobs <= 1 or len(items) < 2 * jobs:
-        return worker(items)
-    step = -(-len(items) // jobs)
-    chunks = [items[i : i + step] for i in range(0, len(items), step)]
-    out = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(worker, chunks):
-            out.extend(part)
     return out
 
 
@@ -275,17 +245,19 @@ def run_search(stage, stage2_rule="uniform", jobs=1) -> StageResult:
     Counts for each computed stage are recorded and compared against
     REFERENCE_STAGE_COUNTS by matches_reference; a divergent stage gets
     the counts of its filter variants spelled out in filter_diff.
+
+    The stages run one after another in the calling process.  jobs is
+    accepted only so existing callers keep working; it is ignored.
     """
     key = str(stage).lower()
     if key not in ("1", "2", "3", "final"):
         raise ValueError(f"unknown stage {stage!r}")
     if stage2_rule not in STAGE2_RULES:
         raise ValueError(f"unknown stage-2 rule {stage2_rule!r}")
-    jobs = max(1, int(jobs))
     counts = {}
     diff = {}
 
-    rows1 = _run_chunks(_stage1_chunk, _STAGE1_PREFIXES, jobs)
+    rows1 = _stage1_rows()
     counts["1"] = len(rows1)
     if counts["1"] != REFERENCE_STAGE_COUNTS["1"]:
         diff["1"] = {
@@ -310,13 +282,8 @@ def run_search(stage, stage2_rule="uniform", jobs=1) -> StageResult:
     if key == "2":
         return StageResult("2", tuple(rows2), counts["2"], counts, diff or None)
 
-    candidates = _run_chunks(_stage3_chunk, rows2, jobs)
-    seen = set()
-    polys = []
-    for bits, _row, _witness, _c in candidates:
-        if bits not in seen:
-            seen.add(bits)
-            polys.append(Poly(bits))
+    candidates = dict.fromkeys(bits for bits, *_ in _stage3_rows(rows2))
+    polys = [Poly(bits) for bits in candidates]
     counts["3"] = len(polys)
     if counts["3"] != REFERENCE_STAGE_COUNTS["3"]:
         diff["3"] = {
@@ -326,8 +293,13 @@ def run_search(stage, stage2_rule="uniform", jobs=1) -> StageResult:
     if key == "3":
         return StageResult("3", tuple(polys), counts["3"], counts, diff or None)
 
-    final_bits = _run_chunks(_final_chunk, [p.bits for p in polys], jobs)
-    final = tuple(Poly(b) for b in sorted(final_bits))
+    # Polynomials that split into the two linear primes alone are not
+    # of interest; the rest must be sigma fixed points.
+    final = tuple(
+        sorted(
+            p for p in polys if val_x(p) + val_x1(p) != p.degree and sigma(p) == p
+        )
+    )
     counts["final"] = len(final)
     return StageResult("final", final, counts["final"], counts, diff or None)
 
@@ -339,10 +311,10 @@ def stage3_candidates():
     tuples in domain order; used by consistency checks that compare a
     candidate's factorization against the exponents that produced it.
     """
-    rows2 = _stage2_rows(_stage1_chunk(_STAGE1_PREFIXES), "uniform")
+    rows2 = _stage2_rows(_stage1_rows(), "uniform")
     return [
         (Poly(bits), row, witness, c)
-        for bits, row, witness, c in _stage3_chunk(rows2)
+        for bits, row, witness, c in _stage3_rows(rows2)
     ]
 
 
@@ -485,13 +457,14 @@ class ReciprocalReport:
 def explore_reciprocal(max_abc=6):
     """Classify reciprocals of irreducibles 1 + x^a (x+1)^b M1^c.
 
-    Sweeps 1 <= a, b, c <= max_abc with gcd(a, b, c) = 1, keeps the
-    irreducible values, and sorts each one's reciprocal into "self",
-    "mersenne" (the reciprocal is 1 + x^a' (x+1)^b'), "two_mersenne"
-    (an M1 power survives reversal) or "outside" (anything else).
+    Sweeps 1 <= a, b, c <= max_abc <= MAX_RECIPROCAL_ABC with
+    gcd(a, b, c) = 1, keeps the irreducible values, and sorts each
+    one's reciprocal into "self", "mersenne" (the reciprocal is
+    1 + x^a' (x+1)^b'), "two_mersenne" (an M1 power survives reversal)
+    or "outside" (anything else).
     """
-    if max_abc < 1:
-        raise ValueError("max_abc must be at least 1")
+    if not 1 <= max_abc <= MAX_RECIPROCAL_ABC:
+        raise ValueError(f"max_abc must be between 1 and {MAX_RECIPROCAL_ABC}")
     entries = []
     for a in range(1, max_abc + 1):
         for b in range(1, max_abc + 1):
@@ -590,13 +563,15 @@ def verify_split_identities(max_exp=32):
 
     Each identity relates powers of x, x+1 and x^2+x+1.  The sweep
     enumerates every left-hand side with exponents from 1 up to
-    max_exp, solves for the right-hand parameters exactly, and checks
-    that the solution set equals the parameterized family restricted
-    to the same range; set equality covers both directions of each
-    equivalence.
+    max_exp (4 to MAX_IDENTITY_EXP), solves for the right-hand
+    parameters exactly, and checks that the solution set equals the
+    parameterized family restricted to the same range; set equality
+    covers both directions of each equivalence.
     """
     if max_exp < 4:
         raise ValueError("max_exp below 4 leaves families nearly empty")
+    if max_exp > MAX_IDENTITY_EXP:
+        raise ValueError(f"max_exp must be at most {MAX_IDENTITY_EXP}")
     e = max_exp
     x1_pow = [1]
     m1_pow = [1]
@@ -759,14 +734,15 @@ class ConjectureScan:
 def conjecture_scan(base, h_max=20):
     """Factor sigma(base^(2h)) for each h and hunt a long-chain witness.
 
-    The base must be an odd irreducible polynomial.  For a base whose
-    own chain length is 1 a witness is any prime factor of chain
-    length at least 2; for longer bases the bar rises to one past the
-    base's length, floored at 3.  The first qualifying prime in
-    canonical order is recorded per row; linear primes never qualify.
+    h runs from 2 to h_max <= MAX_SCAN_H, and the base must be an odd
+    irreducible polynomial.  For a base whose own chain length is 1 a
+    witness is any prime factor of chain length at least 2; for longer
+    bases the bar rises to one past the base's length, floored at 3.
+    The first qualifying prime in canonical order is recorded per row;
+    linear primes never qualify.
     """
-    if h_max < 2:
-        raise ValueError("h_max must be at least 2")
+    if not 2 <= h_max <= MAX_SCAN_H:
+        raise ValueError(f"h_max must be between 2 and {MAX_SCAN_H}")
     if base.degree < 2 or not is_irreducible(base):
         raise ValueError("scan base must be an odd irreducible polynomial")
     own = chain_length(base)

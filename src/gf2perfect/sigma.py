@@ -14,7 +14,9 @@ polynomial is described by an ExponentTuple (the 2-adic shape of every
 exponent in its factorization over the fixed catalog families), and
 SigmaExponents gives the exponent of each catalog prime in sigma of
 that candidate as a closed integer formula.  No polynomial arithmetic
-is involved there, which is what makes the exhaustive search cheap.
+is involved there, which is what makes the exhaustive search cheap;
+prefix_exponents evaluates the formulas that read only the exponents
+of x, x+1 and M1 on bare ints, for the sieve's inner loop.
 The shape parameters of the Mersenne and 2-Mersenne primes live here
 too, so the formulas need nothing from the catalog layer above.
 """
@@ -304,6 +306,31 @@ class SigmaExponents:
     delta: tuple[int, int, int, int, int, int, int, int]
 
 
+def prefix_exponents(
+    n: int, u: int, m: int, v: int, n1: int, u1: int
+) -> tuple[int, tuple[int, ...]]:
+    """Exponents of M2 and of S1..S8 in sigma of a candidate, on bare ints.
+
+    These nine formulas read only the 2-adic shape of the exponents of
+    x, x+1 and M1, so the sieve evaluates them once per (prefix, n1, u1)
+    without building an ExponentTuple; sigma_exponents takes its gamma2
+    and delta from here too.  Returns (gamma2, delta).  The arguments
+    are not validated.
+    """
+    gamma2 = chi(7, u) * 2**n + chi(7, v) * 2**m + chi(7, u1) * 2**n1
+    delta = (
+        chi(15, u) * 2**n + chi(15, v) * 2**m + (chi(3, u1) + chi(15, u1)) * 2**n1,
+        chi(7, u1) * 2**n1,
+        chi(13, u) * 2**n,
+        chi(9, u) * 2**n,
+        chi(9, v) * 2**m,
+        chi(13, v) * 2**m,
+        chi(15, u1) * 2**n1,
+        (chi(5, u1) + chi(15, u1)) * 2**n1,
+    )
+    return gamma2, delta
+
+
 def sigma_exponents(t: ExponentTuple, relax_tail: bool = False) -> SigmaExponents:
     """Closed-form exponents of sigma of the candidate described by t.
 
@@ -348,7 +375,7 @@ def sigma_exponents(t: ExponentTuple, relax_tail: bool = False) -> SigmaExponent
         + chi(3, u2) * 2**n2
         + chi(3, u3) * 2**n3
     )
-    gamma2 = chi(7, u) * 2**n + chi(7, v) * 2**m + chi(7, u1) * 2**n1
+    gamma2, delta = prefix_exponents(n, u, m, v, n1, u1)
     gamma4 = (
         xi3 * 2**n
         + chi(15, v) * 2**m
@@ -362,16 +389,6 @@ def sigma_exponents(t: ExponentTuple, relax_tail: bool = False) -> SigmaExponent
         + chi(15, u1) * 2**n1
         + chi(3, u2) * 2**n2
         + chi(3, v1) * 2**m1
-    )
-    delta = (
-        chi(15, u) * 2**n + chi(15, v) * 2**m + (chi(3, u1) + chi(15, u1)) * 2**n1,
-        chi(7, u1) * 2**n1,
-        chi(13, u) * 2**n,
-        chi(9, u) * 2**n,
-        chi(9, v) * 2**m,
-        chi(13, v) * 2**m,
-        chi(15, u1) * 2**n1,
-        (chi(5, u1) + chi(15, u1)) * 2**n1,
     )
     return SigmaExponents(
         alpha=alpha,

@@ -8,6 +8,7 @@ from gf2perfect.catalog import (
     BAR_MERSENNE,
     BAR_PERFECT,
     BAR_TWO_MERSENNE,
+    MAX_H_BUDGET,
     admissibility_budget,
     by_name,
     catalog_constants,
@@ -253,6 +254,8 @@ def test_admissibility_input_validation():
         is_admissible((mersenne(1) * mersenne(2),))
     with pytest.raises(ValueError):
         is_admissible((mersenne(1),), h_budget=0)
+    with pytest.raises(ValueError):
+        is_admissible((mersenne(1),), h_budget=MAX_H_BUDGET + 1)
 
 
 def test_admissibility_report_json():

@@ -1,11 +1,10 @@
 """Exit codes and output of every CLI verb, driven through main()."""
 
 import json
-import os
 
 import pytest
 
-from gf2perfect import cli
+from gf2perfect import catalog, search
 from gf2perfect.cli import main
 
 
@@ -136,25 +135,10 @@ def test_search_final_reports_divergence(capsys):
     assert "variant strict: 2159" in err
 
 
-def test_search_json_stable_across_jobs(capsys):
-    _, out1, _ = run(capsys, "search", "--json", "--jobs", "1")
-    _, out2, _ = run(capsys, "search", "--json", "--jobs", "2")
-    assert out1 == out2
-    blob = json.loads(out1)
+def test_search_json_final_names(capsys):
+    _, out, _ = run(capsys, "search", "--json")
+    blob = json.loads(out)
     assert blob["names"] == ["T2", "T11", "T4", "T7", "T5", "T8"]
-
-
-@pytest.mark.parametrize("jobs", ["0", "-1", str((os.cpu_count() or 1) + 1)])
-def test_search_rejects_out_of_range_jobs(capsys, monkeypatch, jobs):
-    # The check must fire before the sieve, so no worker ever starts.
-    def no_search(*args, **kwargs):
-        raise AssertionError("run_search reached with a bad --jobs")
-
-    monkeypatch.setattr(cli, "run_search", no_search)
-    with pytest.raises(SystemExit) as exc:
-        main(["search", "--jobs", jobs])
-    assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
 
 
 def test_search_strict_rule(capsys):
@@ -215,6 +199,11 @@ def test_admissible_failure(capsys):
         ["search", "--stage", "9"],
         ["admissible", "x^2+x"],
         ["factor", "x^10000000000"],
+        ["search", "--jobs", "2"],
+        ["reciprocal", "--max-abc", str(search.MAX_RECIPROCAL_ABC + 1)],
+        ["identities", "--max-exp", str(search.MAX_IDENTITY_EXP + 1)],
+        ["conjecture", "M1", "--hmax", str(search.MAX_SCAN_H + 1)],
+        ["admissible", "M1", "--budget", str(catalog.MAX_H_BUDGET + 1)],
     ],
 )
 def test_malformed_invocations_exit_2(capsys, argv):

@@ -15,12 +15,16 @@ from gf2perfect.factorize import FactorMap, factor_over_family
 from gf2perfect.gf2poly import Poly, X, X1, bar, val_x, val_x1
 from gf2perfect.search import (
     FINAL_REFERENCE_NAMES,
+    MAX_IDENTITY_EXP,
+    MAX_RECIPROCAL_ABC,
+    MAX_SCAN_H,
     REFERENCE_STAGE_COUNTS,
     STAGE2_RULES,
     conjecture_scan,
     explore_reciprocal,
     run_search,
     sigma_factor_tables,
+    _stage1_rows,
     stage3_candidates,
     verify_split_identities,
 )
@@ -117,6 +121,23 @@ def test_run_search_rejects_bad_arguments():
         run_search("0")
     with pytest.raises(ValueError):
         run_search("final", stage2_rule="loose")
+
+
+def test_stage1_rows_carry_the_exponents_of_their_prefix():
+    # Stage 1 evaluates the formulas on bare ints without validating;
+    # every prefix it keeps must still be in the search domain and agree
+    # with sigma_exponents.
+    rows = _stage1_rows()
+    assert len(rows) == EXPECTED_STAGE_COUNTS["1"]
+    for row in rows:
+        n, u, m, v, n1, u1 = row[:6]
+        t = ExponentTuple.from_parts(
+            n=n, u=u, m=m, v=v, ni=(n1, 0, 0, 0, 0), ui=(u1, 1, 1, 1, 1)
+        )
+        t.validate()
+        exps = sigma_exponents(t)
+        assert decompose_exponent(exps.gamma[1]) == row[6:8]
+        assert exps.delta == row[8:16]
 
 
 @pytest.mark.parametrize("rule", list(STAGE2_RULES))
@@ -240,6 +261,8 @@ def test_reciprocal_entries_are_two_mersenne_shapes(reciprocal):
 def test_reciprocal_rejects_bad_bound():
     with pytest.raises(ValueError):
         explore_reciprocal(max_abc=0)
+    with pytest.raises(ValueError):
+        explore_reciprocal(max_abc=MAX_RECIPROCAL_ABC + 1)
 
 
 # -- split identities ------------------------------------------------------------
@@ -265,6 +288,8 @@ def test_identity_spot_instances():
 def test_identities_reject_bad_bound():
     with pytest.raises(ValueError):
         verify_split_identities(max_exp=1)
+    with pytest.raises(ValueError):
+        verify_split_identities(max_exp=MAX_IDENTITY_EXP + 1)
 
 
 # -- conjecture scans --------------------------------------------------------------
@@ -301,6 +326,8 @@ def test_scan_input_validation():
         conjecture_scan(mersenne(1) * mersenne(2), h_max=5)
     with pytest.raises(ValueError):
         conjecture_scan(mersenne(1), h_max=1)
+    with pytest.raises(ValueError):
+        conjecture_scan(mersenne(1), h_max=MAX_SCAN_H + 1)
 
 
 def test_scan_json_reports_counterexamples_field():
