@@ -378,7 +378,6 @@ def is_odd(a: Poly) -> bool:
     return not is_even(a)
 
 
-ZERO = Poly(0)
 ONE = Poly(1)
 X = Poly(2)
 X1 = Poly(3)  # x + 1

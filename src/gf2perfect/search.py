@@ -7,11 +7,14 @@ The centerpiece is a three-stage sieve over candidate shapes
 driven entirely by integer arithmetic on the closed-form divisor-sum
 exponents, followed by an independent fixed-point confirmation of the
 survivors.  Stage 1 evaluates the formulas once per (prefix, n1, u1)
-on bare ints; stage 2 filters the slot exponents stage 1 carries.  The
-stages are plain functions run one after another in one process.  Stage
-counts are compared against fixed reference values; a mismatch is never
-hidden, it is reported together with the counts of the documented
-filter variants so the divergence can be localized.
+on bare ints; stage 2 filters the slot exponents stage 1 carries; stage
+3 filters rows on ints by the degrees the free M3..M5 slots can balance.
+M3 takes its exponent from (n2, u2); a witness's n3 only balances
+degrees (n3 != n2 in 9 of the 44), the rule that reproduces the
+reference count and is kept.  The stages run one after another in one
+process.  Stage counts are compared against fixed reference values; a
+mismatch is never hidden, it is reported together with the counts of
+the documented filter variants so the divergence can be localized.
 
 The module also holds the smaller sweeps: divisor-sum factor tables
 over the fixed prime family, the reciprocal-polynomial exploration,
@@ -36,12 +39,12 @@ from .catalog import (
 from .factorize import FactorMap, factor_full, factor_over_family, is_irreducible
 from .gf2poly import Poly, X, X1, _divmod, _mul, star, val_x, val_x1
 from .sigma import (
-    MERSENNE_AB,
     US,
     U1S,
     ExponentTuple,
     assemble,
     decompose_exponent,
+    linear_exponents,
     prefix_exponents,
     sigma,
     sigma_exponents,
@@ -120,64 +123,38 @@ def _stage2_rows(rows1, rule):
     ]
 
 
-# Degree-pattern contributions of the slots left free at stage 3: the
-# (a, b) shape parameters of M3, M4 and M5.
-_FREE_SLOT_SHAPES = tuple(MERSENNE_AB[i] for i in (3, 4, 5))
-
-
-def _match_free_slots(need_a, need_b):
-    """Smallest (n3, n4, n5) whose degree contribution hits the target."""
-    if need_a < 0 or need_b < 0:
-        return None
-    for n3 in range(4):
-        a3 = ((1 << n3) - 1) * _FREE_SLOT_SHAPES[0][0]
-        b3 = ((1 << n3) - 1) * _FREE_SLOT_SHAPES[0][1]
-        for n4 in range(6):
-            a4 = a3 + ((1 << n4) - 1) * _FREE_SLOT_SHAPES[1][0]
-            b4 = b3 + ((1 << n4) - 1) * _FREE_SLOT_SHAPES[1][1]
-            for n5 in range(6):
-                a5 = a4 + ((1 << n5) - 1) * _FREE_SLOT_SHAPES[2][0]
-                b5 = b4 + ((1 << n5) - 1) * _FREE_SLOT_SHAPES[2][1]
-                if need_a == a5 and need_b == b5:
-                    return n3, n4, n5
-    return None
+# First free-slot witness (n3, n4, n5), in loop order, for each degree
+# contribution (a, b) the M3, M4 and M5 slots left free at stage 3 can
+# make: 144 witnesses, one lookup per row.
+_FREE_SLOT_WITNESS = {}
+for _w in product(range(4), range(6), range(6)):
+    _FREE_SLOT_WITNESS.setdefault(linear_exponents(0, 0, (0, 0, *_w), (0,) * 8), _w)
+del _w
 
 
 def _stage3_rows(rows):
     """(bits, stage-2 row, free-slot witness, Mersenne exponents) of each
-    candidate whose linear-prime valuations a free-slot witness balances."""
+    candidate whose linear-prime valuations a free-slot witness balances.
+
+    Filters on ints: linear_exponents of the row's valuations, then one
+    _FREE_SLOT_WITNESS lookup.  Only survivors become ExponentTuples,
+    validated and assembled.  M3 takes its exponent from (n2, u2); the
+    witness's n3 only balances degrees (n3 != n2 in 9 of the 44), the
+    rule kept because it reproduces the reference count.
+    """
     out = []
     for row in rows:
         n, u, m, v, n1, u1, n2, u2 = row[:8]
-        d = row[8:16]
-        mj, vj = zip(*(decompose_exponent(x) for x in d))
-        t = ExponentTuple.from_parts(
-            n=n,
-            u=u,
-            m=m,
-            v=v,
-            ni=(n1, n2, 0, 0, 0),
-            ui=(u1, u2, 1, 1, 1),
-            mj=mj,
-            vj=vj,
-        )
-        exps = sigma_exponents(t, relax_tail=True)
-        witness = _match_free_slots(t.a - exps.alpha, t.b - exps.beta)
+        mj, vj = zip(*map(decompose_exponent, row[8:16]))
+        alpha, beta = linear_exponents(n, m, (n1, n2, 0, 0, 0), mj)
+        witness = _FREE_SLOT_WITNESS.get(((u << n) - 1 - alpha, (v << m) - 1 - beta))
         if witness is None:
             continue
+        t = ExponentTuple(n, u, m, v, (n1, n2, 0, 0, 0), (u1, u2, 1, 1, 1), mj, vj)
+        t1, s1 = decompose_exponent(sigma_exponents(t, relax_tail=True).gamma[0])
         _n3, n4, n5 = witness
-        # M3 takes its exponent from (n2, u2), the same as M2.
-        t1, s1 = decompose_exponent(exps.gamma[0])
-        candidate = ExponentTuple.from_parts(
-            n=n,
-            u=u,
-            m=m,
-            v=v,
-            ni=(t1, n2, n2, n4, n5),
-            ui=(s1, u2, u2, 1, 1),
-            mj=mj,
-            vj=vj,
-        )
+        ni, ui = (t1, n2, n2, n4, n5), (s1, u2, u2, 1, 1)
+        candidate = ExponentTuple(n, u, m, v, ni, ui, mj, vj)
         out.append((assemble(candidate).bits, row, witness, candidate.c))
     return out
 
@@ -310,6 +287,8 @@ def stage3_candidates():
     Returns (poly, stage2_row, free_slot_witness, mersenne_exponents)
     tuples in domain order; used by consistency checks that compare a
     candidate's factorization against the exponents that produced it.
+    The witness is (n3, n4, n5), but M3's exponent comes from (n2, u2):
+    n3 only balances degrees (n3 != n2 in 9 of the 44).
     """
     rows2 = _stage2_rows(_stage1_rows(), "uniform")
     return [

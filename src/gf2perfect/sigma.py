@@ -16,7 +16,8 @@ SigmaExponents gives the exponent of each catalog prime in sigma of
 that candidate as a closed integer formula.  No polynomial arithmetic
 is involved there, which is what makes the exhaustive search cheap;
 prefix_exponents evaluates the formulas that read only the exponents
-of x, x+1 and M1 on bare ints, for the sieve's inner loop.
+of x, x+1 and M1, and linear_exponents those of x and x+1 in sigma,
+on bare ints, for the sieve's row filters.
 The shape parameters of the Mersenne and 2-Mersenne primes live here
 too, so the formulas need nothing from the catalog layer above.
 """
@@ -46,12 +47,22 @@ def decompose_exponent(e: int) -> tuple[int, int]:
     return t, k >> t
 
 
-def sigma_prime_power(p: Poly, e: int) -> Poly:
-    """sigma(p^e) = 1 + p + ... + p^e for irreducible p, by Horner."""
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
+# Largest exponent the checked prime-power sums accept: about 1.5 s for
+# S3 (degree 12, the largest catalog prime), quadratic past it; the
+# library itself asks for at most 256 (is_admissible at MAX_H_BUDGET).
+MAX_PRIME_POWER_EXP = 1 << 14
+
+
+def _check_prime_power(p: Poly, e: int) -> None:
+    if not 0 <= e <= MAX_PRIME_POWER_EXP:
+        raise ValueError(f"exponent must be between 0 and {MAX_PRIME_POWER_EXP}")
     if not is_irreducible(p):
         raise ValueError(f"{p.text()} is not irreducible")
+
+
+def sigma_prime_power(p: Poly, e: int) -> Poly:
+    """sigma(p^e) = 1 + p + ... + p^e for irreducible p, by Horner."""
+    _check_prime_power(p, e)
     acc = 1
     for _ in range(e):
         acc = _mul(acc, p.bits) ^ 1
@@ -60,10 +71,7 @@ def sigma_prime_power(p: Poly, e: int) -> Poly:
 
 def sigma_prime_power_split(p: Poly, e: int) -> Poly:
     """sigma(p^e) through the factored form, agreeing with the direct sum."""
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    if not is_irreducible(p):
-        raise ValueError(f"{p.text()} is not irreducible")
+    _check_prime_power(p, e)
     return _sigma_pp_split_unchecked(p, e)
 
 
@@ -331,6 +339,24 @@ def prefix_exponents(
     return gamma2, delta
 
 
+# Shape parameters (a, b) of M1..M5 and S1..S8, the slots a candidate
+# records, in ExponentTuple order.
+_SLOT_AB = tuple(MERSENNE_AB[i] for i in range(1, 6)) + tuple(
+    TWO_MERSENNE_ABN[j][:2] for j in range(1, 9)
+)
+
+
+def linear_exponents(n: int, m: int, ni: tuple, mj: tuple) -> tuple[int, int]:
+    """Exponents (alpha, beta) of x and x+1 in sigma of a candidate, from
+    the 2-adic valuations n, m, ni, mj of x, x+1, M1..M5 and S1..S8 on
+    bare ints, unvalidated; used by stage 3 and by sigma_exponents."""
+    alpha, beta = 2**m - 1, 2**n - 1
+    for k, (a, b) in zip((*ni, *mj), _SLOT_AB):
+        alpha += (2**k - 1) * a
+        beta += (2**k - 1) * b
+    return alpha, beta
+
+
 def sigma_exponents(t: ExponentTuple, relax_tail: bool = False) -> SigmaExponents:
     """Closed-form exponents of sigma of the candidate described by t.
 
@@ -357,18 +383,10 @@ def sigma_exponents(t: ExponentTuple, relax_tail: bool = False) -> SigmaExponent
     xi3 = chi(5, u) + chi(15, u)
     xi4 = chi(5, v) + chi(15, v)
 
-    alpha = 2**m - 1
-    beta = 2**n - 1
-    for i in range(1, 6):
-        ai, bi = MERSENNE_AB[i]
-        alpha += (2 ** t.ni[i - 1] - 1) * ai
-        beta += (2 ** t.ni[i - 1] - 1) * bi
-    gamma1 = 0
-    for j in range(1, 9):
-        aj, bj, nuj = TWO_MERSENNE_ABN[j]
-        alpha += (2 ** t.mj[j - 1] - 1) * aj
-        beta += (2 ** t.mj[j - 1] - 1) * bj
-        gamma1 += (2 ** t.mj[j - 1] - 1) * nuj
+    alpha, beta = linear_exponents(n, m, t.ni, t.mj)
+    gamma1 = sum(
+        (2**k - 1) * TWO_MERSENNE_ABN[j][2] for j, k in enumerate(t.mj, start=1)
+    )
     gamma1 += (
         xi1 * 2**n
         + xi2 * 2**m

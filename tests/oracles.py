@@ -236,3 +236,26 @@ def sigma_sweep(max_degree=14, max_omega=4, primes=None):
                 powers.append(power)
     rec(0, 1, [1], 0)
     return out
+
+
+# -- stage-3 free slots -------------------------------------------------------
+
+# (a, b) of M3 = 1 + x^2 (x+1), M4 = 1 + x (x+1)^3 and M5 = 1 + x^3 (x+1),
+# the Mersenne slots the sieve leaves free at stage 3.
+FREE_SLOT_SHAPES = ((2, 1), (1, 3), (3, 1))
+
+
+def free_slot_witness(need_a, need_b):
+    """First (n3, n4, n5) with n3 < 4 and n4, n5 < 6, n3 outermost, whose
+    contribution sum (2^ni - 1) * (ai, bi) equals (need_a, need_b); None
+    when there is none."""
+    for n3 in range(4):
+        for n4 in range(6):
+            for n5 in range(6):
+                a = b = 0
+                for k, (sa, sb) in zip((n3, n4, n5), FREE_SLOT_SHAPES):
+                    a += (2**k - 1) * sa
+                    b += (2**k - 1) * sb
+                if a == need_a and b == need_b:
+                    return n3, n4, n5
+    return None

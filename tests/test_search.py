@@ -25,6 +25,7 @@ from gf2perfect.search import (
     run_search,
     sigma_factor_tables,
     _stage1_rows,
+    _stage3_rows,
     stage3_candidates,
     verify_split_identities,
 )
@@ -48,6 +49,7 @@ from expected import (
     EXPECTED_TABLE_ROWS,
     SEARCH_JSON_SHA256,
 )
+from oracles import free_slot_witness
 
 
 # -- the sieve -------------------------------------------------------------
@@ -140,17 +142,38 @@ def test_stage1_rows_carry_the_exponents_of_their_prefix():
         assert exps.delta == row[8:16]
 
 
+def _stage2_probe(row):
+    """The candidate a stage-2 row describes, M3..M5 slots left empty."""
+    n, u, m, v, n1, u1, n2, u2 = row[:8]
+    mj, vj = zip(*(decompose_exponent(x) for x in row[8:16]))
+    return ExponentTuple.from_parts(
+        n=n, u=u, m=m, v=v, ni=(n1, n2, 0, 0, 0), ui=(u1, u2, 1, 1, 1), mj=mj, vj=vj
+    )
+
+
 @pytest.mark.parametrize("rule", list(STAGE2_RULES))
 def test_stage2_rows_carry_the_exponents_of_their_candidate(rule):
     # Stage 2 filters the deltas stage 1 computed without the M2 slot;
-    # recompute them with the slot filled in.
+    # recompute them with the slot filled in.  Stage 3 validates only its
+    # survivors, so every row is checked against the relaxed-tail domain.
     for row in run_search("2", stage2_rule=rule).tuples:
-        n, u, m, v, n1, u1, n2, u2 = row[:8]
-        t = ExponentTuple.from_parts(
-            n=n, u=u, m=m, v=v, ni=(n1, n2, 0, 0, 0), ui=(u1, u2, 1, 1, 1)
-        )
-        assert row[8:16] == sigma_exponents(t).delta
+        t = _stage2_probe(row)
+        t.validate(relax_tail=True)
+        assert row[8:16] == sigma_exponents(t, relax_tail=True).delta
         assert row[16:18] == decompose_exponent(row[8])
+
+
+@pytest.mark.parametrize("rule", list(STAGE2_RULES))
+def test_stage3_witnesses_match_the_naive_search(rule):
+    # Every stage-2 row gets the first free-slot witness of a naive
+    # triple loop over literal shapes, or is dropped when it has none.
+    rows2 = run_search("2", stage2_rule=rule).tuples
+    reported = {row: witness for _, row, witness, _ in _stage3_rows(rows2)}
+    for row in rows2:
+        t = _stage2_probe(row)
+        exps = sigma_exponents(t, relax_tail=True)
+        expected = free_slot_witness(t.a - exps.alpha, t.b - exps.beta)
+        assert reported.get(row) == expected, row
 
 
 @pytest.mark.parametrize("rule", list(STAGE2_RULES))

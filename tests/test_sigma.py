@@ -16,6 +16,7 @@ from gf2perfect.factorize import FactorMap, factor_over_family
 from gf2perfect.gf2poly import Poly, X, X1, val_x, val_x1
 from gf2perfect.sigma import (
     MAX_OMEGA_FOR_DECOMPOSITION,
+    MAX_PRIME_POWER_EXP,
     US,
     U1S,
     U23S,
@@ -53,6 +54,11 @@ def test_prime_power_rejects_bad_input():
         sigma_prime_power(X * X1, 2)
     with pytest.raises(ValueError):
         sigma_prime_power(X, -1)
+    # one over the cap raises before the Horner loop starts
+    with pytest.raises(ValueError):
+        sigma_prime_power(X, MAX_PRIME_POWER_EXP + 1)
+    with pytest.raises(ValueError):
+        sigma_prime_power_split(X, MAX_PRIME_POWER_EXP + 1)
 
 
 @given(st.integers(min_value=0, max_value=(1 << 30) - 1))
