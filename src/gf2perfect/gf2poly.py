@@ -10,7 +10,10 @@ bit reversal.
 The public type is the immutable :class:`Poly`.  Raw-integer helpers
 (prefixed with an underscore) carry the hot loops; they are shared by
 the factoring and search layers, which sometimes work on bare ints to
-avoid wrapper churn.
+avoid wrapper churn.  They run in C-level big-int and string work, not
+Python loops over bits (after Brent, Gaudry, Thome and Zimmermann,
+"Faster Multiplication in GF(2)[x]", 2008); _reducer serves repeated
+reduction by one modulus, _mod the one-off remainder.
 
 Two structural maps beyond ring arithmetic appear throughout the
 package: ``bar`` substitutes x by x+1 (an involutive automorphism) and
@@ -18,6 +21,8 @@ package: ``bar`` substitutes x by x+1 (an involutive automorphism) and
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 NEG_INF = float("-inf")
 
@@ -43,16 +48,35 @@ def _degree(a):
     return a.bit_length() - 1 if a else NEG_INF
 
 
+# Below this many bits in the shorter operand the shift-XOR loop is as
+# fast as the windowed product, whose 16-entry table does not pay for
+# itself; from 20 bits on the windowed product is 1.3-2x faster.
+_MUL_WINDOW_MIN = 16
+
+
 def _mul(a, b):
-    # Shift-XOR product; the operand loop runs over the shorter one.
+    # Carry-less product.  A short operand is added bit by bit
+    # (shift-XOR); otherwise the 16 multiples of the longer operand by
+    # every 4-bit value are tabulated and the shorter operand is read a
+    # byte, that is two 4-bit windows, at a time, Horner fashion.
     if a.bit_length() < b.bit_length():
         a, b = b, a
+    if b.bit_length() < _MUL_WINDOW_MIN:
+        c = 0
+        while b:
+            if b & 1:
+                c ^= a
+            a <<= 1
+            b >>= 1
+        return c
+    a2 = a << 1
+    a4 = a << 2
+    table = [0, a, a2, a2 ^ a, a4, a4 ^ a, a4 ^ a2, a4 ^ a2 ^ a]
+    a8 = a << 3
+    table += [a8 ^ m for m in table]
     c = 0
-    while b:
-        if b & 1:
-            c ^= a
-        a <<= 1
-        b >>= 1
+    for byte in b.to_bytes((b.bit_length() + 7) >> 3, "big"):
+        c = (c << 8) ^ (table[byte >> 4] << 4) ^ table[byte & 15]
     return c
 
 
@@ -81,6 +105,53 @@ def _mod(a, b):
     return a
 
 
+# Most bits the table reduction clears per step; its table holds
+# 2**k multiples of the modulus.
+_REDUCE_MAX_BITS = 8
+# Below this modulus degree a table does not pay for itself within a
+# pass of deg f squarings, and _reducer hands back plain _mod.  Timed
+# as one table build plus deg f reduced squarings, the table costs
+# 1.03-1.5x _mod at degree 2-16 and 0.77-0.93x from degree 20 to 40.
+_REDUCE_TABLE_MIN_DEGREE = 16
+
+
+def _reducer(f):
+    """a -> a mod f, for reducing many times by the same f.
+
+    Tabulates the 2**k multiples of f of degree below n + k (n = deg
+    f), indexed by their bits n..n+k-1, which tell them apart; one step
+    XORs the multiple that matches the top k bits of the dividend and
+    so clears k bits at once.  k grows with deg f up to
+    _REDUCE_MAX_BITS, keeping the table within 2**k <= n entries, no
+    more work to build than one bit-at-a-time _mod of a square.
+    """
+    if f == 0:
+        raise ZeroDivisionError("division by zero polynomial")
+    n = f.bit_length() - 1
+    if n < _REDUCE_TABLE_MIN_DEGREE:
+        return lambda a: _mod(a, f)
+    k = min(_REDUCE_MAX_BITS, n.bit_length() - 1)
+    table = [0]
+    # multiple has bit n + i and no other bit from n to n + k - 1.
+    multiple = f
+    for _ in range(k):
+        table += [multiple ^ m for m in table]
+        multiple <<= 1
+        if multiple >> n & 1:
+            multiple ^= f
+    width = n + k
+
+    def reduce(a):
+        s = a.bit_length() - width
+        while s > 0:
+            a ^= table[a >> (n + s)] << s
+            s = a.bit_length() - width
+        # Now deg a < n + k: one last lookup on the bits above n.
+        return a ^ table[a >> n]
+
+    return reduce
+
+
 def _gcd(a, b):
     while b:
         a, b = b, _mod(a, b)
@@ -88,27 +159,14 @@ def _gcd(a, b):
 
 
 def _square(a):
-    c = 0
-    i = 0
-    while a:
-        if a & 1:
-            c |= 1 << (i << 1)
-        a >>= 1
-        i += 1
-    return c
+    # Squaring spreads the bits apart: a zero between every two digits.
+    return int("0".join(bin(a)[2:]), 2)
 
 
 def _sqrt(a):
-    # Inverse of _square; valid only when all set bits sit at even
-    # positions (callers check via the derivative).
-    c = 0
-    k = 0
-    while a:
-        if a & 1:
-            c |= 1 << k
-        a >>= 2
-        k += 1
-    return c
+    # Inverse of _square: keep the even positions.  Valid only when all
+    # set bits sit at even positions (callers check via the derivative).
+    return int(bin(a)[:1:-2][::-1], 2)
 
 
 def _derivative(a):
@@ -119,27 +177,36 @@ def _derivative(a):
     return (a >> 1) & mask
 
 
+# A handful of widths covers every call; each entry holds log2(width)
+# masks of 2**log2(width) bits, at most twice the width asked for.
+@lru_cache(maxsize=16)
+def _bar_masks(log_width):
+    """Mask j keeps the positions whose index has bit j clear: runs of
+    2**j ones and 2**j zeros from bit 0, over 2**log_width bits."""
+    ones = (1 << (1 << log_width)) - 1
+    masks = []
+    for j in range(log_width):
+        run = 1 << j
+        period = (1 << (2 * run)) - 1
+        masks.append(ones // period * ((1 << run) - 1))
+    return tuple(masks)
+
+
 def _bar(a):
-    # Substitute x by x+1, divide and conquer on the bit string:
-    # with a = hi * x^(2^k) + lo one has
-    # bar(a) = bar(hi) * (x+1)^(2^k) + bar(lo)
-    #        = (bar(hi) << 2^k) ^ bar(hi) ^ bar(lo).
-    if a < 2:
+    # Substitute x by x+1.  (x+1)^i = sum of x^j over the j whose set
+    # bits are a subset of i's (Lucas), so coefficient j of bar(a) is
+    # the XOR of a's coefficients at every superset i of j: a superset
+    # sum, one pass per index bit.
+    n = a.bit_length()
+    if n < 2:
         return a
-    k = 1
-    while (k << 1) < a.bit_length():
-        k <<= 1
-    hi = _bar(a >> k)
-    lo = _bar(a & ((1 << k) - 1))
-    return (hi << k) ^ hi ^ lo
+    for j, mask in enumerate(_bar_masks((n - 1).bit_length())):
+        a ^= (a >> (1 << j)) & mask
+    return a
 
 
 def _reverse(a):
-    c = 0
-    while a:
-        c = (c << 1) | (a & 1)
-        a >>= 1
-    return c
+    return int(bin(a)[:1:-1], 2)
 
 
 # ---------------------------------------------------------------------------

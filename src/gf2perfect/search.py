@@ -77,6 +77,12 @@ STAGE2_RULES = {
 MAX_RECIPROCAL_ABC = 16
 MAX_IDENTITY_EXP = 256
 MAX_SCAN_H = 40
+# Largest 2 * h_max * deg(base) a conjecture scan accepts: the degree
+# of its last divisor sum.  Near the cap a scan factors in 0.3-2.5 s
+# (base degree 25 at h_max 40, 51 at 20, 256 at 4, 512 at 2), and
+# doubling it costs about 3x (degree 127 at h_max 8 and 16: 0.7 and
+# 6.9 s).  The Mersenne family stays at 720 or below up to MAX_SCAN_H.
+MAX_SCAN_DEGREE = 2048
 
 _M1_BITS = 0b111
 
@@ -713,8 +719,9 @@ class ConjectureScan:
 def conjecture_scan(base, h_max=20):
     """Factor sigma(base^(2h)) for each h and hunt a long-chain witness.
 
-    h runs from 2 to h_max <= MAX_SCAN_H, and the base must be an odd
-    irreducible polynomial.  For a base whose own chain length is 1 a
+    h runs from 2 to h_max <= MAX_SCAN_H, 2 * h_max * deg(base) is at
+    most MAX_SCAN_DEGREE, and the base must be an odd irreducible
+    polynomial.  For a base whose own chain length is 1 a
     witness is any prime factor of chain length at least 2; for longer
     bases the bar rises to one past the base's length, floored at 3.
     The first qualifying prime in canonical order is recorded per row;
@@ -722,6 +729,8 @@ def conjecture_scan(base, h_max=20):
     """
     if not 2 <= h_max <= MAX_SCAN_H:
         raise ValueError(f"h_max must be between 2 and {MAX_SCAN_H}")
+    if 2 * h_max * base.degree > MAX_SCAN_DEGREE:
+        raise ValueError(f"2 * h_max * deg(base) must be at most {MAX_SCAN_DEGREE}")
     if base.degree < 2 or not is_irreducible(base):
         raise ValueError("scan base must be an odd irreducible polynomial")
     own = chain_length(base)

@@ -47,15 +47,23 @@ def decompose_exponent(e: int) -> tuple[int, int]:
     return t, k >> t
 
 
-# Largest exponent the checked prime-power sums accept: about 1.5 s for
-# S3 (degree 12, the largest catalog prime), quadratic past it; the
-# library itself asks for at most 256 (is_admissible at MAX_H_BUDGET).
+# Largest exponent the checked prime-power sums accept; the library
+# itself asks for at most 256 (is_admissible at MAX_H_BUDGET).
 MAX_PRIME_POWER_EXP = 1 << 14
+
+# Largest degree deg(p) * e of sigma(p^e) they accept.  The work grows
+# with the square of that degree, so a bound on e alone leaves minutes
+# of work for a high-degree p.  This one holds every catalog prime up
+# to MAX_PRIME_POWER_EXP (S3, degree 12: 196,608, about 1.4 s), far
+# above the 480 the tests and benchmark ask for.
+MAX_SIGMA_DEGREE = 1 << 18
 
 
 def _check_prime_power(p: Poly, e: int) -> None:
     if not 0 <= e <= MAX_PRIME_POWER_EXP:
         raise ValueError(f"exponent must be between 0 and {MAX_PRIME_POWER_EXP}")
+    if (p.bits.bit_length() - 1) * e > MAX_SIGMA_DEGREE:
+        raise ValueError(f"deg(p) * e must be at most {MAX_SIGMA_DEGREE}")
     if not is_irreducible(p):
         raise ValueError(f"{p.text()} is not irreducible")
 

@@ -86,3 +86,9 @@ SEARCH_JSON_SHA256 = {
         "final": "5fb1a93af0e59d68e7c41ba136eb16c04d696ef1d92cf4ed341ef5e4a83fe526",
     },
 }
+
+# sha256 of json.dumps([factor_full(Poly(b)).to_json() for b in
+# factor_json_inputs()], sort_keys=True), factor_json_inputs from
+# test_factorize.py: 62 seeded inputs of degree 1..1000
+
+FACTOR_JSON_SHA256 = "5842bc8b5434ee5aa2fafb547fad37ebe350d86058b6b2e3a0dede524fb11e5e"

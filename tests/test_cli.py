@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gf2perfect import catalog, search
+from gf2perfect import catalog, cli, search
 from gf2perfect.cli import main
 
 
@@ -204,9 +204,20 @@ def test_admissible_failure(capsys):
         ["identities", "--max-exp", str(search.MAX_IDENTITY_EXP + 1)],
         ["conjecture", "M1", "--hmax", str(search.MAX_SCAN_H + 1)],
         ["admissible", "M1", "--budget", str(catalog.MAX_H_BUDGET + 1)],
+        ["factor", f"x^{cli.MAX_INPUT_DEGREE + 1}+x+1"],
+        ["sigma", hex(1 << (cli.MAX_INPUT_DEGREE + 1) | 1)],
+        ["repr", f"x^{cli.MAX_INPUT_DEGREE + 1}+x+1"],
+        ["classify", f"x^{cli.MAX_INPUT_DEGREE + 1}+x+1"],
+        ["conjecture", "x^127+x+1", "--hmax", str(search.MAX_SCAN_DEGREE // 254 + 1)],
     ],
 )
 def test_malformed_invocations_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_input_degree_cap_is_inclusive():
+    parser = cli._build_parser()
+    p = cli._parse_poly(f"x^{cli.MAX_INPUT_DEGREE}+1", parser)
+    assert p.degree == cli.MAX_INPUT_DEGREE

@@ -1,12 +1,19 @@
 """Factoring machinery against the trial-division oracle."""
 
+import hashlib
+import json
+import random
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gf2perfect import factorize
 from gf2perfect.catalog import mersenne, name_of, prime_family, two_mersenne
 from gf2perfect.factorize import (
     FactorMap,
+    _distinct_degree,
     _is_irreducible_bits,
     factor_full,
     factor_over_family,
@@ -15,7 +22,8 @@ from gf2perfect.factorize import (
 )
 from gf2perfect.gf2poly import ONE, Poly, X, X1
 from gf2perfect.sigma import sigma_prime_power
-from oracles import i_factor, i_is_prime
+from expected import FACTOR_JSON_SHA256
+from oracles import i_factor, i_is_prime, i_mul
 
 deg12 = st.integers(min_value=1, max_value=(1 << 13) - 1)
 deg96 = st.integers(min_value=1, max_value=(1 << 97) - 1)
@@ -53,6 +61,56 @@ def test_factor_full_invariants(bits):
 @settings(max_examples=25)
 def test_factor_full_is_deterministic(bits):
     assert factor_full(Poly(bits)) == factor_full(Poly(bits))
+
+
+def factor_json_inputs():
+    """62 seeded inputs of degree 1..12 and 20, 40, ..., 1000.  Every
+    third is a random square times a random cofactor, so the square-free
+    split and repeated exponents take part."""
+    rng = random.Random("factor-json")
+    out = []
+    for i, d in enumerate(list(range(1, 13)) + list(range(20, 1001, 20))):
+        if i % 3 == 2:
+            half = d // 4
+            root = (1 << half) | rng.getrandbits(half)
+            rest = d - 2 * half
+            bits = i_mul(i_mul(root, root), (1 << rest) | rng.getrandbits(rest))
+        else:
+            bits = (1 << d) | rng.getrandbits(d)
+        out.append(bits)
+    return out
+
+
+def test_factor_json_is_pinned():
+    blob = json.dumps(
+        [factor_full(Poly(bits)).to_json() for bits in factor_json_inputs()],
+        sort_keys=True,
+    )
+    assert hashlib.sha256(blob.encode()).hexdigest() == FACTOR_JSON_SHA256
+
+
+# Products of the primes of one to four inputs of degree at most 18:
+# trial division stays fast, and primes of degree 17 and 18 lie in a
+# second block of the default block size.
+deg18_parts = st.lists(
+    st.integers(min_value=2, max_value=(1 << 19) - 1), min_size=1, max_size=4
+)
+
+
+@pytest.mark.parametrize("block", [2, factorize._DDF_BLOCK])
+@settings(max_examples=40, deadline=None)
+@given(parts=deg18_parts)
+def test_distinct_degree_matches_trial_division(block, parts):
+    primes = {p for bits in parts for p, _ in i_factor(bits)}
+    f = 1
+    by_degree = {}
+    for p in primes:
+        f = i_mul(f, p)
+        k = p.bit_length() - 1
+        by_degree[k] = i_mul(by_degree.get(k, 1), p)
+    with mock.patch.object(factorize, "_DDF_BLOCK", block):
+        got = _distinct_degree(f)
+    assert sorted(got) == sorted((g, k) for k, g in by_degree.items())
 
 
 def test_factor_of_one_is_empty():

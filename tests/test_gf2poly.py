@@ -13,7 +13,10 @@ from gf2perfect.gf2poly import (
     PolyParseError,
     X,
     X1,
+    _MUL_WINDOW_MIN,
+    _mod,
     _mul,
+    _reducer,
     _sqrt,
     _square,
     bar,
@@ -139,9 +142,53 @@ def test_mul_kernels_agree(a, b):
     assert _mul(a, b) == to_bits(o_mul(to_list(a), to_list(b)))
 
 
-@given(big)
+@given(big | wide)
 def test_square_sqrt_roundtrip(a):
     assert _sqrt(_square(a)) == a
+
+
+# The shorter operand of _mul with a bit length around the crossover
+# between the shift-XOR loop and the windowed product.
+near_crossover = st.integers(
+    min_value=max(1, _MUL_WINDOW_MIN - 4), max_value=_MUL_WINDOW_MIN + 4
+).flatmap(lambda w: st.integers(min_value=1 << (w - 1), max_value=(1 << w) - 1))
+
+
+@settings(max_examples=60)
+@given(near_crossover, near_crossover | wide)
+def test_mul_matches_oracle_on_both_sides_of_crossover(a, b):
+    expected = to_bits(o_mul(to_list(a), to_list(b)))
+    assert _mul(a, b) == _mul(b, a) == expected
+
+
+@settings(max_examples=40)
+@given(wide)
+def test_wide_square_matches_oracle(a):
+    assert _square(a) == to_bits(o_mul(to_list(a), to_list(a)))
+
+
+# Moduli of degree 0..40, where the table reduction clears fewer bits
+# per step, and wide ones.
+modulus = st.integers(min_value=1, max_value=(1 << 41) - 1) | wide
+
+
+@settings(max_examples=80)
+@given(wide, modulus)
+def test_reducer_matches_mod_and_oracle(a, f):
+    reduce = _reducer(f)
+    n = f.bit_length() - 1
+    # The dividend itself, its square, and dividends already below
+    # deg f + 8 (one table lookup at most) and below deg f (no step).
+    short = a >> max(0, a.bit_length() - n - 8)
+    below = a >> max(0, a.bit_length() - n)
+    for dividend in (a, _square(a), short, below):
+        expected = to_bits(o_divmod(to_list(dividend), to_list(f))[1])
+        assert reduce(dividend) == _mod(dividend, f) == expected
+
+
+def test_reducer_of_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        _reducer(0)
 
 
 @given(small_nonzero, st.integers(min_value=0, max_value=12))
@@ -194,6 +241,13 @@ def test_foreign_operands_raise_type_error(op, other):
 @given(small)
 def test_bar_matches_oracle(a):
     assert bar(Poly(a)).bits == to_bits(o_bar(to_list(a)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(wide)
+def test_wide_bar_and_star_match_oracle(a):
+    assert bar(Poly(a)).bits == to_bits(o_bar(to_list(a)))
+    assert star(Poly(a)).bits == to_bits(o_star(to_list(a)))
 
 
 @given(big)

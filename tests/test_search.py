@@ -13,10 +13,12 @@ from gf2perfect.catalog import (
 )
 from gf2perfect.factorize import FactorMap, factor_over_family
 from gf2perfect.gf2poly import Poly, X, X1, bar, val_x, val_x1
+from gf2perfect import search as search_module
 from gf2perfect.search import (
     FINAL_REFERENCE_NAMES,
     MAX_IDENTITY_EXP,
     MAX_RECIPROCAL_ABC,
+    MAX_SCAN_DEGREE,
     MAX_SCAN_H,
     REFERENCE_STAGE_COUNTS,
     STAGE2_RULES,
@@ -351,6 +353,30 @@ def test_scan_input_validation():
         conjecture_scan(mersenne(1), h_max=1)
     with pytest.raises(ValueError):
         conjecture_scan(mersenne(1), h_max=MAX_SCAN_H + 1)
+
+
+def test_scan_degree_cap(monkeypatch):
+    # x^64+x^4+x^3+x+1 is irreducible.  At the cap the scan runs (its
+    # factoring stubbed out); one h past it, it is refused before the
+    # irreducibility test and any factoring.
+    base = Poly.parse("x^64+x^4+x^3+x+1")
+    h_cap = MAX_SCAN_DEGREE // (2 * base.degree)
+    assert 2 * h_cap * base.degree == MAX_SCAN_DEGREE
+    factored = []
+    monkeypatch.setattr(
+        search_module, "factor_full", lambda p: factored.append(p) or FactorMap([])
+    )
+    scan = conjecture_scan(base, h_max=h_cap)
+    assert [p.degree for p in factored] == [2 * h * 64 for h in range(2, h_cap + 1)]
+    assert len(scan.rows) == h_cap - 1
+
+    def no_work(p):
+        raise AssertionError("work started above the degree cap")
+
+    monkeypatch.setattr(search_module, "is_irreducible", no_work)
+    monkeypatch.setattr(search_module, "factor_full", no_work)
+    with pytest.raises(ValueError, match="deg"):
+        conjecture_scan(base, h_max=h_cap + 1)
 
 
 def test_scan_json_reports_counterexamples_field():

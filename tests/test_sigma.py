@@ -1,5 +1,6 @@
 """Divisor sum: formulas against factorizations and the naive oracle."""
 
+import importlib
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from gf2perfect.gf2poly import Poly, X, X1, val_x, val_x1
 from gf2perfect.sigma import (
     MAX_OMEGA_FOR_DECOMPOSITION,
     MAX_PRIME_POWER_EXP,
+    MAX_SIGMA_DEGREE,
     US,
     U1S,
     U23S,
@@ -36,6 +38,9 @@ from gf2perfect.sigma import (
     trivial_perfect,
 )
 from oracles import sigma_sweep
+
+# The package re-exports the function sigma under the submodule's name.
+sigma_module = importlib.import_module("gf2perfect.sigma")
 
 nonzero = st.integers(min_value=1, max_value=(1 << 129) - 1)
 
@@ -59,6 +64,19 @@ def test_prime_power_rejects_bad_input():
         sigma_prime_power(X, MAX_PRIME_POWER_EXP + 1)
     with pytest.raises(ValueError):
         sigma_prime_power_split(X, MAX_PRIME_POWER_EXP + 1)
+
+
+@pytest.mark.parametrize("fn", [sigma_prime_power, sigma_prime_power_split])
+@pytest.mark.parametrize("e", [MAX_PRIME_POWER_EXP, MAX_SIGMA_DEGREE // 127 + 1])
+def test_prime_power_degree_cap_raises_before_any_work(monkeypatch, fn, e):
+    # x^127 + x + 1 is irreducible; past the degree cap its divisor sum
+    # is refused before the irreducibility test and the Horner loop.
+    def no_work(p):
+        raise AssertionError("work started above the degree cap")
+
+    monkeypatch.setattr(sigma_module, "is_irreducible", no_work)
+    with pytest.raises(ValueError, match="deg"):
+        fn(Poly.parse("x^127+x+1"), e)
 
 
 @given(st.integers(min_value=0, max_value=(1 << 30) - 1))

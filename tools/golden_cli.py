@@ -15,8 +15,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import random
 
 from gf2perfect.cli import main
+
+# A fixed dense degree-1000 input for the wide factoring kernels.
+WIDE_HEX = hex((1 << 1000) | random.Random(1000).getrandbits(1000))
 
 GOLDEN = tuple(
     ("search", "--stage", stage, "--rule", rule)
@@ -34,7 +38,11 @@ GOLDEN = tuple(
     ("identities", "--max-exp", "64"),
     ("conjecture", "M1", "M4", "--hmax", "12"),
     ("admissible", "M1", "M2", "M3"),
+    ("factor", WIDE_HEX),
+    ("sigma", WIDE_HEX),
+    ("conjecture", "M1", "M4", "M13", "--hmax", "20"),
 )
+
 
 def run(argv):
     """(exit code, stdout) of one in-process invocation."""
