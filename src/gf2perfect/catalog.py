@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .factorize import factor_over_family, is_irreducible
-from .gf2poly import ONE, Poly, X, X1, _mul, bar, is_odd, star, val_x, val_x1
+from .gf2poly import ONE, Poly, X, X1, _linear, _mul, _split_linear, bar, is_odd, star
 from .sigma import (
     MERSENNE_AB,
     TWO_MERSENNE_ABN,
@@ -86,7 +86,7 @@ class CatalogEntry:
 def _perfect_poly(k: int, primes: dict[str, Poly]) -> Poly:
     if k in PERFECT_SHAPES:
         a, b, powers = PERFECT_SHAPES[k]
-        bits = _mul(1 << a, (X1**b).bits)
+        bits = _linear(a, b)
         for name, exp in powers:
             bits = _mul(bits, (primes[name] ** exp).bits)
         return Poly(bits)
@@ -147,6 +147,11 @@ def by_name(name: str) -> CatalogEntry:
 def name_of(p: Poly) -> str | None:
     """Catalog name of p, or None when p is not a catalog member."""
     return _bits_to_name().get(p.bits)
+
+
+def label(p: Poly) -> str:
+    """Catalog name of p, or its canonical text when it has none."""
+    return name_of(p) or p.text()
 
 
 @lru_cache(maxsize=1)
@@ -210,12 +215,9 @@ def representation(p: Poly) -> Representation:
     if not is_odd(p):
         raise ValueError("even polynomial has no representation")
     pairs = []
-    q = p
-    while q != ONE:
-        r = q + ONE
-        a = val_x(r)
-        b = val_x1(r)
-        q = r // Poly(_mul(1 << a, (X1**b).bits))
+    q = p.bits
+    while q != 1:
+        a, b, q = _split_linear(q ^ 1)
         pairs.append((a, b))
     return Representation(tuple(pairs))
 
@@ -319,10 +321,6 @@ class AdmissibilityReport:
         }
 
 
-def _label(p: Poly) -> str:
-    return name_of(p) or p.text()
-
-
 # Largest explicit scan budget is_admissible accepts.  The degree rule
 # gives 92 for the linear bases and the catalog family.
 MAX_H_BUDGET = 128
@@ -373,11 +371,11 @@ def is_admissible(
     closure_ok = True
     for t in fam:
         if bar(t).bits in seen:
-            closure_detail.append(f"{_label(t)}: conjugate stays in family")
+            closure_detail.append(f"{label(t)}: conjugate stays in family")
         elif star(t).bits in seen:
-            closure_detail.append(f"{_label(t)}: reciprocal stays in family")
+            closure_detail.append(f"{label(t)}: reciprocal stays in family")
         else:
-            closure_detail.append(f"{_label(t)}: neither conjugate nor reciprocal")
+            closure_detail.append(f"{label(t)}: neither conjugate nor reciprocal")
             closure_ok = False
 
     linear_detail = []
@@ -401,7 +399,7 @@ def is_admissible(
     feedback_ok = True
     for t in fam:
         if factor_over_family(t + ONE, extended) is not None:
-            feedback_detail.append(f"{_label(t)}: 1+T factors over extended family")
+            feedback_detail.append(f"{label(t)}: 1+T factors over extended family")
             continue
         cap = budget(t)
         hit = None
@@ -411,10 +409,10 @@ def is_admissible(
                 break
         if hit is not None:
             feedback_detail.append(
-                f"{_label(t)}: sigma(T^{2 * hit}) factors over extended family"
+                f"{label(t)}: sigma(T^{2 * hit}) factors over extended family"
             )
         else:
-            feedback_detail.append(f"{_label(t)}: no feedback within budget")
+            feedback_detail.append(f"{label(t)}: no feedback within budget")
             feedback_ok = False
 
     if h_budget is not None:

@@ -2,11 +2,17 @@
 
 Verbs mirror the library surface: pointwise operations (sigma, factor,
 repr, classify), catalog verification, the divisor-sum factor tables,
-the staged sieve, and the exploratory sweeps.  Results go to stdout,
-diagnostics to stderr.  Exit status 0 means success, 1 means a
-verification came out negative (a count off its reference, a scan row
-without a witness, an inadmissible family, a catalog self-check
-failure), and 2 means the invocation itself was malformed.
+the staged sieve, and the exploratory sweeps.
+
+Each verb is a function args -> Result: renderers of the --json
+payload and of the plain text, whether its check passed, and
+diagnostic lines.  main alone prints the rendering asked for to
+stdout, writes the diagnostics to stderr in both modes, and picks the
+exit status: 0 on success, 1 when
+a verification came out negative (a count off its reference, a scan
+row without a witness, an inadmissible family, a mismatched identity)
+or a CatalogError says the catalog self-check failed, and 2, through
+argparse, for a malformed invocation or any ValueError a verb raises.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from .catalog import (
     CatalogError,
@@ -24,7 +31,6 @@ from .catalog import (
     family_degree_sum,
     is_admissible,
     mersenne_family,
-    name_of,
     representation,
 )
 from .factorize import factor_full
@@ -51,7 +57,16 @@ _POLY_HELP = (
 MAX_INPUT_DEGREE = 4096
 
 
-def _parse_poly(text: str, parser: argparse.ArgumentParser) -> Poly:
+class Result(NamedTuple):
+    """What a verb hands to main; only the renderer asked for runs."""
+
+    to_json: Callable[[], object]
+    text: Callable[[], str]
+    ok: bool = True
+    notes: tuple = ()
+
+
+def _parse_poly(text: str) -> Poly:
     try:
         return by_name(text).poly
     except KeyError:
@@ -59,209 +74,99 @@ def _parse_poly(text: str, parser: argparse.ArgumentParser) -> Poly:
     try:
         p = Poly.parse(text)
     except PolyParseError as exc:
-        parser.error(f"bad polynomial {text!r}: {exc}")
+        raise ValueError(f"bad polynomial {text!r}: {exc}") from None
     if p.degree > MAX_INPUT_DEGREE:
-        parser.error(f"polynomial degree {p.degree} exceeds {MAX_INPUT_DEGREE}")
+        raise ValueError(f"polynomial degree {p.degree} exceeds {MAX_INPUT_DEGREE}")
     return p
 
 
-def _emit(payload, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+def _cmd_sigma(args):
+    p = _parse_poly(args.poly)
+    s = sigma(p)
+    payload = {"input": p.text(), "sigma": s.text(), "fixed_point": s == p}
+    return Result(lambda: payload, s.text)
 
 
-def _cmd_sigma(args, parser):
-    p = _parse_poly(args.poly, parser)
-    try:
-        s = sigma(p)
-    except ValueError as exc:
-        parser.error(str(exc))
-    _emit(
-        {"input": p.text(), "sigma": s.text(), "fixed_point": s == p},
-        args.json,
-        s.text(),
-    )
-    return 0
+def _cmd_factor(args):
+    fm = factor_full(_parse_poly(args.poly))
+    return Result(fm.to_json, fm.text)
 
 
-def _cmd_factor(args, parser):
-    p = _parse_poly(args.poly, parser)
-    if p.is_zero():
-        parser.error("cannot factor the zero polynomial")
-    fm = factor_full(p)
-    _emit(fm.to_json(), args.json, fm.text())
-    return 0
+def _cmd_repr(args):
+    p = _parse_poly(args.poly)
+    rep = representation(p)
+    payload = {
+        "poly": p.text(),
+        "pairs": [list(pair) for pair in rep.pairs],
+        "length": rep.length,
+    }
+    return Result(lambda: payload, rep.text)
 
 
-def _cmd_repr(args, parser):
-    p = _parse_poly(args.poly, parser)
-    try:
-        rep = representation(p)
-    except ValueError as exc:
-        parser.error(str(exc))
-    _emit(
-        {
-            "poly": p.text(),
-            "pairs": [list(pair) for pair in rep.pairs],
-            "length": rep.length,
-        },
-        args.json,
-        rep.text(),
-    )
-    return 0
-
-
-def _cmd_classify(args, parser):
-    p = _parse_poly(args.poly, parser)
-    try:
-        cls = classify(p)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_classify(args):
+    p = _parse_poly(args.poly)
+    cls = classify(p)
     payload = {"poly": p.text(), "k": cls.k}
     if cls.mersenne_params:
         payload["a"], payload["b"] = cls.mersenne_params
     if cls.two_mersenne_params:
         a, b, base, c = cls.two_mersenne_params
         payload.update(a=a, b=b, base=base.text(), c=c)
-    _emit(payload, args.json, cls.text())
-    return 0
+    return Result(lambda: payload, cls.text)
 
 
-def _cmd_verify_catalog(args, parser):
-    try:
-        entries = catalog_constants()
-    except CatalogError as exc:
-        print(f"catalog self-check failed: {exc}", file=sys.stderr)
-        return 1
+def _cmd_verify_catalog(args):
+    entries = catalog_constants()
     primes = sum(1 for e in entries if e.kind != "perfect")
-    perfect = sum(1 for e in entries if e.kind == "perfect")
+    perfect = len(entries) - primes
     summary = (
         f"{primes} primes irreducible, {perfect} perfect, "
         f"degree-sum {family_degree_sum()}"
     )
-    _emit({"summary": summary, "entries": catalog_json()}, args.json, summary)
-    return 0
+    return Result(
+        lambda: {"summary": summary, "entries": catalog_json()}, lambda: summary
+    )
 
 
-def _cmd_tables(args, parser):
+def _cmd_tables(args):
     sets = args.base_set or ["linear", "mersenne", "two-mersenne"]
-    tables = []
-    for key in sets:
-        try:
-            tables.extend(sigma_factor_tables(key))
-        except ValueError as exc:
-            parser.error(str(exc))
-    if args.json:
-        print(json.dumps([t.to_json() for t in tables], indent=2))
-    else:
-        print("\n\n".join(t.text() for t in tables))
-    return 0
+    tables = [t for key in sets for t in sigma_factor_tables(key)]
+    return Result(
+        lambda: [t.to_json() for t in tables],
+        lambda: "\n\n".join(t.text() for t in tables),
+    )
 
 
-def _cmd_search(args, parser):
+def _cmd_search(args):
     res = run_search(args.stage, stage2_rule=args.rule)
-    if args.json:
-        print(json.dumps(res.to_json(), indent=2))
-    else:
-        for line in res.summary_lines():
-            print(line)
-        if res.stage in ("3", "final"):
-            for p in res.tuples:
-                label = name_of(p)
-                print(f"{p.text()}" + (f"  [{label}]" if label else ""))
-    ok = res.matches_reference()
-    if not ok:
-        for stage_key, d in (res.filter_diff or {}).items():
-            print(
-                f"stage {stage_key}: count {d['count']} differs from "
-                f"reference {d['reference']}",
-                file=sys.stderr,
-            )
-            for variant, count in d.get("variants", {}).items():
-                print(f"  variant {variant}: {count}", file=sys.stderr)
-    return 0 if ok else 1
+    return Result(res.to_json, res.text, res.matches_reference(), res.notes())
 
 
-def _cmd_reciprocal(args, parser):
-    try:
-        rep = explore_reciprocal(args.max_abc)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.json:
-        print(json.dumps(rep.to_json(), indent=2))
-    else:
-        for e in rep.entries:
-            print(e.text())
-        print(f"entries: {len(rep.entries)}")
-        print(f"self-reciprocal: {', '.join(rep.self_reciprocal_names()) or '-'}")
-        drops = rep.star_mersenne_map()
-        print(
-            "reciprocal drops the M1 power: "
-            + (", ".join(f"{k} -> {v}" for k, v in drops.items()) or "-")
-        )
-        pairs = rep.star_pairs()
-        print(
-            "swapped pairs: "
-            + (", ".join(f"({a}, {b})" for a, b in pairs) or "-")
-        )
-    return 0
+def _cmd_reciprocal(args):
+    rep = explore_reciprocal(args.max_abc)
+    return Result(rep.to_json, rep.text)
 
 
-def _cmd_identities(args, parser):
-    try:
-        report = verify_split_identities(args.max_exp)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        for fam in report.families:
-            mark = "ok" if fam.ok else "MISMATCH"
-            print(f"[{mark}] {fam.label}  ({len(fam.found)} solutions)")
-            if not fam.ok:
-                extra = set(fam.found) - set(fam.expected)
-                missing = set(fam.expected) - set(fam.found)
-                if extra:
-                    print(f"    unexpected: {sorted(extra)}", file=sys.stderr)
-                if missing:
-                    print(f"    missing: {sorted(missing)}", file=sys.stderr)
-    return 0 if report.ok else 1
+def _cmd_identities(args):
+    rep = verify_split_identities(args.max_exp)
+    return Result(rep.to_json, rep.text, rep.ok, rep.notes())
 
 
-def _cmd_conjecture(args, parser):
-    if args.base:
-        bases = [_parse_poly(b, parser) for b in args.base]
-    else:
-        bases = list(mersenne_family())
-    scans = []
-    for base in bases:
-        try:
-            scans.append(conjecture_scan(base, args.hmax))
-        except ValueError as exc:
-            parser.error(str(exc))
-    if args.json:
-        print(json.dumps([s.to_json() for s in scans], indent=2))
-    else:
-        for s in scans:
-            print(s.text())
-    bad = [s for s in scans if s.counterexample_rows]
-    for s in bad:
-        hs = [r.h for r in s.counterexample_rows]
-        label = name_of(s.base) or s.base.text()
-        print(f"{label}: no witness at h = {hs}", file=sys.stderr)
-    return 1 if bad else 0
+def _cmd_conjecture(args):
+    bases = [_parse_poly(b) for b in args.base] or mersenne_family()
+    scans = [conjecture_scan(base, args.hmax) for base in bases]
+    return Result(
+        lambda: [s.to_json() for s in scans],
+        lambda: "\n".join(s.text() for s in scans),
+        not any(s.counterexample_rows for s in scans),
+        tuple(line for s in scans for line in s.notes()),
+    )
 
 
-def _cmd_admissible(args, parser):
-    family = [_parse_poly(t, parser) for t in args.poly]
-    try:
-        ok, report = is_admissible(family, h_budget=args.budget)
-    except ValueError as exc:
-        parser.error(str(exc))
-    _emit(report.to_json(), args.json, report.text())
-    return 0 if ok else 1
+def _cmd_admissible(args):
+    family = [_parse_poly(t) for t in args.poly]
+    ok, report = is_admissible(family, h_budget=args.budget)
+    return Result(report.to_json, report.text, ok)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -355,7 +260,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        res = args.func(args)
+        out = json.dumps(res.to_json(), indent=2) if args.json else res.text()
+    except CatalogError as exc:
+        print(f"catalog self-check failed: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        parser.error(str(exc))
+    print(out)
+    for line in res.notes:
+        print(line, file=sys.stderr)
+    return 0 if res.ok else 1
 
 
 if __name__ == "__main__":

@@ -209,6 +209,23 @@ def _reverse(a):
     return int(bin(a)[:1:-1], 2)
 
 
+def _linear(i, j):
+    # x^i (x+1)^j: (x+1)^j is the conjugate of x^j.
+    return _bar(1 << j) << i
+
+
+def _split_linear(a):
+    """(i, j, c) with a = x^i (x+1)^j c and c(0) = c(1) = 1, for a != 0.
+
+    Strips x by a shift, then conjugates, so that x+1 becomes x, strips
+    x again and conjugates back: no power of x+1 and no division.
+    """
+    i = (a & -a).bit_length() - 1
+    b = _bar(a >> i)
+    j = (b & -b).bit_length() - 1
+    return i, j, _bar(b >> j)
+
+
 # ---------------------------------------------------------------------------
 # the value type
 

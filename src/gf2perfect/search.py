@@ -31,13 +31,14 @@ from itertools import product
 from .catalog import (
     chain_length,
     family_degree_sum,
+    label,
     name_of,
     mersenne_family,
     prime_family,
     two_mersenne_family,
 )
 from .factorize import FactorMap, factor_full, factor_over_family, is_irreducible
-from .gf2poly import Poly, X, X1, _divmod, _mul, star, val_x, val_x1
+from .gf2poly import Poly, X, X1, _divmod, _linear, _mul, _split_linear, star, val_x
 from .sigma import (
     US,
     U1S,
@@ -186,13 +187,10 @@ class StageResult:
     stage_counts: dict
     filter_diff: dict | None
 
-    def summary_lines(self):
-        return [f"stage={k} count={n}" for k, n in self.stage_counts.items()]
-
     def matches_reference(self):
         for k, n in self.stage_counts.items():
             if k == "final":
-                names = sorted(name_of(p) or p.text() for p in self.tuples)
+                names = sorted(map(label, self.tuples))
                 if names != sorted(FINAL_REFERENCE_NAMES):
                     return False
             elif n != REFERENCE_STAGE_COUNTS[k]:
@@ -212,10 +210,31 @@ class StageResult:
             "rows": rows,
         }
         if self.stage == "final":
-            body["names"] = [name_of(p) or p.text() for p in self.tuples]
+            body["names"] = [label(p) for p in self.tuples]
         if self.filter_diff:
             body["filter_diff"] = self.filter_diff
         return body
+
+    def text(self):
+        """Every stage count, then the candidates of stage 3 or final,
+        catalog members tagged with their name."""
+        lines = [f"stage={k} count={n}" for k, n in self.stage_counts.items()]
+        if self.stage in ("3", "final"):
+            for p in self.tuples:
+                name = name_of(p)
+                lines.append(p.text() + (f"  [{name}]" if name else ""))
+        return "\n".join(lines)
+
+    def notes(self):
+        """Each divergent stage count with its filter variants' counts."""
+        lines = []
+        for key, d in (self.filter_diff or {}).items():
+            lines.append(
+                f"stage {key}: count {d['count']} differs from "
+                f"reference {d['reference']}"
+            )
+            lines += [f"  variant {v}: {n}" for v, n in d.get("variants", {}).items()]
+        return tuple(lines)
 
 
 def run_search(stage, stage2_rule="uniform", jobs=1) -> StageResult:
@@ -280,7 +299,7 @@ def run_search(stage, stage2_rule="uniform", jobs=1) -> StageResult:
     # of interest; the rest must be sigma fixed points.
     final = tuple(
         sorted(
-            p for p in polys if val_x(p) + val_x1(p) != p.degree and sigma(p) == p
+            p for p in polys if _split_linear(p.bits)[2] != 1 and sigma(p) == p
         )
     )
     counts["final"] = len(final)
@@ -317,7 +336,7 @@ class SigmaTable:
 
     def to_json(self):
         return {
-            "base": name_of(self.base) or self.base.text(),
+            "base": label(self.base),
             "h_max": self.h_max,
             "rows": [
                 {"h": h, "factors": fm.to_json()["factors"]}
@@ -326,8 +345,7 @@ class SigmaTable:
         }
 
     def text(self):
-        label = name_of(self.base) or self.base.text()
-        lines = [f"base {label}  (h up to {self.h_max})"]
+        lines = [f"base {label(self.base)}  (h up to {self.h_max})"]
         if not self.rows:
             lines.append("  no rows")
         for h, fm in self.rows:
@@ -385,11 +403,9 @@ class ReciprocalEntry:
     star_name: str | None
 
     def text(self):
-        label = self.name or self.poly.text()
-        target = self.star_name or self.star.text()
         return (
-            f"(a={self.a}, b={self.b}, c={self.c}) {label}: "
-            f"reciprocal is {target} [{self.star_kind}]"
+            f"(a={self.a}, b={self.b}, c={self.c}) {label(self.poly)}: "
+            f"reciprocal is {label(self.star)} [{self.star_kind}]"
         )
 
 
@@ -403,22 +419,30 @@ class ReciprocalReport:
 
     def star_mersenne_map(self):
         """Entries whose reciprocal drops the M1 power, as a name map."""
-        return {
-            (e.name or e.poly.text()): (e.star_name or e.star.text())
-            for e in self.of_kind("mersenne")
-        }
+        return {label(e.poly): label(e.star) for e in self.of_kind("mersenne")}
 
     def self_reciprocal_names(self):
-        return tuple(e.name or e.poly.text() for e in self.of_kind("self"))
+        return tuple(label(e.poly) for e in self.of_kind("self"))
 
     def star_pairs(self):
         """Unordered pairs swapped by the reciprocal, by name."""
-        pairs = set()
-        for e in self.of_kind("two_mersenne"):
-            left = e.name or e.poly.text()
-            right = e.star_name or e.star.text()
-            pairs.add(tuple(sorted((left, right))))
+        swapped = self.of_kind("two_mersenne")
+        pairs = {tuple(sorted((label(e.poly), label(e.star)))) for e in swapped}
         return tuple(sorted(pairs))
+
+    def text(self):
+        drops = self.star_mersenne_map().items()
+        return "\n".join(
+            [e.text() for e in self.entries]
+            + [
+                f"entries: {len(self.entries)}",
+                f"self-reciprocal: {', '.join(self.self_reciprocal_names()) or '-'}",
+                "reciprocal drops the M1 power: "
+                + (", ".join(f"{k} -> {v}" for k, v in drops) or "-"),
+                "swapped pairs: "
+                + (", ".join(f"({a}, {b})" for a, b in self.star_pairs()) or "-"),
+            ]
+        )
 
     def to_json(self):
         return {
@@ -456,40 +480,24 @@ def explore_reciprocal(max_abc=6):
             for c in range(1, max_abc + 1):
                 if math.gcd(math.gcd(a, b), c) != 1:
                     continue
-                bits = _mul(1 << a, (X1 ** b).bits)
+                bits = _linear(a, b)
                 for _ in range(c):
                     bits = _mul(bits, _M1_BITS)
                 p = Poly(bits ^ 1)
                 if not is_irreducible(p):
                     continue
                 q = star(p)
+                body = _split_linear(q.bits ^ 1)[2]
                 if q == p:
                     kind = "self"
+                elif body == 1:
+                    kind = "mersenne"
+                elif _strip_m1(body)[0] == 1:
+                    kind = "two_mersenne"
                 else:
-                    body = q.bits ^ 1
-                    body >>= val_x(Poly(body))
-                    k = val_x1(Poly(body))
-                    if k:
-                        body, _ = _divmod(body, (X1 ** k).bits)
-                    if body == 1:
-                        kind = "mersenne"
-                    else:
-                        cofactor, count = _strip_m1(body)
-                        if cofactor == 1 and count:
-                            kind = "two_mersenne"
-                        else:
-                            kind = "outside"
+                    kind = "outside"
                 entries.append(
-                    ReciprocalEntry(
-                        a=a,
-                        b=b,
-                        c=c,
-                        poly=p,
-                        name=name_of(p),
-                        star_kind=kind,
-                        star=q,
-                        star_name=name_of(q),
-                    )
+                    ReciprocalEntry(a, b, c, p, name_of(p), kind, q, name_of(q))
                 )
     return ReciprocalReport(max_abc, tuple(entries))
 
@@ -527,6 +535,25 @@ class IdentityReport:
     @property
     def ok(self):
         return all(f.ok for f in self.families)
+
+    def text(self):
+        return "\n".join(
+            f"[{'ok' if f.ok else 'MISMATCH'}] {f.label}  ({len(f.found)} solutions)"
+            for f in self.families
+        )
+
+    def notes(self):
+        """The solutions each family found but does not parameterize,
+        and those it parameterizes but did not find."""
+        lines = []
+        for f in self.families:
+            extra = set(f.found) - set(f.expected)
+            missing = set(f.expected) - set(f.found)
+            if extra:
+                lines.append(f"    unexpected: {sorted(extra)}")
+            if missing:
+                lines.append(f"    missing: {sorted(missing)}")
+        return tuple(lines)
 
     def to_json(self):
         return {
@@ -567,10 +594,8 @@ def verify_split_identities(max_exp=32):
     # 1 + M1^a = x^b (x+1)^c
     found1 = []
     for a in range(1, e + 1):
-        r = m1_pow[a] ^ 1
-        p = Poly(r)
-        b, c = val_x(p), val_x1(p)
-        if r >> b == (X1 ** c).bits:
+        b, c, rest = _split_linear(m1_pow[a] ^ 1)
+        if rest == 1:
             found1.append((a, b, c))
     expected1 = [(k, k, k) for k in _powers_of_two(e)]
 
@@ -603,9 +628,8 @@ def verify_split_identities(max_exp=32):
     for a in range(1, e + 1):
         for b in range(a + 1, e + 1):
             s = x1_pow[a] ^ x1_pow[b]
-            p = Poly(s)
-            cc, dd = val_x(p), val_x1(p)
-            if _mul(1 << cc, x1_pow[dd]) == s:
+            cc, dd, rest = _split_linear(s)
+            if rest == 1:
                 found4.append((a, b, cc, dd))
     expected4 = [
         (a, a + k, k, a)
@@ -685,16 +709,14 @@ class ConjectureScan:
 
     def to_json(self):
         return {
-            "base": name_of(self.base) or self.base.text(),
+            "base": label(self.base),
             "h_max": self.h_max,
             "threshold": self.threshold,
             "rows": [
                 {
                     "h": r.h,
                     "factors": r.factors.to_json()["factors"],
-                    "witness": None
-                    if r.witness is None
-                    else (name_of(r.witness) or r.witness.text()),
+                    "witness": None if r.witness is None else label(r.witness),
                 }
                 for r in self.rows
             ],
@@ -702,18 +724,20 @@ class ConjectureScan:
         }
 
     def text(self):
-        label = name_of(self.base) or self.base.text()
         lines = [
-            f"base {label}: hunting factors of chain length >= "
+            f"base {label(self.base)}: hunting factors of chain length >= "
             f"{self.threshold} in sigma(base^(2h)), h = 2 .. {self.h_max}"
         ]
         for r in self.rows:
             if r.witness is None:
                 lines.append(f"  h={r.h}: NO WITNESS in {r.factors.text()}")
             else:
-                w = name_of(r.witness) or r.witness.text()
-                lines.append(f"  h={r.h}: witness {w}")
+                lines.append(f"  h={r.h}: witness {label(r.witness)}")
         return "\n".join(lines)
+
+    def notes(self):
+        hs = [r.h for r in self.counterexample_rows]
+        return (f"{label(self.base)}: no witness at h = {hs}",) if hs else ()
 
 
 def conjecture_scan(base, h_max=20):

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .factorize import FactorMap, factor_full, is_irreducible
-from .gf2poly import ONE, Poly, X1, _mul, _square, bar
+from .gf2poly import ONE, Poly, X1, _linear, _mul, _square, bar
 
 US = (1, 3, 5, 7, 9, 13, 15)
 U1S = (1, 3, 5, 7, 15)
@@ -201,7 +201,7 @@ TWO_MERSENNE_ABN = {
 
 def _shape(a: int, b: int) -> Poly:
     """1 + x^a (x+1)^b."""
-    return Poly(1 ^ _mul(1 << a, (X1**b).bits))
+    return Poly(1 ^ _linear(a, b))
 
 
 def mersenne(i: int) -> Poly:
@@ -211,7 +211,7 @@ def mersenne(i: int) -> Poly:
 
 def two_mersenne(j: int) -> Poly:
     a, b, c = TWO_MERSENNE_ABN[j]
-    return Poly(1 ^ _mul(_mul(1 << a, (X1**b).bits), (mersenne(1) ** c).bits))
+    return Poly(1 ^ _mul(_linear(a, b), (mersenne(1) ** c).bits))
 
 
 def chi(w: int, t: int) -> int:
@@ -426,8 +426,7 @@ def sigma_exponents(t: ExponentTuple, relax_tail: bool = False) -> SigmaExponent
 
 def assemble(t: ExponentTuple) -> Poly:
     """Materialize the candidate x^a (x+1)^b prod Mi^ci prod Sj^dj."""
-    bits = 1 << t.a
-    bits = _mul(bits, (X1 ** t.b).bits)
+    bits = _linear(t.a, t.b)
     for i, ci in enumerate(t.c, start=1):
         if ci:
             bits = _mul(bits, (mersenne(i) ** ci).bits)
@@ -455,7 +454,7 @@ def trivial_perfect(n: int) -> Poly:
     if n < 1:
         raise ValueError("n must be positive")
     e = 2**n - 1
-    return Poly(_mul(1 << e, (X1**e).bits))
+    return Poly(_linear(e, e))
 
 
 def sigma_check_bar_symmetry(a: Poly) -> bool:

@@ -1,9 +1,11 @@
 """Exit codes and output of every CLI verb, driven through main()."""
 
+import hashlib
 import json
 
 import pytest
 
+from expected import CLI_OUTPUT_SHA256
 from gf2perfect import catalog, cli, search
 from gf2perfect.cli import main
 
@@ -218,6 +220,62 @@ def test_malformed_invocations_exit_2(capsys, argv):
 
 
 def test_input_degree_cap_is_inclusive():
-    parser = cli._build_parser()
-    p = cli._parse_poly(f"x^{cli.MAX_INPUT_DEGREE}+1", parser)
+    p = cli._parse_poly(f"x^{cli.MAX_INPUT_DEGREE}+1")
     assert p.degree == cli.MAX_INPUT_DEGREE
+    with pytest.raises(ValueError, match="exceeds"):
+        cli._parse_poly(f"x^{cli.MAX_INPUT_DEGREE + 1}+1")
+
+
+# -- exit code 1 and the diagnostics on stderr, in both modes ---------------------
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_search_divergence_exits_1_with_stderr(capsys, mode):
+    rc, out, err = run(capsys, "search", *mode)
+    assert rc == 1
+    assert out
+    assert "reference 4484" in err
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_identity_mismatch_exits_1_with_stderr(capsys, monkeypatch, mode):
+    family = search.IdentityFamily("fake", ((1, 2, 3),), ((4, 5, 6),))
+    report = search.IdentityReport(4, (family,))
+    monkeypatch.setattr(cli, "verify_split_identities", lambda max_exp: report)
+    rc, _, err = run(capsys, "identities", *mode)
+    assert rc == 1
+    assert "unexpected: [(1, 2, 3)]" in err
+    assert "missing: [(4, 5, 6)]" in err
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_catalog_failure_exits_1(capsys, monkeypatch, mode):
+    def broken():
+        raise catalog.CatalogError("M1 = x^2+x+1 is not irreducible")
+
+    monkeypatch.setattr(cli, "catalog_constants", broken)
+    rc, out, err = run(capsys, "verify-catalog", *mode)
+    assert rc == 1
+    assert out == ""
+    assert err == "catalog self-check failed: M1 = x^2+x+1 is not irreducible\n"
+
+
+# -- every cheap invocation, byte for byte ----------------------------------------
+
+
+def test_cli_outputs_are_pinned(capsys, monkeypatch):
+    """Exit code and stdout/stderr digests of the invocations in
+    expected.CLI_OUTPUT_SHA256, in text and --json mode: every verb but
+    tables (slow) and multi-base conjecture, failing inputs included."""
+    monkeypatch.setenv("COLUMNS", "80")
+    lines = []
+    for line in CLI_OUTPUT_SHA256.strip().splitlines():
+        argv = line.split(" ", 3)[3]
+        try:
+            rc = main(argv.split())
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        out, err = (hashlib.sha256(s.encode()).hexdigest() for s in (out, err))
+        lines.append(f"{rc} {out} {err} {argv}")
+    assert lines == CLI_OUTPUT_SHA256.strip().splitlines()

@@ -14,9 +14,11 @@ from gf2perfect.gf2poly import (
     X,
     X1,
     _MUL_WINDOW_MIN,
+    _linear,
     _mod,
     _mul,
     _reducer,
+    _split_linear,
     _sqrt,
     _square,
     bar,
@@ -37,6 +39,7 @@ from oracles import (
     o_divmod,
     o_gcd,
     o_mul,
+    o_pow,
     o_star,
     to_bits,
     to_list,
@@ -184,6 +187,20 @@ def test_reducer_matches_mod_and_oracle(a, f):
     for dividend in (a, _square(a), short, below):
         expected = to_bits(o_divmod(to_list(dividend), to_list(f))[1])
         assert reduce(dividend) == _mod(dividend, f) == expected
+
+
+@settings(max_examples=40)
+@given(wide, st.integers(0, 24), st.integers(0, 24))
+def test_split_linear_matches_oracle(w, i, j):
+    # a = x^i (x+1)^j w, where w may hold more linear factors of its own.
+    a = to_bits(o_mul([0] * i + o_pow([1, 1], j), to_list(w)))
+    si, sj, c = _split_linear(a)
+    assert si >= i and sj >= j
+    linear = [0] * si + o_pow([1, 1], sj)
+    assert _linear(si, sj) == to_bits(linear)
+    assert to_bits(o_mul(linear, to_list(c))) == a
+    # No root at 0 (constant term 1) and none at 1 (odd weight).
+    assert c & 1 and c.bit_count() & 1
 
 
 def test_reducer_of_zero_raises():

@@ -1,9 +1,9 @@
-"""Golden check of the CLI: exit code and stdout digest of fixed invocations.
+"""Golden check of the CLI: exit code and output digests of fixed invocations.
 
-Runs each invocation in GOLDEN through ``gf2perfect.cli.main`` with
-``--json`` and prints one line per invocation: the exit code, the
-sha256 of stdout and the arguments.  Two checkouts agree when their
-outputs are identical:
+Runs each invocation in GOLDEN through ``gf2perfect.cli.main``, once in
+text mode and once with ``--json``, and prints one line per run: the
+exit code, the sha256 of stdout, the sha256 of stderr and the
+arguments.  Two checkouts agree when their outputs are identical:
 
     PYTHONPATH=src python3 tools/golden_cli.py > after.txt
     PYTHONPATH=/path/to/other/src python3 tools/golden_cli.py > before.txt
@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import random
 
 from gf2perfect.cli import main
@@ -41,22 +42,43 @@ GOLDEN = tuple(
     ("factor", WIDE_HEX),
     ("sigma", WIDE_HEX),
     ("conjecture", "M1", "M4", "M13", "--hmax", "20"),
+    # Failing and exit-1 paths.
+    ("sigma", "0"),
+    ("factor", "0"),
+    ("repr", "x^2"),
+    ("classify", "1"),
+    ("tables", "bogus"),
+    ("reciprocal", "--max-abc", "17"),
+    ("identities", "--max-exp", "3"),
+    ("conjecture", "x^4"),
+    ("conjecture", "M1", "--hmax", "41"),
+    ("admissible", "x"),
+    ("admissible", "M1", "--budget", "0"),
+    ("admissible", "M6"),
+    ("sigma", "x^5000"),
+    ("factor", "x^"),
 )
 
 
 def run(argv):
-    """(exit code, stdout) of one in-process invocation."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """(exit code, stdout, stderr) of one in-process invocation."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             rc = main(list(argv))
         except SystemExit as exc:
             rc = exc.code
-    return rc, out.getvalue()
+    return rc, out.getvalue(), err.getvalue()
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 if __name__ == "__main__":
+    # argparse wraps its usage line to the terminal width.
+    os.environ["COLUMNS"] = "80"
     for argv in GOLDEN:
-        rc, out = run(argv + ("--json",))
-        digest = hashlib.sha256(out.encode()).hexdigest()
-        print(rc, digest, " ".join(argv))
+        for mode in ((), ("--json",)):
+            rc, out, err = run(argv + mode)
+            print(rc, digest(out), digest(err), " ".join(argv + mode))
