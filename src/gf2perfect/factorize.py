@@ -16,7 +16,10 @@ only a run that holds a factor is split degree by degree.
 `factor_over_family` is deliberately weaker than `factor_full`: it only
 divides by members of a supplied family and reports failure instead of
 falling back to general factoring.  Several classification routines
-depend on that distinction.
+depend on that distinction.  Each family is checked once and its
+product kept; an input is screened by dividing out its gcd with that
+product until 1 (it splits) or a gcd of 1 (it does not), and only the
+inputs that split are divided member by member for their exponents.
 """
 
 from __future__ import annotations
@@ -163,13 +166,11 @@ class FactorMap:
             bits = _mul(bits, (p**e).bits)
         return Poly(bits)
 
+    def factors_json(self) -> list:
+        return [{"prime": p.text(), "exp": e} for p, e in self.entries]
+
     def to_json(self) -> dict:
-        return {
-            "poly": self.product().text(),
-            "factors": [
-                {"prime": p.text(), "exp": e} for p, e in self.entries
-            ],
-        }
+        return {"poly": self.product().text(), "factors": self.factors_json()}
 
     def text(self) -> str:
         if not self.entries:
@@ -332,28 +333,49 @@ def factor_full(p: Poly) -> FactorMap:
     return FactorMap(pairs)
 
 
+# Bounded: callers use a handful of fixed families (the 28 odd primes,
+# an admissibility family and that family with x and x+1).
+@lru_cache(maxsize=32)
+def _family(bits):
+    """(sorted members, product) of a family given as member bits in
+    the caller's order, after the checks factor_over_family documents."""
+    seen = set()
+    for q in bits:
+        if not is_irreducible(Poly(q)):
+            raise ValueError(f"family member {Poly(q).text()} is not irreducible")
+        if q in seen:
+            raise ValueError(f"family member {Poly(q).text()} listed twice")
+        seen.add(q)
+    members = tuple(sorted(bits))
+    product = 1
+    for q in members:
+        product = _mul(product, q)
+    return members, product
+
+
 def factor_over_family(p: Poly, family) -> FactorMap | None:
     """Factor p using only the given irreducibles, or report failure.
 
-    Divides repeatedly by each family member in canonical order;
-    returns the exponent map when the quotient reaches 1 and None when
-    a nontrivial cofactor remains.  Never invokes general factoring.
+    Every member must be irreducible and listed once; a constant member
+    raises as is_irreducible does.  The family is checked once and its
+    product kept.  p splits over the family exactly when dividing out
+    gcd(p, product) again and again reaches 1, so a p with a prime
+    outside the family costs a few gcds and returns None.  Only a p
+    that splits is divided by each member in canonical order, to read
+    off the exponents.  Never invokes general factoring.
     """
-    members = []
-    seen = set()
-    for q in family:
-        if not isinstance(q, Poly):
-            q = Poly(q)
-        if not is_irreducible(q):
-            raise ValueError(f"family member {q.text()} is not irreducible")
-        if q.bits in seen:
-            raise ValueError(f"family member {q.text()} listed twice")
-        seen.add(q.bits)
-        members.append(q.bits)
-    members.sort()
+    members, product = _family(
+        tuple(q.bits if isinstance(q, Poly) else Poly(q).bits for q in family)
+    )
     a = p.bits
     if a == 0:
         raise ValueError("cannot factor the zero polynomial")
+    r = a
+    while r != 1:
+        g = _gcd(r, product)
+        if g == 1:
+            return None
+        r = _divmod(r, g)[0]
     pairs = []
     for q in members:
         e = 0
@@ -365,6 +387,4 @@ def factor_over_family(p: Poly, family) -> FactorMap | None:
             e += 1
         if e:
             pairs.append((Poly(q), e))
-    if a != 1:
-        return None
     return FactorMap(pairs)

@@ -120,14 +120,17 @@ def _stage1_rows():
     return rows
 
 
-def _stage2_rows(rows1, rule):
+def _stage2_kept(rows1, rule):
     """Stage-1 rows whose carried deltas pass the first slot and the rule."""
     accept = STAGE2_RULES[rule]
-    return [
-        r + decompose_exponent(r[8])
-        for r in rows1
-        if r[8] in REPRESENTABLE_EXPONENTS and accept(r[9:16])
-    ]
+    return (
+        r for r in rows1 if r[8] in REPRESENTABLE_EXPONENTS and accept(r[9:16])
+    )
+
+
+def _stage2_rows(rows1, rule):
+    """The kept stage-1 rows, each extended by its first slot's (n, u)."""
+    return [r + decompose_exponent(r[8]) for r in _stage2_kept(rows1, rule)]
 
 
 # First free-slot witness (n3, n4, n5), in loop order, for each degree
@@ -278,7 +281,10 @@ def run_search(stage, stage2_rule="uniform", jobs=1) -> StageResult:
             "count": counts["2"],
             "rule": stage2_rule,
             "variants": {
-                rule: len(_stage2_rows(rows1, rule)) for rule in STAGE2_RULES
+                rule: counts["2"]
+                if rule == stage2_rule
+                else sum(1 for _ in _stage2_kept(rows1, rule))
+                for rule in STAGE2_RULES
             },
         }
     if key == "2":
@@ -339,7 +345,7 @@ class SigmaTable:
             "base": label(self.base),
             "h_max": self.h_max,
             "rows": [
-                {"h": h, "factors": fm.to_json()["factors"]}
+                {"h": h, "factors": fm.factors_json()}
                 for h, fm in self.rows
             ],
         }
@@ -715,7 +721,7 @@ class ConjectureScan:
             "rows": [
                 {
                     "h": r.h,
-                    "factors": r.factors.to_json()["factors"],
+                    "factors": r.factors.factors_json(),
                     "witness": None if r.witness is None else label(r.witness),
                 }
                 for r in self.rows

@@ -162,6 +162,24 @@ def i_factor(bits):
     return out
 
 
+def i_factor_over(bits, family):
+    """Trial division by the family members alone, in ascending order:
+    sorted (prime, exponent) pairs, or None when a cofactor other than
+    1 remains."""
+    out = []
+    for d in sorted(family):
+        e = 0
+        while True:
+            q, r = i_divmod(bits, d)
+            if r:
+                break
+            bits = q
+            e += 1
+        if e:
+            out.append((d, e))
+    return out if bits == 1 else None
+
+
 def i_is_prime(bits):
     return deg(bits) >= 1 and i_factor(bits) == [(bits, 1)]
 

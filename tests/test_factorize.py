@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -23,7 +24,7 @@ from gf2perfect.factorize import (
 from gf2perfect.gf2poly import ONE, Poly, X, X1
 from gf2perfect.sigma import sigma_prime_power
 from expected import FACTOR_JSON_SHA256
-from oracles import i_factor, i_is_prime, i_mul
+from oracles import i_factor, i_factor_over, i_is_prime, i_mul, sieve_primes
 
 deg12 = st.integers(min_value=1, max_value=(1 << 13) - 1)
 deg96 = st.integers(min_value=1, max_value=(1 << 97) - 1)
@@ -178,3 +179,88 @@ def test_irreducibility_cache_is_bounded():
     for bits in range(2, 2 * maxsize + 2):
         _is_irreducible_bits(bits)
     assert _is_irreducible_bits.cache_info().currsize <= maxsize
+
+
+# -- factor_over_family against trial division by the family -------------------
+
+# The 41 irreducibles of degree 1..7, from the oracle's own sieve.
+SMALL_PRIMES = sieve_primes(7)
+
+
+@st.composite
+def family_products(draw):
+    """(family in draw order, product of powers of some of its members,
+    stray prime outside it or None)."""
+    family = draw(
+        st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=8, unique=True)
+    )
+    bits = 1
+    for q in family:
+        for _ in range(draw(st.integers(min_value=0, max_value=4))):
+            bits = i_mul(bits, q)
+    stray = draw(
+        st.none() | st.sampled_from(SMALL_PRIMES).filter(lambda q: q not in family)
+    )
+    return family, bits, stray
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_products())
+def test_factor_over_family_matches_trial_division(case):
+    family, bits, stray = case
+    if stray is not None:
+        bits = i_mul(bits, stray)
+    got = factor_over_family(Poly(bits), [Poly(q) for q in family])
+    want = i_factor_over(bits, family)
+    assert (None if got is None else [(p.bits, e) for p, e in got]) == want
+    if stray is not None:
+        assert got is None
+
+
+def test_factor_over_family_finds_every_member():
+    fam = prime_family()
+    for q in fam:
+        for e in (1, 3):
+            p = q**e * mersenne(1)
+            assert factor_over_family(p, fam) == FactorMap([(q, e), (mersenne(1), 1)])
+            assert factor_over_family(p, fam[::-1]) == factor_over_family(p, fam)
+
+
+def test_factor_over_family_alternating_families():
+    a = (mersenne(1), mersenne(2))
+    b = (mersenne(3), mersenne(4))  # as many members, none shared
+    pa = mersenne(1) ** 2 * mersenne(2)
+    pb = mersenne(3) * mersenne(4) ** 3
+    for _ in range(2):
+        assert factor_over_family(pa, a) == FactorMap([(mersenne(1), 2), (mersenne(2), 1)])
+        assert factor_over_family(pa, b) is None
+        assert factor_over_family(pb, b[::-1]) == FactorMap(
+            [(mersenne(3), 1), (mersenne(4), 3)]
+        )
+        assert factor_over_family(pb, a) is None
+        assert factor_over_family(pa * pb, a + b) is not None
+
+
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        ((mersenne(1), Poly(0b101), mersenne(1)), "x^2+1 is not irreducible"),
+        ((mersenne(1), mersenne(1), Poly(0b101)), "x^2+x+1 listed twice"),
+        ((mersenne(1), ONE, Poly(0b101)), "degree >= 1"),
+        ((Poly(0), mersenne(1)), "degree >= 1"),
+    ],
+)
+def test_factor_over_family_error_order(family, message):
+    # The family is checked member by member before the input; a failed
+    # check raises again on the next call.
+    for _ in range(2):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            factor_over_family(Poly(0), family)
+
+
+def test_factor_over_family_zero_input():
+    fam = (mersenne(1), mersenne(2))
+    assert factor_over_family(mersenne(1), fam) is not None
+    for _ in range(2):
+        with pytest.raises(ValueError, match="cannot factor the zero polynomial"):
+            factor_over_family(Poly(0), fam)

@@ -39,6 +39,8 @@ GOLDEN = tuple(
     ("identities", "--max-exp", "64"),
     ("conjecture", "M1", "M4", "--hmax", "12"),
     ("admissible", "M1", "M2", "M3"),
+    ("admissible", "M1", "M2", "M3", "--budget", "128"),
+    ("admissible", "S11", "--budget", "128"),
     ("factor", WIDE_HEX),
     ("sigma", WIDE_HEX),
     ("conjecture", "M1", "M4", "M13", "--hmax", "20"),
