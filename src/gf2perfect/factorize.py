@@ -11,7 +11,11 @@ The time goes into squaring modulo a fixed polynomial, in the Rabin
 test, the distinct-degree walk and the trace map; each of those loops
 reduces through one gf2poly._reducer table built for its modulus.  The
 distinct-degree gcds are blocked: one gcd decides a run of degrees, and
-only a run that holds a factor is split degree by degree.
+only a run that holds a factor is split degree by degree.  The Rabin
+test of a degree-d input walks one chain x^(2^k), k = 1..d, taking its
+gcds at the k = d/p in increasing order, so it costs d squarings.  From
+degree 33 it first screens out factors of degree up to 16 with one
+blocked gcd, which rejects most reducible inputs after 16 squarings.
 
 `factor_over_family` is deliberately weaker than `factor_full`: it only
 divides by members of a supplied family and reports failure instead of
@@ -54,6 +58,28 @@ def _prime_divisors(n):
     return out
 
 
+# Consecutive degrees k whose gcds _distinct_degree folds into one (and
+# the degrees the Rabin test screens), and the degree of f from which a
+# block pays.  Timed per call on random square-free inputs, blocks of
+# 16 cost 1.05-1.2x one degree per block at degree 28-40 and win from
+# 44 (0.94-0.99x at 44-48, 0.85-0.92x at 56, 0.69x at 250, 0.43-0.48x
+# at 500-1,000).  Blocks of 8 match or beat 16 up to degree 250
+# (0.55-0.93x) but lose at 500-1,000 (0.55-0.56x).
+_DDF_BLOCK = 16
+_DDF_BLOCK_MIN_DEGREE = 44
+
+
+def _frobenius_block(h, count, reduce):
+    """(h_(k+count), product of h_j - x for k < j <= k+count), from
+    h = h_k = x^(2^k) mod f, where reduce reduces modulo f."""
+    h = reduce(_square(h))
+    prod = h ^ 2
+    for _ in range(count - 1):
+        h = reduce(_square(h))
+        prod = reduce(_mul(prod, h ^ 2))
+    return h, prod
+
+
 # Bounded so long sweeps cannot grow it without limit; the working set
 # of the exploratory sweeps is under a thousand entries.
 @lru_cache(maxsize=4096)
@@ -65,20 +91,33 @@ def _is_irreducible_bits(a):
     if not (a & 1):
         return False  # divisible by x
     # Rabin: x^(2^d) == x mod a, and for every prime p | d the map
-    # x -> x^(2^(d/p)) must move x (gcd check).
-    x = 2
+    # x -> x^(2^(d/p)) must move x (gcd check).  One chain h = x^(2^k)
+    # mod a runs k up to d and takes each gcd as it passes k = d/p:
+    # the primes come in increasing order, so reversed they give the
+    # d/p in increasing order.
     reduce = _reducer(a)
-    for p in _prime_divisors(d):
-        e = d // p
-        t = x
-        for _ in range(e):
-            t = reduce(_square(t))
-        if _gcd(t ^ x, a) != 1:
+    h, k = 2, 0
+    if d > 2 * _DDF_BLOCK:
+        # Screen: a prime factor of degree at most _DDF_BLOCK divides
+        # the product of h_k - x over k <= _DDF_BLOCK, as in
+        # _distinct_degree.  Once that gcd is 1, so is every Rabin gcd
+        # with d/p <= _DDF_BLOCK, and the chain goes on from there.
+        h, prod = _frobenius_block(h, _DDF_BLOCK, reduce)
+        if _gcd(prod, a) != 1:
             return False
-    t = x
-    for _ in range(d):
-        t = reduce(_square(t))
-    return t == x
+        k = _DDF_BLOCK
+    for p in reversed(_prime_divisors(d)):
+        e = d // p
+        if e <= k:
+            continue
+        for _ in range(e - k):
+            h = reduce(_square(h))
+        k = e
+        if _gcd(h ^ 2, a) != 1:
+            return False
+    for _ in range(d - k):
+        h = reduce(_square(h))
+    return h == 2
 
 
 def is_irreducible(p: Poly) -> bool:
@@ -216,15 +255,6 @@ def _squarefree_parts(a):
     return out
 
 
-# Consecutive degrees k whose gcds _distinct_degree folds into one,
-# and the degree of f from which that pays.  Timed per call on random
-# square-free inputs, blocks of 16 cost 1.1-1.25x one degree per block
-# below degree 32, tie at 32-47 and win from 48 (0.57-0.82x up to
-# degree 250).
-_DDF_BLOCK = 16
-_DDF_BLOCK_MIN_DEGREE = 32
-
-
 def _distinct_degree(f):
     """Split square-free f into [(product of its degree-k primes, k)].
 
@@ -256,11 +286,7 @@ def _distinct_degree(f):
     while 2 * (k + 1) <= d:
         first, h_first = k + 1, h
         k = min(k + size, d // 2)  # this block: degrees first..k
-        h = reduce(_square(h))
-        prod = h ^ 2
-        for _ in range(first, k):
-            h = reduce(_square(h))
-            prod = reduce(_mul(prod, h ^ 2))
+        h, prod = _frobenius_block(h, k - first + 1, reduce)
         found = _gcd(prod, f)
         if found == 1:
             continue

@@ -10,10 +10,13 @@ bit reversal.
 The public type is the immutable :class:`Poly`.  Raw-integer helpers
 (prefixed with an underscore) carry the hot loops; they are shared by
 the factoring and search layers, which sometimes work on bare ints to
-avoid wrapper churn.  They run in C-level big-int and string work, not
+avoid wrapper churn.  They run in C-level big-int and bytes work, not
 Python loops over bits (after Brent, Gaudry, Thome and Zimmermann,
-"Faster Multiplication in GF(2)[x]", 2008); _reducer serves repeated
-reduction by one modulus, _mod the one-off remainder.
+"Faster Multiplication in GF(2)[x]", 2008): squaring, its inverse and
+bit reversal go through 256-entry byte tables (bytes.translate), and
+_gcd is Euclid with each remainder taken by inline shift-XOR steps.
+_reducer serves repeated reduction by one modulus, _mod the one-off
+remainder.
 
 Two structural maps beyond ring arithmetic appear throughout the
 package: ``bar`` substitutes x by x+1 (an involutive automorphism) and
@@ -48,9 +51,11 @@ def _degree(a):
     return a.bit_length() - 1 if a else NEG_INF
 
 
-# Below this many bits in the shorter operand the shift-XOR loop is as
-# fast as the windowed product, whose 16-entry table does not pay for
-# itself; from 20 bits on the windowed product is 1.3-2x faster.
+# Below this many bits in the shorter operand the shift-XOR loop is
+# faster than the windowed product, whose 16-entry table does not pay
+# for itself: against a 64- to 1,000-bit operand the table costs
+# 1.24-1.59x the loop at 8-10 bits and 1.06-1.09x at 14, then
+# 0.90-0.99x at 16 and 0.67-0.91x at 18-24 bits.
 _MUL_WINDOW_MIN = 16
 
 
@@ -59,7 +64,10 @@ def _mul(a, b):
     # (shift-XOR); otherwise the 16 multiples of the longer operand by
     # every 4-bit value are tabulated and the shorter operand is read a
     # byte, that is two 4-bit windows, at a time, Horner fashion.
-    if a.bit_length() < b.bit_length():
+    # The smaller int is never the longer operand, and one comparison
+    # costs less than two bit_length calls (0.05-0.1 us of a 0.2-0.8 us
+    # product below 16 bits).
+    if a < b:
         a, b = b, a
     if b.bit_length() < _MUL_WINDOW_MIN:
         c = 0
@@ -111,7 +119,8 @@ _REDUCE_MAX_BITS = 8
 # Below this modulus degree a table does not pay for itself within a
 # pass of deg f squarings, and _reducer hands back plain _mod.  Timed
 # as one table build plus deg f reduced squarings, the table costs
-# 1.03-1.5x _mod at degree 2-16 and 0.77-0.93x from degree 20 to 40.
+# 1.04-1.59x _mod at degree 4-14, 0.89-0.94x at 16-24 and 0.73-0.79x
+# at 32-40.
 _REDUCE_TABLE_MIN_DEGREE = 16
 
 
@@ -153,20 +162,56 @@ def _reducer(f):
 
 
 def _gcd(a, b):
+    # Euclid, each remainder taken in place by shift-XOR steps: a call
+    # to _mod per quotient costs more than the steps themselves.
     while b:
-        a, b = b, _mod(a, b)
+        n = b.bit_length()
+        m = a.bit_length()
+        while m >= n:
+            a ^= b << (m - n)
+            m = a.bit_length()
+        a, b = b, a
     return a
+
+
+# Byte tables for squaring, its inverse and bit reversal.
+# _SQUARE_BYTE[v] is the square of a byte v: a 0 between every two of
+# its binary digits.  _square spreads each byte into two through
+# _SPREAD_LOW and _SPREAD_HIGH (its low and high nibble), _sqrt packs
+# the even bits of a byte into a nibble through _PACK_LOW and
+# _PACK_HIGH, and _reverse mirrors each byte.
+_SQUARE_BYTE = tuple(int("0".join(f"{v:b}"), 2) for v in range(256))
+_SPREAD_LOW = bytes(_SQUARE_BYTE[v & 15] for v in range(256))
+_SPREAD_HIGH = bytes(_SQUARE_BYTE[v >> 4] for v in range(256))
+_PACK_LOW = bytes(v & 1 | v >> 1 & 2 | v >> 2 & 4 | v >> 3 & 8 for v in range(256))
+_PACK_HIGH = bytes(c << 4 for c in _PACK_LOW)
+_REVERSE_BYTE = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
 
 
 def _square(a):
     # Squaring spreads the bits apart: a zero between every two digits.
-    return int("0".join(bin(a)[2:]), 2)
+    # Per call, two lookups take 0.05-0.16 us below 2**16 and two such
+    # halves 0.4-0.7 us below 2**32, where the bytes path takes 1.1-1.7
+    # us (from 9 to 64 bits; 3 us at 1,000 bits).
+    if a < 1 << 16:
+        return _SQUARE_BYTE[a >> 8] << 16 | _SQUARE_BYTE[a & 255]
+    if a < 1 << 32:
+        return _square(a >> 16) << 32 | _square(a & 0xFFFF)
+    n = (a.bit_length() + 7) >> 3
+    b = a.to_bytes(n, "little")
+    out = bytearray(2 * n)
+    out[::2] = b.translate(_SPREAD_LOW)
+    out[1::2] = b.translate(_SPREAD_HIGH)
+    return int.from_bytes(out, "little")
 
 
 def _sqrt(a):
     # Inverse of _square: keep the even positions.  Valid only when all
     # set bits sit at even positions (callers check via the derivative).
-    return int(bin(a)[:1:-2][::-1], 2)
+    b = a.to_bytes((a.bit_length() + 15) >> 4 << 1, "little")
+    low = b[::2].translate(_PACK_LOW)
+    high = b[1::2].translate(_PACK_HIGH)
+    return int.from_bytes(low, "little") | int.from_bytes(high, "little")
 
 
 def _derivative(a):
@@ -206,7 +251,9 @@ def _bar(a):
 
 
 def _reverse(a):
-    return int(bin(a)[:1:-1], 2)
+    n = (a.bit_length() + 7) >> 3
+    b = a.to_bytes(n, "big").translate(_REVERSE_BYTE)
+    return int.from_bytes(b, "little") >> (8 * n - a.bit_length())
 
 
 def _linear(i, j):

@@ -124,6 +124,10 @@ CLI_OUTPUT_SHA256 = """
 0 dc4bf49c2eddc9047fe2aab7c3f3b5443ccd030213eae061b4918f72b106e1a7 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 tables --json
 0 fda02a5ecca0e249f173d73c5debbe0b921956f26ba67d6329bf2f77ce805ab0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 conjecture M1 --hmax 8
 0 e7d9bbc77eb30d0fee87150a731a8f5b8b406477fb8f6033cd2e22f29ce0e5fe e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 conjecture M1 --hmax 8 --json
+0 3dc4ee1b0cae6ec601c73c9f9609eda5c9f30a670c99cd639b094ab30b0ea50b e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 conjecture x^127+x+1 --hmax 2
+0 8bbbac7cc323001e778897edb01825a5eec12be013ff750363802ed48a55fb8e e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 conjecture x^127+x+1 --hmax 2 --json
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 0f805d67ccfe5666930b07008347500e904238b4ab95ea961e5f64155f0d68b8 conjecture 0x2000820041 --hmax 2
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 0f805d67ccfe5666930b07008347500e904238b4ab95ea961e5f64155f0d68b8 conjecture 0x2000820041 --hmax 2 --json
 0 24b46a668e0a04e5b5f56a7cd0ac92da4e6cec61f4dfb9809d7eb209497916bf e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 admissible M1 M2 M3
 0 f6ecd3bfdd4c89c841d8ff19b635116b669398730a11ee2ceec1cc76dc704a27 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 admissible M1 M2 M3 --json
 1 af7977d228b99ac0f33f0fa23fd9552eb928211f28de140b73a11340aea4db91 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 admissible S11

@@ -1,9 +1,11 @@
 """Factoring machinery against the trial-division oracle."""
 
 import hashlib
+import itertools
 import json
 import random
 import re
+from functools import lru_cache
 from unittest import mock
 
 import pytest
@@ -24,7 +26,7 @@ from gf2perfect.factorize import (
 from gf2perfect.gf2poly import ONE, Poly, X, X1
 from gf2perfect.sigma import sigma_prime_power
 from expected import FACTOR_JSON_SHA256
-from oracles import i_factor, i_factor_over, i_is_prime, i_mul, sieve_primes
+from oracles import i_divmod, i_factor, i_factor_over, i_is_prime, i_mul, sieve_primes
 
 deg12 = st.integers(min_value=1, max_value=(1 << 13) - 1)
 deg96 = st.integers(min_value=1, max_value=(1 << 97) - 1)
@@ -179,6 +181,80 @@ def test_irreducibility_cache_is_bounded():
     for bits in range(2, 2 * maxsize + 2):
         _is_irreducible_bits(bits)
     assert _is_irreducible_bits.cache_info().currsize <= maxsize
+
+
+# -- the Rabin test and its small-degree screen against factor_full -----------
+
+
+def _is_prime_by_factoring(bits):
+    fm = factor_full(Poly(bits))
+    return len(fm) == 1 and fm.entries[0][1] == 1
+
+
+TINY_PRIMES = sieve_primes(4)
+
+
+@lru_cache(maxsize=None)
+def _first_primes(k, count):
+    """The first count irreducibles of degree k other than x, in
+    increasing order (fewer when there are fewer), by factor_full.
+    Trial division by the primes of degree at most 4 first spares
+    factor_full most candidates."""
+    candidates = (
+        bits
+        for bits in range((1 << k) | 1, 1 << (k + 1), 2)
+        if bits in TINY_PRIMES or all(i_divmod(bits, q)[1] for q in TINY_PRIMES)
+    )
+    return tuple(itertools.islice(filter(_is_prime_by_factoring, candidates), count))
+
+
+def _product(values):
+    out = 1
+    for v in values:
+        out = i_mul(out, v)
+    return out
+
+
+def _reducibles_of_degree(d):
+    """Reducible inputs of degree d for the Rabin test and its screen."""
+    out = []
+    # A prime of degree at most 16 times a larger prime: the screen
+    # rejects these once d > 32.
+    for s in (1, 2, 7, 16):
+        if d - s > s:
+            out.append(i_mul(_first_primes(s, 1)[0], _first_primes(d - s, 1)[0]))
+    # Two primes of degree above 16: the screen passes, Rabin rejects.
+    # (At d = 34 the pair is a case of the divisor products below.)
+    if d > 34:
+        out.append(i_mul(_first_primes(17, 1)[0], _first_primes(d - 17, 1)[0]))
+    if d % 2 == 0:
+        out.append(i_mul(_first_primes(d // 2, 1)[0], _first_primes(d // 2, 1)[0]))
+    # d/s distinct primes of degree s for a proper divisor s of d:
+    # x^(2^d) = x modulo these, so only a gcd (the screen's, or Rabin's
+    # at some d/p divisible by s) rejects them.
+    for s in range(2, d):
+        if d % s == 0:
+            primes = _first_primes(s, d // s)
+            if len(primes) == d // s:
+                out.append(_product(primes))
+    return out
+
+
+@pytest.mark.parametrize("d", range(17, 81))
+def test_is_irreducible_matches_factor_full(d):
+    cases = [(bits, False) for bits in _reducibles_of_degree(d)]
+    cases += [(bits, True) for bits in _first_primes(d, 2)]
+    for bits, verdict in cases:
+        assert bits.bit_length() - 1 == d
+        assert _is_prime_by_factoring(bits) == verdict, hex(bits)
+        assert is_irreducible(Poly(bits)) == verdict, hex(bits)
+
+
+@pytest.mark.parametrize("text", ["x^33+x^13+1", "x^89+x^38+1", "x^127+x+1"])
+def test_known_irreducible_trinomials(text):
+    p = Poly.parse(text)
+    assert _is_prime_by_factoring(p.bits)
+    assert is_irreducible(p)
 
 
 # -- factor_over_family against trial division by the family -------------------

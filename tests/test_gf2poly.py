@@ -1,6 +1,7 @@
 """Ring arithmetic against the list oracles, plus parser round trips."""
 
 import operator
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from gf2perfect.gf2poly import (
     X,
     X1,
     _MUL_WINDOW_MIN,
+    _gcd,
     _linear,
     _mod,
     _mul,
@@ -187,6 +189,52 @@ def test_reducer_matches_mod_and_oracle(a, f):
     for dividend in (a, _square(a), short, below):
         expected = to_bits(o_divmod(to_list(dividend), to_list(f))[1])
         assert reduce(dividend) == _mod(dividend, f) == expected
+
+
+# -- the inline Euclid and the byte-table kernels at their edges --------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(wide, wide)
+def test_wide_gcd_matches_oracle(a, b):
+    assert _gcd(a, b) == _gcd(b, a) == to_bits(o_gcd(to_list(a), to_list(b)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_nonzero, big, big)
+def test_gcd_finds_planted_common_factor(g, a, b):
+    ga, gb = i_mul(g, a), i_mul(g, b)
+    got = _gcd(ga, gb)
+    assert got == to_bits(o_gcd(to_list(ga), to_list(gb)))
+    assert i_divmod(got, g)[1] == 0
+
+
+@given(small | wide)
+def test_gcd_with_a_zero_operand(a):
+    assert _gcd(a, 0) == _gcd(0, a) == a
+
+
+# Every width the lookup paths of _square take (below 16 and 32 bits),
+# the first widths of its bytes path, and widths at byte boundaries.
+KERNEL_WIDTHS = list(range(41)) + [255, 256, 257, 511, 512, 513]
+
+
+@pytest.mark.parametrize("width", KERNEL_WIDTHS)
+def test_square_sqrt_star_match_oracle_at_every_width(width):
+    rng = random.Random(width)
+    values = {0}
+    if width:
+        top = 1 << (width - 1)
+        values = {top, 2 * top - 1} | {top | rng.getrandbits(width) for _ in range(4)}
+    for a in sorted(values):
+        square = to_bits(o_mul(to_list(a), to_list(a)))
+        assert _square(a) == square, a
+        assert _sqrt(square) == a, a
+        # A square of about this width, for _sqrt at the width itself.
+        half = a >> (width // 2)
+        assert _sqrt(to_bits(o_mul(to_list(half), to_list(half)))) == half, a
+        if a:
+            assert star(Poly(a)).bits == to_bits(o_star(to_list(a))), a
 
 
 @settings(max_examples=40)

@@ -44,6 +44,11 @@ GOLDEN = tuple(
     ("factor", WIDE_HEX),
     ("sigma", WIDE_HEX),
     ("conjecture", "M1", "M4", "M13", "--hmax", "20"),
+    # A degree-127 prime base: the Rabin test's small-degree screen
+    # passes and the test accepts.
+    ("conjecture", "x^127+x+1", "--hmax", "2"),
+    # (x^17+x^3+1)(x^20+x^3+1): the screen passes and the test rejects.
+    ("conjecture", "0x2000820041", "--hmax", "2"),
     # Failing and exit-1 paths.
     ("sigma", "0"),
     ("factor", "0"),
