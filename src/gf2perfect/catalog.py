@@ -289,35 +289,31 @@ class AdmissibilityReport:
     member_feedback: ConditionReport
     budget_note: str
 
+    # (JSON key, text label) of each condition, in report order; the key
+    # is also the attribute that holds the condition.
+    _CONDITIONS = (
+        ("closure", "closure under conjugate/reciprocal"),
+        ("linear_tables", "linear-prime divisor sums factor over family"),
+        ("member_feedback", "member feedback through 1+T or divisor sums"),
+    )
+
     def text(self) -> str:
         lines = [f"admissible: {str(self.admissible).lower()}", self.budget_note]
-        for label, cond in (
-            ("closure under conjugate/reciprocal", self.closure),
-            ("linear-prime divisor sums factor over family", self.linear_tables),
-            ("member feedback through 1+T or divisor sums", self.member_feedback),
-        ):
+        for key, label in self._CONDITIONS:
+            cond = getattr(self, key)
             lines.append(f"[{'ok' if cond.holds else 'fail'}] {label}")
             lines.extend(f"    {d}" for d in cond.detail)
         return "\n".join(lines)
 
     def to_json(self) -> dict:
+        conditions = {}
+        for key, _label in self._CONDITIONS:
+            cond = getattr(self, key)
+            conditions[key] = {"holds": cond.holds, "detail": list(cond.detail)}
         return {
             "admissible": self.admissible,
             "budget": self.budget_note,
-            "conditions": {
-                "closure": {
-                    "holds": self.closure.holds,
-                    "detail": list(self.closure.detail),
-                },
-                "linear_tables": {
-                    "holds": self.linear_tables.holds,
-                    "detail": list(self.linear_tables.detail),
-                },
-                "member_feedback": {
-                    "holds": self.member_feedback.holds,
-                    "detail": list(self.member_feedback.detail),
-                },
-            },
+            "conditions": conditions,
         }
 
 

@@ -379,9 +379,6 @@ class Poly:
     def degree(self):
         return _degree(self.bits)
 
-    def is_zero(self):
-        return self.bits == 0
-
     def __bool__(self):
         return self.bits != 0
 

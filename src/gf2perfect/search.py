@@ -42,13 +42,12 @@ from .gf2poly import Poly, X, X1, _divmod, _linear, _mul, _split_linear, star, v
 from .sigma import (
     US,
     U1S,
-    ExponentTuple,
     assemble,
     decompose_exponent,
     linear_exponents,
+    m1_exponent,
     prefix_exponents,
     sigma,
-    sigma_exponents,
     sigma_prime_power,
 )
 
@@ -147,26 +146,40 @@ def _stage3_rows(rows):
     candidate whose linear-prime valuations a free-slot witness balances.
 
     Filters on ints: linear_exponents of the row's valuations, then one
-    _FREE_SLOT_WITNESS lookup.  Only survivors become ExponentTuples,
-    validated and assembled.  M3 takes its exponent from (n2, u2); the
-    witness's n3 only balances degrees (n3 != n2 in 9 of the 44), the
-    rule kept because it reproduces the reference count.
+    _FREE_SLOT_WITNESS lookup.  Survivors are assembled from ints: M1
+    takes the exponent m1_exponent gives the row with M3..M5 empty.
+    M3 takes its exponent from (n2, u2); the witness's n3 only balances
+    degrees (n3 != n2 in 9 of the 44), the rule kept because it
+    reproduces the reference count.
     """
     out = []
     for row in rows:
         n, u, m, v, n1, u1, n2, u2 = row[:8]
-        mj, vj = zip(*map(decompose_exponent, row[8:16]))
+        mj, _vj = zip(*map(decompose_exponent, row[8:16]))
         alpha, beta = linear_exponents(n, m, (n1, n2, 0, 0, 0), mj)
         witness = _FREE_SLOT_WITNESS.get(((u << n) - 1 - alpha, (v << m) - 1 - beta))
         if witness is None:
             continue
-        t = ExponentTuple(n, u, m, v, (n1, n2, 0, 0, 0), (u1, u2, 1, 1, 1), mj, vj)
-        t1, s1 = decompose_exponent(sigma_exponents(t, relax_tail=True).gamma[0])
         _n3, n4, n5 = witness
-        ni, ui = (t1, n2, n2, n4, n5), (s1, u2, u2, 1, 1)
-        candidate = ExponentTuple(n, u, m, v, ni, ui, mj, vj)
-        out.append((assemble(candidate).bits, row, witness, candidate.c))
+        gamma1 = m1_exponent(n, u, m, v, (n1, n2, 0, 0, 0), (u1, u2, 1, 1, 1), mj)
+        c2 = (u2 << n2) - 1
+        c = (gamma1, c2, c2, (1 << n4) - 1, (1 << n5) - 1)
+        a, b = (u << n) - 1, (v << m) - 1
+        out.append((assemble(a, b, c, row[8:16]).bits, row, witness, c))
     return out
+
+
+def _stage3_polys(rows2):
+    """The distinct stage-3 candidates, in domain order."""
+    return [Poly(bits) for bits in dict.fromkeys(r[0] for r in _stage3_rows(rows2))]
+
+
+def _fixed_points(polys):
+    """The sorted sigma fixed points among the candidates.  Polynomials
+    that split into the two linear primes alone are not of interest."""
+    return tuple(
+        sorted(p for p in polys if _split_linear(p.bits)[2] != 1 and sigma(p) == p)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -259,73 +272,35 @@ def run_search(stage, stage2_rule="uniform", jobs=1) -> StageResult:
         raise ValueError(f"unknown stage {stage!r}")
     if stage2_rule not in STAGE2_RULES:
         raise ValueError(f"unknown stage-2 rule {stage2_rule!r}")
+    # Each step maps the previous stage's rows to its own.
+    steps = (
+        ("1", lambda _: _stage1_rows()),
+        ("2", lambda rows1: _stage2_rows(rows1, stage2_rule)),
+        ("3", _stage3_polys),
+        ("final", _fixed_points),
+    )
     counts = {}
     diff = {}
-
-    rows1 = _stage1_rows()
-    counts["1"] = len(rows1)
-    if counts["1"] != REFERENCE_STAGE_COUNTS["1"]:
-        diff["1"] = {
-            "reference": REFERENCE_STAGE_COUNTS["1"],
-            "count": counts["1"],
-        }
+    rows = None
+    for name, step in steps:
+        previous, rows = rows, step(rows)
+        counts[name] = len(rows)
+        reference = REFERENCE_STAGE_COUNTS.get(name)
+        if reference is not None and counts[name] != reference:
+            diff[name] = {"reference": reference, "count": counts[name]}
+            if name == "2":
+                diff[name]["rule"] = stage2_rule
+                diff[name]["variants"] = {
+                    rule: counts[name]
+                    if rule == stage2_rule
+                    else sum(1 for _ in _stage2_kept(previous, rule))
+                    for rule in STAGE2_RULES
+                }
+        if name == key:
+            break
     if key == "1":
-        rows = tuple(r[:8] for r in rows1)
-        return StageResult("1", rows, counts["1"], counts, diff or None)
-
-    rows2 = _stage2_rows(rows1, stage2_rule)
-    counts["2"] = len(rows2)
-    if counts["2"] != REFERENCE_STAGE_COUNTS["2"]:
-        diff["2"] = {
-            "reference": REFERENCE_STAGE_COUNTS["2"],
-            "count": counts["2"],
-            "rule": stage2_rule,
-            "variants": {
-                rule: counts["2"]
-                if rule == stage2_rule
-                else sum(1 for _ in _stage2_kept(rows1, rule))
-                for rule in STAGE2_RULES
-            },
-        }
-    if key == "2":
-        return StageResult("2", tuple(rows2), counts["2"], counts, diff or None)
-
-    candidates = dict.fromkeys(bits for bits, *_ in _stage3_rows(rows2))
-    polys = [Poly(bits) for bits in candidates]
-    counts["3"] = len(polys)
-    if counts["3"] != REFERENCE_STAGE_COUNTS["3"]:
-        diff["3"] = {
-            "reference": REFERENCE_STAGE_COUNTS["3"],
-            "count": counts["3"],
-        }
-    if key == "3":
-        return StageResult("3", tuple(polys), counts["3"], counts, diff or None)
-
-    # Polynomials that split into the two linear primes alone are not
-    # of interest; the rest must be sigma fixed points.
-    final = tuple(
-        sorted(
-            p for p in polys if _split_linear(p.bits)[2] != 1 and sigma(p) == p
-        )
-    )
-    counts["final"] = len(final)
-    return StageResult("final", final, counts["final"], counts, diff or None)
-
-
-def stage3_candidates():
-    """Stage-3 survivors with their generating data, before dedup.
-
-    Returns (poly, stage2_row, free_slot_witness, mersenne_exponents)
-    tuples in domain order; used by consistency checks that compare a
-    candidate's factorization against the exponents that produced it.
-    The witness is (n3, n4, n5), but M3's exponent comes from (n2, u2):
-    n3 only balances degrees (n3 != n2 in 9 of the 44).
-    """
-    rows2 = _stage2_rows(_stage1_rows(), "uniform")
-    return [
-        (Poly(bits), row, witness, c)
-        for bits, row, witness, c in _stage3_rows(rows2)
-    ]
+        rows = (r[:8] for r in rows)
+    return StageResult(key, tuple(rows), counts[key], counts, diff or None)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ Writing e = 2^t * s - 1 with s odd gives the factored form
     sigma(P^e) = (1 + P)^(2^t - 1) * sigma(P^(s-1))^(2^t),
 
 which the search layer leans on: it turns divisor sums of huge prime
-powers into data about small ones.  Both evaluation routes are public
-and must agree bit for bit.
+powers into data about small ones.  It is also the one evaluation
+route: _sigma_pp runs Horner over the odd part s, then t steps of
+squaring and multiplying by 1 + P, so an even exponent is plain Horner.
 
 The second half of the module is symbolic.  A candidate perfect
 polynomial is described by an ExponentTuple (the 2-adic shape of every
@@ -16,8 +17,8 @@ SigmaExponents gives the exponent of each catalog prime in sigma of
 that candidate as a closed integer formula.  No polynomial arithmetic
 is involved there, which is what makes the exhaustive search cheap;
 prefix_exponents evaluates the formulas that read only the exponents
-of x, x+1 and M1, and linear_exponents those of x and x+1 in sigma,
-on bare ints, for the sieve's row filters.
+of x, x+1 and M1, linear_exponents those of x and x+1 in sigma and
+m1_exponent that of M1, on bare ints, for the sieve's row filters.
 The shape parameters of the Mersenne and 2-Mersenne primes live here
 too, so the formulas need nothing from the catalog layer above.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .factorize import FactorMap, factor_full, is_irreducible
-from .gf2poly import ONE, Poly, X1, _linear, _mul, _square, bar
+from .gf2poly import Poly, _linear, _mul, _square
 
 US = (1, 3, 5, 7, 9, 13, 15)
 U1S = (1, 3, 5, 7, 15)
@@ -68,33 +69,22 @@ def _check_prime_power(p: Poly, e: int) -> None:
         raise ValueError(f"{p.text()} is not irreducible")
 
 
-def sigma_prime_power(p: Poly, e: int) -> Poly:
-    """sigma(p^e) = 1 + p + ... + p^e for irreducible p, by Horner."""
-    _check_prime_power(p, e)
-    acc = 1
-    for _ in range(e):
-        acc = _mul(acc, p.bits) ^ 1
-    return Poly(acc)
-
-
-def sigma_prime_power_split(p: Poly, e: int) -> Poly:
-    """sigma(p^e) through the factored form, agreeing with the direct sum."""
-    _check_prime_power(p, e)
-    return _sigma_pp_split_unchecked(p, e)
-
-
-def _sigma_pp_split_unchecked(p: Poly, e: int) -> Poly:
-    if e == 0:
-        return ONE
+def _sigma_pp(p: int, e: int) -> int:
+    """sigma(p^e) on bits, unchecked: Horner over sigma(p^(s-1)), then
+    t steps of sigma(p^(2k+1)) = (1 + p) sigma(p^k)^2."""
     t, s = decompose_exponent(e)
-    outer = (p + ONE) ** (2**t - 1)
     acc = 1
     for _ in range(s - 1):
-        acc = _mul(acc, p.bits) ^ 1
-    inner = acc
+        acc = _mul(acc, p) ^ 1
     for _ in range(t):
-        inner = _square(inner)
-    return Poly(_mul(outer.bits, inner))
+        acc = _mul(_square(acc), p ^ 1)
+    return acc
+
+
+def sigma_prime_power(p: Poly, e: int) -> Poly:
+    """sigma(p^e) = 1 + p + ... + p^e for irreducible p."""
+    _check_prime_power(p, e)
+    return Poly(_sigma_pp(p.bits, e))
 
 
 def sigma(a: Poly) -> Poly:
@@ -108,7 +98,7 @@ def sigma_of_factor_map(fm: FactorMap) -> Poly:
     """Sum of divisors straight from a known factorization."""
     bits = 1
     for prime, exp in fm:
-        bits = _mul(bits, _sigma_pp_split_unchecked(prime, exp).bits)
+        bits = _mul(bits, _sigma_pp(prime.bits, exp))
     return Poly(bits)
 
 
@@ -141,7 +131,7 @@ def is_indecomposable_perfect(a: Poly) -> bool:
         return True
     entries = list(fm.entries)
     powers = [(p ** e).bits for p, e in entries]
-    sigmas = [_sigma_pp_split_unchecked(p, e).bits for p, e in entries]
+    sigmas = [_sigma_pp(p.bits, e) for p, e in entries]
     # Fix factor 0 on the left side so each unordered bipartition is
     # visited once.
     for mask in range(1, 1 << (w - 1)):
@@ -255,13 +245,8 @@ class ExponentTuple:
     def d(self) -> tuple[int, ...]:
         return tuple(2**m * v - 1 for m, v in zip(self.mj, self.vj))
 
-    def validate(self, relax_tail: bool = False) -> None:
-        """Check the search domain bounds; name the violated one.
-
-        With relax_tail the slots past the first divisor-sum index are
-        allowed the same room as the first one (exponent cap 3, odd
-        part 1 or 3) instead of the tight default (cap 1, odd part 1).
-        """
+    def validate(self) -> None:
+        """Check the search domain bounds; name the violated one."""
         if self.u not in US:
             self._bad(f"u = {self.u} not in {US}")
         if self.v not in US:
@@ -286,13 +271,11 @@ class ExponentTuple:
             self._bad(f"v1 = {self.vj[0]} not in {U23S}")
         if not 0 <= self.mj[0] <= 3:
             self._bad(f"m1 = {self.mj[0]} exceeds 3")
-        tail_m_cap = 3 if relax_tail else 1
-        tail_v = U23S if relax_tail else (1,)
         for j in range(1, 8):
-            if self.vj[j] not in tail_v:
-                self._bad(f"v{j + 1} = {self.vj[j]} not in {tail_v}")
-            if not 0 <= self.mj[j] <= tail_m_cap:
-                self._bad(f"m{j + 1} = {self.mj[j]} exceeds {tail_m_cap}")
+            if self.vj[j] != 1:
+                self._bad(f"v{j + 1} = {self.vj[j]} not in (1,)")
+            if not 0 <= self.mj[j] <= 1:
+                self._bad(f"m{j + 1} = {self.mj[j]} exceeds 1")
 
     @staticmethod
     def _bad(message: str):
@@ -365,7 +348,27 @@ def linear_exponents(n: int, m: int, ni: tuple, mj: tuple) -> tuple[int, int]:
     return alpha, beta
 
 
-def sigma_exponents(t: ExponentTuple, relax_tail: bool = False) -> SigmaExponents:
+def m1_exponent(n: int, u: int, m: int, v: int, ni: tuple, ui: tuple, mj: tuple) -> int:
+    """Exponent gamma1 of M1 in sigma of a candidate, from the 2-adic
+    shapes of x, x+1, M1..M5 and S1..S8 on bare ints, unvalidated; used
+    by stage 3 and by sigma_exponents."""
+    # Each indicator sum compares one value against disjoint
+    # singletons, so it is 0 or 1.
+    xi1 = chi(3, u) + chi(9, u) + chi(15, u)
+    xi2 = chi(3, v) + chi(9, v) + chi(15, v)
+    gamma1 = sum(
+        (2**k - 1) * TWO_MERSENNE_ABN[j][2] for j, k in enumerate(mj, start=1)
+    )
+    return (
+        gamma1
+        + xi1 * 2**n
+        + xi2 * 2**m
+        + chi(3, ui[1]) * 2 ** ni[1]
+        + chi(3, ui[2]) * 2 ** ni[2]
+    )
+
+
+def sigma_exponents(t: ExponentTuple) -> SigmaExponents:
     """Closed-form exponents of sigma of the candidate described by t.
 
     Pure integer arithmetic over the catalog shape parameters.  The
@@ -374,33 +377,19 @@ def sigma_exponents(t: ExponentTuple, relax_tail: bool = False) -> SigmaExponent
     particular the last two delta formulas are the ones that
     factorization forces (delta7 tracks chi_15 alone and delta8 the
     chi_5 + chi_15 sum).
-
-    relax_tail is forwarded to the domain validation; the formulas
-    themselves do not depend on it.
     """
-    t.validate(relax_tail)
+    t.validate()
     n, u, m, v = t.n, t.u, t.m, t.v
     n1, n2, n3 = t.ni[0], t.ni[1], t.ni[2]
     u1, u2, u3 = t.ui[0], t.ui[1], t.ui[2]
     m1 = t.mj[0]
     v1 = t.vj[0]
-    # The four indicator sums the formulas share.  Each compares one
-    # value against disjoint singletons, so it is 0 or 1.
-    xi1 = chi(3, u) + chi(9, u) + chi(15, u)
-    xi2 = chi(3, v) + chi(9, v) + chi(15, v)
+    # The indicator sums gamma4 and gamma5 share, each 0 or 1.
     xi3 = chi(5, u) + chi(15, u)
     xi4 = chi(5, v) + chi(15, v)
 
     alpha, beta = linear_exponents(n, m, t.ni, t.mj)
-    gamma1 = sum(
-        (2**k - 1) * TWO_MERSENNE_ABN[j][2] for j, k in enumerate(t.mj, start=1)
-    )
-    gamma1 += (
-        xi1 * 2**n
-        + xi2 * 2**m
-        + chi(3, u2) * 2**n2
-        + chi(3, u3) * 2**n3
-    )
+    gamma1 = m1_exponent(n, u, m, v, t.ni, t.ui, t.mj)
     gamma2, delta = prefix_exponents(n, u, m, v, n1, u1)
     gamma4 = (
         xi3 * 2**n
@@ -424,28 +413,16 @@ def sigma_exponents(t: ExponentTuple, relax_tail: bool = False) -> SigmaExponent
     )
 
 
-def assemble(t: ExponentTuple) -> Poly:
-    """Materialize the candidate x^a (x+1)^b prod Mi^ci prod Sj^dj."""
-    bits = _linear(t.a, t.b)
-    for i, ci in enumerate(t.c, start=1):
+def assemble(a: int, b: int, c: tuple, d: tuple) -> Poly:
+    """Materialize the candidate x^a (x+1)^b prod Mi^ci prod Sj^dj from
+    the exponents a, b, c = (c1..c5) and d = (d1..d8)."""
+    bits = _linear(a, b)
+    for i, ci in enumerate(c, start=1):
         if ci:
             bits = _mul(bits, (mersenne(i) ** ci).bits)
-    for j, dj in enumerate(t.d, start=1):
+    for j, dj in enumerate(d, start=1):
         if dj:
             bits = _mul(bits, (two_mersenne(j) ** dj).bits)
-    return Poly(bits)
-
-
-def sigma_of_tuple(t: ExponentTuple) -> Poly:
-    """sigma of the candidate, from its known factorization."""
-    bits = _sigma_pp_split_unchecked(Poly(2), t.a).bits
-    bits = _mul(bits, _sigma_pp_split_unchecked(X1, t.b).bits)
-    for i, ci in enumerate(t.c, start=1):
-        if ci:
-            bits = _mul(bits, _sigma_pp_split_unchecked(mersenne(i), ci).bits)
-    for j, dj in enumerate(t.d, start=1):
-        if dj:
-            bits = _mul(bits, _sigma_pp_split_unchecked(two_mersenne(j), dj).bits)
     return Poly(bits)
 
 
@@ -456,7 +433,3 @@ def trivial_perfect(n: int) -> Poly:
     e = 2**n - 1
     return Poly(_linear(e, e))
 
-
-def sigma_check_bar_symmetry(a: Poly) -> bool:
-    """sigma commutes with the conjugation automorphism."""
-    return sigma(bar(a)) == bar(sigma(a))

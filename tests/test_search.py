@@ -11,7 +11,7 @@ from gf2perfect.catalog import (
     prime_family,
     two_mersenne,
 )
-from gf2perfect.factorize import FactorMap, factor_over_family
+from gf2perfect.factorize import FactorMap, factor_full, factor_over_family
 from gf2perfect.gf2poly import Poly, X, X1, bar, val_x, val_x1
 from gf2perfect import search as search_module
 from gf2perfect.search import (
@@ -28,12 +28,14 @@ from gf2perfect.search import (
     sigma_factor_tables,
     _stage1_rows,
     _stage3_rows,
-    stage3_candidates,
     verify_split_identities,
 )
 from gf2perfect.sigma import (
+    U23S,
     ExponentTuple,
+    assemble,
     decompose_exponent,
+    linear_exponents,
     sigma,
     sigma_exponents,
 )
@@ -147,22 +149,23 @@ def test_stage1_rows_carry_the_exponents_of_their_prefix():
 def _stage2_probe(row):
     """The candidate a stage-2 row describes, M3..M5 slots left empty."""
     n, u, m, v, n1, u1, n2, u2 = row[:8]
-    mj, vj = zip(*(decompose_exponent(x) for x in row[8:16]))
-    return ExponentTuple.from_parts(
-        n=n, u=u, m=m, v=v, ni=(n1, n2, 0, 0, 0), ui=(u1, u2, 1, 1, 1), mj=mj, vj=vj
-    )
+    c = ((u1 << n1) - 1, (u2 << n2) - 1, 0, 0, 0)
+    return assemble((u << n) - 1, (v << m) - 1, c, row[8:16])
 
 
 @pytest.mark.parametrize("rule", list(STAGE2_RULES))
 def test_stage2_rows_carry_the_exponents_of_their_candidate(rule):
-    # Stage 2 filters the deltas stage 1 computed without the M2 slot;
-    # recompute them with the slot filled in.  Stage 3 validates only its
-    # survivors, so every row is checked against the relaxed-tail domain.
+    # Stage 2 keeps stage-1 rows, whose exponents the test above checks,
+    # unchanged and appends the first slot's 2-adic shape.  Stage 3
+    # assembles its survivors without validation, so the domain is
+    # checked here: M2 and every divisor-sum slot have 2-adic valuation
+    # at most 3 and odd part 1 or 3.
+    rows1 = set(_stage1_rows())
     for row in run_search("2", stage2_rule=rule).tuples:
-        t = _stage2_probe(row)
-        t.validate(relax_tail=True)
-        assert row[8:16] == sigma_exponents(t, relax_tail=True).delta
+        assert row[:16] in rows1
         assert row[16:18] == decompose_exponent(row[8])
+        for slot in (row[6:8], *map(decompose_exponent, row[8:16])):
+            assert slot[0] <= 3 and slot[1] in U23S, row
 
 
 @pytest.mark.parametrize("rule", list(STAGE2_RULES))
@@ -172,9 +175,10 @@ def test_stage3_witnesses_match_the_naive_search(rule):
     rows2 = run_search("2", stage2_rule=rule).tuples
     reported = {row: witness for _, row, witness, _ in _stage3_rows(rows2)}
     for row in rows2:
-        t = _stage2_probe(row)
-        exps = sigma_exponents(t, relax_tail=True)
-        expected = free_slot_witness(t.a - exps.alpha, t.b - exps.beta)
+        n, u, m, v, n1, _u1, n2 = row[:7]
+        mj = [decompose_exponent(x)[0] for x in row[8:16]]
+        alpha, beta = linear_exponents(n, m, (n1, n2, 0, 0, 0), mj)
+        expected = free_slot_witness((u << n) - 1 - alpha, (v << m) - 1 - beta)
         assert reported.get(row) == expected, row
 
 
@@ -188,9 +192,10 @@ def test_search_json_is_pinned(stage, rule):
 def test_stage3_candidates_are_internally_consistent():
     mers = [mersenne(i) for i in range(1, 6)]
     twos = [two_mersenne(j) for j in range(1, 9)]
-    rows = stage3_candidates()
-    assert len({p.bits for p, _, _, _ in rows}) == 44
-    for poly, row, witness, c in rows:
+    rows = _stage3_rows(run_search("2").tuples)
+    assert len({bits for bits, _, _, _ in rows}) == 44
+    for bits, row, witness, c in rows:
+        poly = Poly(bits)
         n, u, m, v = row[:4]
         a, b = (u << n) - 1, (v << m) - 1
         d = row[8:16]
@@ -204,6 +209,19 @@ def test_stage3_candidates_are_internally_consistent():
             assert fm.exponent(q) == c[i]
         for j, q in enumerate(twos):
             assert fm.exponent(q) == d[j]
+
+
+def test_stage3_m1_exponent_matches_a_factorization():
+    # Each survivor's M1 exponent is the one sigma of its stage-2 probe
+    # (M3..M5 empty) really has.  The probes' divisor-sum slots may lie
+    # outside the tight domain that
+    # test_exponent_formulas_match_actual_divisor_sums draws from.
+    m1 = mersenne(1)
+    rows = _stage3_rows(run_search("2").tuples)
+    assert len(rows) == 44
+    for _bits, row, _witness, c in rows:
+        fm = factor_full(sigma(_stage2_probe(row)))
+        assert fm.exponent(m1) == c[0], row
 
 
 # -- factor tables -----------------------------------------------------------

@@ -14,11 +14,13 @@ from gf2perfect.catalog import (
     two_mersenne,
 )
 from gf2perfect.factorize import FactorMap, factor_over_family
-from gf2perfect.gf2poly import Poly, X, X1, val_x, val_x1
+from gf2perfect.gf2poly import Poly, X, X1, bar, val_x, val_x1
 from gf2perfect.sigma import (
     MAX_OMEGA_FOR_DECOMPOSITION,
     MAX_PRIME_POWER_EXP,
     MAX_SIGMA_DEGREE,
+    MERSENNE_AB,
+    TWO_MERSENNE_ABN,
     US,
     U1S,
     U23S,
@@ -29,15 +31,12 @@ from gf2perfect.sigma import (
     is_indecomposable_perfect,
     is_perfect,
     sigma,
-    sigma_check_bar_symmetry,
     sigma_exponents,
     sigma_of_factor_map,
-    sigma_of_tuple,
     sigma_prime_power,
-    sigma_prime_power_split,
     trivial_perfect,
 )
-from oracles import sigma_sweep
+from oracles import divisor_sum_bits, sigma_sweep
 
 # The package re-exports the function sigma under the submodule's name.
 sigma_module = importlib.import_module("gf2perfect.sigma")
@@ -48,10 +47,24 @@ nonzero = st.integers(min_value=1, max_value=(1 << 129) - 1)
 # -- prime powers -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("base", [X, X1, mersenne(1), mersenne(7), two_mersenne(3)])
-@pytest.mark.parametrize("e", [0, 1, 2, 3, 7, 8, 12, 31, 40])
+# Every catalog prime, built from its shape parameters so that a broken
+# catalog self-check fails tests here instead of the module's collection.
+_BASES = [X, X1, mersenne(1), mersenne(7), two_mersenne(3)]
+_BASES += [
+    p
+    for p in [*map(mersenne, MERSENNE_AB), *map(two_mersenne, TWO_MERSENNE_ABN)]
+    if p not in _BASES
+]
+
+
+@pytest.mark.parametrize("base", _BASES)
+@pytest.mark.parametrize("e", [0, 1, 2, 3, 7, 8, 12, 31, 40, 5, 11, 23])
 def test_split_form_agrees_with_direct_sum(base, e):
-    assert sigma_prime_power_split(base, e) == sigma_prime_power(base, e)
+    # e + 1 = 2^t s with s odd: e = 0, 2, 8, 12, 40 are plain Horner
+    # (t = 0), e = 1, 3, 7, 31 squaring alone (s = 1), and e = 5, 11, 23
+    # take both steps; every catalog prime, against the literal sum.
+    expected = divisor_sum_bits([(base.bits, e)])
+    assert sigma_prime_power(base, e).bits == expected
 
 
 def test_prime_power_rejects_bad_input():
@@ -62,11 +75,9 @@ def test_prime_power_rejects_bad_input():
     # one over the cap raises before the Horner loop starts
     with pytest.raises(ValueError):
         sigma_prime_power(X, MAX_PRIME_POWER_EXP + 1)
-    with pytest.raises(ValueError):
-        sigma_prime_power_split(X, MAX_PRIME_POWER_EXP + 1)
 
 
-@pytest.mark.parametrize("fn", [sigma_prime_power, sigma_prime_power_split])
+@pytest.mark.parametrize("fn", [sigma_prime_power])
 @pytest.mark.parametrize("e", [MAX_PRIME_POWER_EXP, MAX_SIGMA_DEGREE // 127 + 1])
 def test_prime_power_degree_cap_raises_before_any_work(monkeypatch, fn, e):
     # x^127 + x + 1 is irreducible; past the degree cap its divisor sum
@@ -118,7 +129,9 @@ def test_sigma_of_factor_map_matches_sigma():
 @given(nonzero)
 @settings(max_examples=150)
 def test_sigma_bar_symmetry(bits):
-    assert sigma_check_bar_symmetry(Poly(bits))
+    # sigma commutes with the conjugation automorphism
+    a = Poly(bits)
+    assert sigma(bar(a)) == bar(sigma(a))
 
 
 # -- perfection ----------------------------------------------------------------
@@ -176,18 +189,6 @@ def test_domain_validation():
         ExponentTuple.from_parts(mj=(0, 2, 0, 0, 0, 0, 0, 0)).validate()
 
 
-def test_domain_validation_relaxed_tail():
-    t = ExponentTuple.from_parts(vj=(1, 3, 1, 1, 1, 1, 1, 1),
-                                 mj=(0, 3, 1, 0, 0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        t.validate()
-    t.validate(relax_tail=True)
-    with pytest.raises(ValueError, match="m2"):
-        ExponentTuple.from_parts(mj=(0, 4, 0, 0, 0, 0, 0, 0)).validate(
-            relax_tail=True
-        )
-
-
 def test_exponent_tuple_shape_parameters():
     t = ExponentTuple.from_parts(n=0, u=3, m=1, v=1, ni=(1, 0, 0, 0, 0),
                                  ui=(1, 1, 1, 1, 1))
@@ -201,13 +202,21 @@ def test_first_fixed_point_exponents():
     # must land exactly on its own exponent vector.
     t = ExponentTuple.from_parts(n=0, u=3, m=1, v=1, ni=(1, 0, 0, 0, 0),
                                  ui=(1, 1, 1, 1, 1))
-    cand = assemble(t)
+    cand = assemble(t.a, t.b, t.c, t.d)
     assert cand == X ** 2 * X1 * mersenne(1)
     assert is_perfect(cand)
     exps = sigma_exponents(t)
     assert (exps.alpha, exps.beta) == (2, 1)
     assert exps.gamma == (1, 0, 0, 0, 0)
     assert exps.delta == (0,) * 8
+
+
+def _sigma_of_tuple(t):
+    """sigma of the candidate t describes, from its known factorization."""
+    primes = [X, X1] + [mersenne(i) for i in range(1, 6)]
+    primes += [two_mersenne(j) for j in range(1, 9)]
+    exps = (t.a, t.b, *t.c, *t.d)
+    return sigma_of_factor_map(FactorMap((p, e) for p, e in zip(primes, exps) if e))
 
 
 def _random_domain_tuple(rng):
@@ -243,7 +252,7 @@ def test_exponent_formulas_match_actual_divisor_sums():
     twos = [two_mersenne(j) for j in range(1, 9)]
     for _ in range(1500):
         t = _random_domain_tuple(rng)
-        s = sigma_of_tuple(t)
+        s = _sigma_of_tuple(t)
         exps = sigma_exponents(t)
         assert exps.gamma[1] == exps.gamma[2]
         alpha, beta = val_x(s), val_x1(s)
@@ -263,4 +272,4 @@ def test_assemble_and_sigma_of_tuple_consistency():
     rng = random.Random(31)
     for _ in range(40):
         t = _random_domain_tuple(rng)
-        assert sigma_of_tuple(t) == sigma(assemble(t))
+        assert _sigma_of_tuple(t) == sigma(assemble(t.a, t.b, t.c, t.d))
