@@ -7,6 +7,11 @@ exponent bookkeeping, catalog the fixed prime and fixed-point tables
 with their classification helpers, and search the staged sieve plus
 the exploratory sweeps.  The cli module exposes all of it as the
 gf2perfect command.
+
+Importing the package loads every layer but search and cli; a module
+__getattr__ imports search the first time one of its names in __all__
+is read.  The result records are NamedTuples, so each one also equals
+the plain tuple of its fields.
 """
 
 from .catalog import (
@@ -50,18 +55,6 @@ from .gf2poly import (
     star,
     val_x,
     val_x1,
-)
-from .search import (
-    ConjectureScan,
-    IdentityReport,
-    ReciprocalReport,
-    SigmaTable,
-    StageResult,
-    conjecture_scan,
-    explore_reciprocal,
-    run_search,
-    sigma_factor_tables,
-    verify_split_identities,
 )
 from .sigma import (
     ExponentTuple,
@@ -136,3 +129,16 @@ __all__ = [
     "val_x1",
     "verify_split_identities",
 ]
+
+
+def __getattr__(name):
+    # The public names not bound above are search's, imported on first use.
+    if name in __all__:
+        from . import search
+
+        return getattr(search, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

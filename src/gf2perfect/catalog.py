@@ -16,8 +16,8 @@ admissibility test for families of odd primes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .factorize import factor_over_family, is_irreducible
 from .gf2poly import ONE, Poly, X, X1, _linear, _mul, _split_linear, bar, is_odd, star
@@ -57,8 +57,7 @@ BAR_PERFECT = {
 }
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     poly: Poly
     kind: str  # "mersenne" | "two_mersenne" | "perfect"
@@ -187,8 +186,7 @@ def catalog_json() -> list[dict]:
 # representation chains
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(NamedTuple):
     """Valuation chain of an odd polynomial.
 
     Pair j holds the x- and (x+1)-valuations of 1 + P_j, and P_{j+1}
@@ -226,8 +224,7 @@ def chain_length(p: Poly) -> int:
     return representation(p).length
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Chain length of an odd polynomial plus its shape parameters.
 
     k = 1 means the Mersenne shape 1 + x^a (x+1)^b, reported as
@@ -275,14 +272,12 @@ def classify(p: Poly) -> Classification:
 # admissibility
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     holds: bool
     detail: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     admissible: bool
     closure: ConditionReport
     linear_tables: ConditionReport

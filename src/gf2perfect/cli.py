@@ -2,7 +2,9 @@
 
 Verbs mirror the library surface: pointwise operations (sigma, factor,
 repr, classify), catalog verification, the divisor-sum factor tables,
-the staged sieve, and the exploratory sweeps.
+the staged sieve, and the exploratory sweeps.  The five verbs built on
+the search layer (tables, search, reciprocal, identities, conjecture)
+import it when they run, so the others never load it.
 
 Each verb is a function args -> Result: renderers of the --json
 payload and of the plain text, whether its check passed, and
@@ -18,7 +20,6 @@ argparse, for a malformed invocation or any ValueError a verb raises.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Callable, NamedTuple
 
@@ -35,14 +36,6 @@ from .catalog import (
 )
 from .factorize import factor_full
 from .gf2poly import Poly, PolyParseError
-from .search import (
-    STAGE2_RULES,
-    conjecture_scan,
-    explore_reciprocal,
-    run_search,
-    sigma_factor_tables,
-    verify_split_identities,
-)
 from .sigma import sigma
 
 _POLY_HELP = (
@@ -129,6 +122,8 @@ def _cmd_verify_catalog(args):
 
 
 def _cmd_tables(args):
+    from .search import sigma_factor_tables
+
     sets = args.base_set or ["linear", "mersenne", "two-mersenne"]
     tables = [t for key in sets for t in sigma_factor_tables(key)]
     return Result(
@@ -138,21 +133,29 @@ def _cmd_tables(args):
 
 
 def _cmd_search(args):
+    from .search import run_search
+
     res = run_search(args.stage, stage2_rule=args.rule)
     return Result(res.to_json, res.text, res.matches_reference(), res.notes())
 
 
 def _cmd_reciprocal(args):
+    from .search import explore_reciprocal
+
     rep = explore_reciprocal(args.max_abc)
     return Result(rep.to_json, rep.text)
 
 
 def _cmd_identities(args):
+    from .search import verify_split_identities
+
     rep = verify_split_identities(args.max_exp)
     return Result(rep.to_json, rep.text, rep.ok, rep.notes())
 
 
 def _cmd_conjecture(args):
+    from .search import conjecture_scan
+
     bases = [_parse_poly(b) for b in args.base] or mersenne_family()
     scans = [conjecture_scan(base, args.hmax) for base in bases]
     return Result(
@@ -224,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--rule",
-        choices=list(STAGE2_RULES),
+        choices=["uniform", "strict"],
         default="uniform",
         help="stage-2 slot rule (default uniform)",
     )
@@ -262,7 +265,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         res = args.func(args)
-        out = json.dumps(res.to_json(), indent=2) if args.json else res.text()
+        if args.json:
+            import json
+
+            out = json.dumps(res.to_json(), indent=2)
+        else:
+            out = res.text()
     except CatalogError as exc:
         print(f"catalog self-check failed: {exc}", file=sys.stderr)
         return 1

@@ -25,8 +25,8 @@ bookkeeping, and the chain-length scan behind the conjecture tooling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .catalog import (
     chain_length,
@@ -186,8 +186,7 @@ def _fixed_points(polys):
 # The sieve driver.
 
 
-@dataclass(frozen=True)
-class StageResult:
+class StageResult(NamedTuple):
     """Outcome of running the sieve up to one stage.
 
     tuples holds the requested stage's rows (integer tuples for stages
@@ -307,8 +306,7 @@ def run_search(stage, stage2_rule="uniform", jobs=1) -> StageResult:
 # Divisor-sum factor tables over the fixed prime family.
 
 
-@dataclass(frozen=True)
-class SigmaTable:
+class SigmaTable(NamedTuple):
     """Rows (h, factors) where sigma(base^(2h)) splits over the family."""
 
     base: Poly
@@ -370,8 +368,7 @@ def sigma_factor_tables(base_set):
 # Reciprocal exploration.
 
 
-@dataclass(frozen=True)
-class ReciprocalEntry:
+class ReciprocalEntry(NamedTuple):
     """One irreducible 1 + x^a (x+1)^b M1^c and where its reciprocal lands."""
 
     a: int
@@ -390,8 +387,7 @@ class ReciprocalEntry:
         )
 
 
-@dataclass(frozen=True)
-class ReciprocalReport:
+class ReciprocalReport(NamedTuple):
     max_abc: int
     entries: tuple
 
@@ -487,8 +483,7 @@ def explore_reciprocal(max_abc=6):
 # Split identities.
 
 
-@dataclass(frozen=True)
-class IdentityFamily:
+class IdentityFamily(NamedTuple):
     """Sweep outcome for one identity: solutions found vs parameterized."""
 
     label: str
@@ -508,8 +503,7 @@ class IdentityFamily:
         }
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     max_exp: int
     families: tuple
 
@@ -663,15 +657,13 @@ def verify_split_identities(max_exp=32):
 # Chain-length scan.
 
 
-@dataclass(frozen=True)
-class ConjectureRow:
+class ConjectureRow(NamedTuple):
     h: int
     factors: FactorMap
     witness: Poly | None
 
 
-@dataclass(frozen=True)
-class ConjectureScan:
+class ConjectureScan(NamedTuple):
     """Chain-length witnesses in sigma(base^(2h)) for 2 <= h <= h_max.
 
     threshold is the minimum chain length that counts as a witness.

@@ -25,7 +25,7 @@ too, so the formulas need nothing from the catalog layer above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .factorize import FactorMap, factor_full, is_irreducible
 from .gf2poly import Poly, _linear, _mul, _square
@@ -209,8 +209,7 @@ def chi(w: int, t: int) -> int:
     return 1 if t == w else 0
 
 
-@dataclass(frozen=True)
-class ExponentTuple:
+class ExponentTuple(NamedTuple):
     """2-adic shape of a candidate's exponents over the catalog.
 
     The candidate is x^a (x+1)^b * prod Mi^ci * prod Sj^dj with
@@ -295,8 +294,7 @@ class ExponentTuple:
         )
 
 
-@dataclass(frozen=True)
-class SigmaExponents:
+class SigmaExponents(NamedTuple):
     """Exponents of x, x+1 and each catalog prime in sigma(candidate)."""
 
     alpha: int

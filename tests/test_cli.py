@@ -149,6 +149,20 @@ def test_search_strict_rule(capsys):
     assert "stage=2 count=2159" in out
 
 
+def test_rule_choices_match_the_rule_table():
+    verbs = next(a for a in cli._build_parser()._actions if a.dest == "verb")
+    rule = next(a for a in verbs.choices["search"]._actions if a.dest == "rule")
+    assert rule.choices == list(search.STAGE2_RULES)
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_unknown_rule_exits_2(capsys, mode):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--rule", "bogus", *mode])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 # -- surveys ------------------------------------------------------------------------
 
 
@@ -241,7 +255,7 @@ def test_search_divergence_exits_1_with_stderr(capsys, mode):
 def test_identity_mismatch_exits_1_with_stderr(capsys, monkeypatch, mode):
     family = search.IdentityFamily("fake", ((1, 2, 3),), ((4, 5, 6),))
     report = search.IdentityReport(4, (family,))
-    monkeypatch.setattr(cli, "verify_split_identities", lambda max_exp: report)
+    monkeypatch.setattr(search, "verify_split_identities", lambda max_exp: report)
     rc, _, err = run(capsys, "identities", *mode)
     assert rc == 1
     assert "unexpected: [(1, 2, 3)]" in err

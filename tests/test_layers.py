@@ -1,12 +1,21 @@
-"""The package layers import strictly downwards.
+"""The package layers import strictly downwards, and cheaply.
 
 Every module under src/gf2perfect is parsed, and each relative import
 (at any nesting depth, including imports inside functions) must name
 an earlier layer.  The package __init__ re-exports everything and is
 exempt.
+
+Fresh interpreters check what a cold start loads: importing the
+package or the cli and building the catalog leaves search unloaded
+until one of its names is read, and never loads dataclasses.  Every
+public name, the search ones included, resolves as an attribute,
+through a star import and in dir().
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +47,80 @@ def test_imports_point_to_earlier_layers(module):
     rank = LAYERS.index(module)
     for target in _imported_modules(tree):
         assert LAYERS.index(target) < rank, f"{module} imports {target}"
+
+
+def _modules_loaded_by(code):
+    """Modules that code adds to sys.modules in a fresh interpreter
+    started without site, so that nothing but the package loads."""
+    script = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_package_cold_start_skips_search_cli_and_dataclasses():
+    loaded = _modules_loaded_by("import gf2perfect\ngf2perfect.catalog_constants()")
+    assert "gf2perfect.catalog" in loaded
+    assert not loaded & {"gf2perfect.search", "gf2perfect.cli", "dataclasses"}
+
+
+def test_cli_cold_start_skips_search():
+    loaded = _modules_loaded_by(
+        "import gf2perfect.cli\n"
+        "gf2perfect.catalog_constants()\n"
+        "gf2perfect.cli.main(['sigma', 'M1'])"
+    )
+    assert "gf2perfect.cli" in loaded
+    assert "gf2perfect.search" not in loaded
+
+
+def test_reading_a_search_name_loads_search():
+    loaded = _modules_loaded_by("import gf2perfect\ngf2perfect.run_search")
+    assert "gf2perfect.search" in loaded
+
+
+def test_every_public_name_resolves():
+    for name in gf2perfect.__all__:
+        getattr(gf2perfect, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gf2perfect.no_such_name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from gf2perfect import *", namespace)
+    assert set(gf2perfect.__all__) <= set(namespace)
+
+
+def test_dir_lists_every_public_name():
+    assert set(gf2perfect.__all__) <= set(dir(gf2perfect))
+
+
+def test_lazy_names_are_the_search_objects():
+    from gf2perfect import search
+
+    lazy = set(gf2perfect.__all__) - set(vars(gf2perfect))
+    assert lazy == {
+        "ConjectureScan",
+        "IdentityReport",
+        "ReciprocalReport",
+        "SigmaTable",
+        "StageResult",
+        "conjecture_scan",
+        "explore_reciprocal",
+        "run_search",
+        "sigma_factor_tables",
+        "verify_split_identities",
+    }
+    for name in lazy:
+        assert getattr(gf2perfect, name) is getattr(search, name)
