@@ -6,9 +6,9 @@ The centerpiece is a three-stage sieve over candidate shapes
 
 driven entirely by integer arithmetic on the closed-form divisor-sum
 exponents, followed by an independent fixed-point confirmation of the
-survivors.  Stage 1 evaluates the formulas once per (prefix, n1, u1)
-on bare ints; stage 2 filters the slot exponents stage 1 carries; stage
-3 filters rows on ints by the degrees the free M3..M5 slots can balance.
+survivors.  Stage 1 sums per-slot term tables of the formulas; stage 2
+tests the slot exponents stage 1 carries against sets; stage 3 filters
+rows on ints by the degrees the free M3..M5 slots can balance.
 M3 takes its exponent from (n2, u2); a witness's n3 only balances
 degrees (n3 != n2 in 9 of the 44), the rule that reproduces the
 reference count and is kept.  The stages run one after another in one
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from itertools import product
+from operator import add
 from typing import NamedTuple
 
 from .catalog import (
@@ -60,16 +61,18 @@ FINAL_REFERENCE_NAMES = ("T2", "T4", "T5", "T7", "T8", "T11")
 
 # Exponent values of the form 2^m * v - 1 with m <= 3 and v in {1, 3}:
 # the room of the M2 and S1 slots, reused by the uniform stage-2 rule
-# for the remaining divisor-sum slots.
+# for the remaining divisor-sum slots.  _SHAPES maps each to its 2-adic
+# shape (t, s), e = 2^t s - 1.
 REPRESENTABLE_EXPONENTS = frozenset(
     (v << m) - 1 for m in range(4) for v in (1, 3)
 )
+_SHAPES = {e: decompose_exponent(e) for e in REPRESENTABLE_EXPONENTS}
 
-# The stage-2 slot rules: each maps the exponents of S2..S8 in sigma
-# of a candidate to whether the candidate survives.
+# The stage-2 slot rules: the exponents each allows S2..S8 in sigma of
+# a surviving candidate.
 STAGE2_RULES = {
-    "uniform": lambda tail: all(x in REPRESENTABLE_EXPONENTS for x in tail),
-    "strict": lambda tail: all(x in (0, 1) for x in tail),
+    "uniform": REPRESENTABLE_EXPONENTS,
+    "strict": frozenset((0, 1)),
 }
 
 # Largest inputs the sweeps accept; each one takes a few seconds at
@@ -102,6 +105,14 @@ def _strip_m1(bits):
 # Sieve stages.  Each returns its rows in domain order.
 
 
+# prefix_exponents is a sum of one term per slot, x (n, u), x+1 (m, v) and
+# M1 (n1, u1), each zero at the slot (0, 1); stage 1 adds up their tables.
+_X_TERMS = {(n, u): prefix_exponents(n, u, 0, 1, 0, 1) for n in range(5) for u in US}
+_X1_TERMS = {(m, v): prefix_exponents(0, 1, m, v, 0, 1) for m in range(5) for v in US}
+_M1_TERMS = [(n1, u1, *prefix_exponents(0, 1, 0, 1, n1, u1))
+             for n1 in range(5) for u1 in U1S]
+
+
 def _stage1_rows():
     """Rows (n, u, m, v, n1, u1, n2, u2, d1, ..., d8), one per (prefix,
     n1, u1) whose M2 exponent 2^n2 u2 - 1 is representable; d1..d8 are
@@ -111,25 +122,27 @@ def _stage1_rows():
         a = (u << n) - 1
         if a < 1 or a > (v << m) - 1:
             continue
-        for n1 in range(5):
-            for u1 in U1S:
-                g, delta = prefix_exponents(n, u, m, v, n1, u1)
-                if g in REPRESENTABLE_EXPONENTS:
-                    rows.append((n, u, m, v, n1, u1) + decompose_exponent(g) + delta)
+        (xg, xd), (yg, yd) = _X_TERMS[n, u], _X1_TERMS[m, v]
+        p1, p2, p3, p4, p5, p6, p7, p8 = map(add, xd, yd)
+        for n1, u1, g, (d1, d2, d3, d4, d5, d6, d7, d8) in _M1_TERMS:
+            shape = _SHAPES.get(xg + yg + g)
+            if shape is not None:
+                rows.append((n, u, m, v, n1, u1, *shape, p1 + d1, p2 + d2, p3 + d3,
+                             p4 + d4, p5 + d5, p6 + d6, p7 + d7, p8 + d8))
     return rows
 
 
 def _stage2_kept(rows1, rule):
-    """Stage-1 rows whose carried deltas pass the first slot and the rule."""
-    accept = STAGE2_RULES[rule]
+    """Stage-1 rows: first slot representable, later slots in the rule's set."""
+    allowed = STAGE2_RULES[rule].issuperset
     return (
-        r for r in rows1 if r[8] in REPRESENTABLE_EXPONENTS and accept(r[9:16])
+        r for r in rows1 if r[8] in REPRESENTABLE_EXPONENTS and allowed(r[9:16])
     )
 
 
 def _stage2_rows(rows1, rule):
     """The kept stage-1 rows, each extended by its first slot's (n, u)."""
-    return [r + decompose_exponent(r[8]) for r in _stage2_kept(rows1, rule)]
+    return [r + _SHAPES[r[8]] for r in _stage2_kept(rows1, rule)]
 
 
 # First free-slot witness (n3, n4, n5), in loop order, for each degree
@@ -145,27 +158,33 @@ def _stage3_rows(rows):
     """(bits, stage-2 row, free-slot witness, Mersenne exponents) of each
     candidate whose linear-prime valuations a free-slot witness balances.
 
-    Filters on ints: linear_exponents of the row's valuations, then one
+    Filters on ints: linear_exponents of the row's valuations, summed from
+    parts cached per (n, m, n1, n2) and per S1..S8 tail, then one
     _FREE_SLOT_WITNESS lookup.  Survivors are assembled from ints: M1
     takes the exponent m1_exponent gives the row with M3..M5 empty.
     M3 takes its exponent from (n2, u2); the witness's n3 only balances
     degrees (n3 != n2 in 9 of the 44), the rule kept because it
     reproduces the reference count.
     """
-    out = []
+    heads, tails, out = {}, {}, []
     for row in rows:
         n, u, m, v, n1, u1, n2, u2 = row[:8]
-        mj, _vj = zip(*map(decompose_exponent, row[8:16]))
-        alpha, beta = linear_exponents(n, m, (n1, n2, 0, 0, 0), mj)
-        witness = _FREE_SLOT_WITNESS.get(((u << n) - 1 - alpha, (v << m) - 1 - beta))
+        head, tail = row[:8:2], row[8:16]
+        if head not in heads:
+            heads[head] = linear_exponents(n, m, (n1, n2, 0, 0, 0), (0,) * 8)
+        if tail not in tails:
+            mj = tuple(decompose_exponent(d)[0] for d in tail)
+            tails[tail] = (*linear_exponents(0, 0, (0,) * 5, mj), mj)
+        (ha, hb), (ta, tb, mj) = heads[head], tails[tail]
+        a, b = (u << n) - 1, (v << m) - 1
+        witness = _FREE_SLOT_WITNESS.get((a - ha - ta, b - hb - tb))
         if witness is None:
             continue
         _n3, n4, n5 = witness
         gamma1 = m1_exponent(n, u, m, v, (n1, n2, 0, 0, 0), (u1, u2, 1, 1, 1), mj)
         c2 = (u2 << n2) - 1
         c = (gamma1, c2, c2, (1 << n4) - 1, (1 << n5) - 1)
-        a, b = (u << n) - 1, (v << m) - 1
-        out.append((assemble(a, b, c, row[8:16]).bits, row, witness, c))
+        out.append((assemble(a, b, c, tail).bits, row, witness, c))
     return out
 
 

@@ -309,10 +309,10 @@ def prefix_exponents(
     """Exponents of M2 and of S1..S8 in sigma of a candidate, on bare ints.
 
     These nine formulas read only the 2-adic shape of the exponents of
-    x, x+1 and M1, so the sieve evaluates them once per (prefix, n1, u1)
-    without building an ExponentTuple; sigma_exponents takes its gamma2
-    and delta from here too.  Returns (gamma2, delta).  The arguments
-    are not validated.
+    x, x+1 and M1, one term per slot, so the sieve tabulates each slot's
+    term once and adds them up; sigma_exponents takes its gamma2 and
+    delta from here too.  Returns (gamma2, delta).  The arguments are
+    not validated.
     """
     gamma2 = chi(7, u) * 2**n + chi(7, v) * 2**m + chi(7, u1) * 2**n1
     delta = (

@@ -11,11 +11,27 @@ ring operations) and an int-based layer written independently of the
 package internals, used where the list forms would be too slow (the
 exhaustive factoring and divisor-sum sweeps).  The two layers are
 cross-checked against each other in the test suite.
+
+The one exception is the sieve stages at the end: they call the
+package's exponent formulas (gf2perfect.sigma), which are the ground
+truth there, afresh for every row, where the stages read them through
+term tables and caches.  The formulas themselves are pinned against
+real factorizations in test_sigma.py.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from itertools import product
+
+from gf2perfect.sigma import (
+    U1S,
+    US,
+    assemble,
+    linear_exponents,
+    m1_exponent,
+    prefix_exponents,
+)
 
 # -- conversions ------------------------------------------------------------
 
@@ -277,3 +293,72 @@ def free_slot_witness(need_a, need_b):
                 if a == need_a and b == need_b:
                     return n3, n4, n5
     return None
+
+
+# -- sieve stages, one formula evaluation per row ------------------------------
+
+# 2^m v - 1 for m <= 3 and v in {1, 3}: the exponents the M2 slot and
+# the first divisor-sum slot can take.
+REPRESENTABLE = (0, 1, 2, 3, 5, 7, 11, 23)
+
+NAIVE_STAGE2_RULES = {
+    "uniform": lambda tail: all(x in REPRESENTABLE for x in tail),
+    "strict": lambda tail: all(x in (0, 1) for x in tail),
+}
+
+
+def two_adic_shape(e):
+    """(t, s) with e + 1 = 2^t s and s odd, by repeated halving."""
+    t, s = 0, e + 1
+    while s % 2 == 0:
+        t, s = t + 1, s // 2
+    return t, s
+
+
+def naive_stage1_rows():
+    """Stage 1 with prefix_exponents evaluated for every (prefix, n1, u1)."""
+    rows = []
+    for n, u, m, v in product(range(5), US, range(5), US):
+        a = (u << n) - 1
+        if a < 1 or a > (v << m) - 1:
+            continue
+        for n1 in range(5):
+            for u1 in U1S:
+                g, delta = prefix_exponents(n, u, m, v, n1, u1)
+                if g in REPRESENTABLE:
+                    rows.append((n, u, m, v, n1, u1) + two_adic_shape(g) + delta)
+    return rows
+
+
+def naive_stage2_rows(rows1, rule):
+    """Stage 2 with the rule NAIVE_STAGE2_RULES names tested slot by slot."""
+    accept = NAIVE_STAGE2_RULES[rule]
+    return [
+        r + two_adic_shape(r[8])
+        for r in rows1
+        if r[8] in REPRESENTABLE and accept(r[9:16])
+    ]
+
+
+def naive_stage3_rows(rows):
+    """Stage 3 with linear_exponents evaluated for every row and the
+    witness taken from free_slot_witness; same output tuples."""
+    witnesses = {}
+    out = []
+    for row in rows:
+        n, u, m, v, n1, u1, n2, u2 = row[:8]
+        mj = [two_adic_shape(x)[0] for x in row[8:16]]
+        alpha, beta = linear_exponents(n, m, (n1, n2, 0, 0, 0), mj)
+        a, b = (u << n) - 1, (v << m) - 1
+        need = (a - alpha, b - beta)
+        if need not in witnesses:
+            witnesses[need] = free_slot_witness(*need)
+        witness = witnesses[need]
+        if witness is None:
+            continue
+        _n3, n4, n5 = witness
+        gamma1 = m1_exponent(n, u, m, v, (n1, n2, 0, 0, 0), (u1, u2, 1, 1, 1), mj)
+        c2 = (u2 << n2) - 1
+        c = (gamma1, c2, c2, (1 << n4) - 1, (1 << n5) - 1)
+        out.append((assemble(a, b, c, row[8:16]).bits, row, witness, c))
+    return out

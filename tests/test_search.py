@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from itertools import product
 
 import pytest
 
@@ -27,15 +28,19 @@ from gf2perfect.search import (
     run_search,
     sigma_factor_tables,
     _stage1_rows,
+    _stage2_rows,
     _stage3_rows,
     verify_split_identities,
 )
 from gf2perfect.sigma import (
+    U1S,
     U23S,
+    US,
     ExponentTuple,
     assemble,
     decompose_exponent,
     linear_exponents,
+    prefix_exponents,
     sigma,
     sigma_exponents,
 )
@@ -53,7 +58,13 @@ from expected import (
     EXPECTED_TABLE_ROWS,
     SEARCH_JSON_SHA256,
 )
-from oracles import free_slot_witness
+from oracles import (
+    NAIVE_STAGE2_RULES,
+    free_slot_witness,
+    naive_stage1_rows,
+    naive_stage2_rows,
+    naive_stage3_rows,
+)
 
 
 # -- the sieve -------------------------------------------------------------
@@ -144,6 +155,47 @@ def test_stage1_rows_carry_the_exponents_of_their_prefix():
         exps = sigma_exponents(t)
         assert decompose_exponent(exps.gamma[1]) == row[6:8]
         assert exps.delta == row[8:16]
+
+
+def test_stage1_rows_match_the_per_row_oracle():
+    assert _stage1_rows() == naive_stage1_rows()
+
+
+def test_prefix_exponents_are_a_sum_of_slot_terms():
+    # Stage 1 adds one term-table entry per slot.  On the whole domain,
+    # the rows stage 1 rejects included, that sum is prefix_exponents.
+    m1_terms = {(n1, u1): (g, d) for n1, u1, g, d in search_module._M1_TERMS}
+    cases = 0
+    for n, u, m, v, n1, u1 in product(range(5), US, range(5), US, range(5), U1S):
+        if not 1 <= (u << n) - 1 <= (v << m) - 1:
+            continue
+        terms = (
+            search_module._X_TERMS[n, u],
+            search_module._X1_TERMS[m, v],
+            m1_terms[n1, u1],
+        )
+        g, delta = prefix_exponents(n, u, m, v, n1, u1)
+        assert g == sum(t[0] for t in terms)
+        assert delta == tuple(map(sum, zip(*(t[1] for t in terms))))
+        cases += 1
+    assert cases == 14875
+
+
+@pytest.mark.parametrize("rule", list(STAGE2_RULES))
+def test_stage2_matches_the_slot_by_slot_rules(rule):
+    # The set-valued rules keep the rows, and count the variants, that
+    # testing every slot against the rule's exponents does.
+    rows1 = _stage1_rows()
+    assert set(STAGE2_RULES) == set(NAIVE_STAGE2_RULES)
+    assert _stage2_rows(rows1, rule) == naive_stage2_rows(rows1, rule)
+    variants = run_search("2", stage2_rule=rule).filter_diff["2"]["variants"]
+    assert variants == {r: len(naive_stage2_rows(rows1, r)) for r in STAGE2_RULES}
+
+
+@pytest.mark.parametrize("rule", list(STAGE2_RULES))
+def test_stage3_rows_match_the_per_row_oracle(rule):
+    rows2 = run_search("2", stage2_rule=rule).tuples
+    assert _stage3_rows(rows2) == naive_stage3_rows(rows2)
 
 
 def _stage2_probe(row):

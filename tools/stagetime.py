@@ -1,0 +1,115 @@
+"""Sieve stage times: each stage timed on its own input, in fresh interpreters.
+
+Every launch imports gf2perfect.search from one tree, builds each
+stage's input once, and then times these calls, each after one
+untimed call:
+
+    stage1   _stage1_rows()
+    stage2   _stage2_rows(rows1, "uniform")
+    strict   the "strict" variant count over rows1, as run_search takes it
+    stage3   _stage3_rows(rows2)
+    final    _fixed_points(stage-3 candidates)
+    search   run_search("final")
+
+No stage time is the difference of two cumulative runs, so none can
+read below zero.  The median ms of each call over all launches and
+repeats is printed per tree.  Given several ``--src`` trees, the
+launches of all of them alternate, so that drift in the machine's
+speed falls on each tree alike.  Uses only the standard library:
+
+    python3 tools/stagetime.py                         # this checkout
+    python3 tools/stagetime.py --src ../old/src --src src -n 11
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Timed calls of each step per launch.
+REPEATS = 7
+
+STEPS = ("stage1", "stage2", "strict", "stage3", "final", "search")
+
+CHILD = f"""
+import json, time
+from gf2perfect import search as s
+rows1 = s._stage1_rows()
+rows2 = s._stage2_rows(rows1, "uniform")
+polys = s._stage3_polys(rows2)
+calls = dict(zip({STEPS!r}, (
+    s._stage1_rows,
+    lambda: s._stage2_rows(rows1, "uniform"),
+    lambda: sum(1 for _ in s._stage2_kept(rows1, "strict")),
+    lambda: s._stage3_rows(rows2),
+    lambda: s._fixed_points(polys),
+    lambda: s.run_search("final"),
+)))
+times = {{}}
+for name, call in calls.items():
+    call()
+    times[name] = []
+    for _ in range({REPEATS}):
+        start = time.perf_counter()
+        call()
+        times[name].append(time.perf_counter() - start)
+print(json.dumps(times))
+"""
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "-n", "--launches", type=int, default=5, help="launches per tree"
+    )
+    parser.add_argument(
+        "--src",
+        type=Path,
+        action="append",
+        help="directory holding the package; repeat to compare trees "
+        "(default: this checkout's src)",
+    )
+    args = parser.parse_args(argv)
+    if args.launches < 1:
+        parser.error("--launches must be at least 1")
+    envs = {}
+    for src in args.src or [SRC]:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src.resolve()), env.get("PYTHONPATH")) if p
+        )
+        envs[str(src)] = env
+
+    samples = {src: {step: [] for step in STEPS} for src in envs}
+    for _ in range(args.launches):
+        for src, env in envs.items():
+            done = subprocess.run(
+                [sys.executable, "-c", CHILD],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            for step, times in json.loads(done.stdout).items():
+                samples[src][step] += times
+
+    trees = list(envs)
+    for i, src in enumerate(trees, start=1):
+        print(f"[{i}] {src}")
+    print(f"median ms of {args.launches} launches x {REPEATS} calls")
+    print(f"  {'step':8}" + "".join(f"{f'[{i}]':>9}" for i in range(1, len(trees) + 1)))
+    for step in STEPS:
+        cells = (statistics.median(samples[src][step]) * 1e3 for src in trees)
+        print(f"  {step:8}" + "".join(f"{ms:9.1f}" for ms in cells))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
