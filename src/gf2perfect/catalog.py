@@ -325,6 +325,14 @@ def admissibility_budget(family: tuple[Poly, ...], s: Poly) -> int:
     return max(1, total // (2 * s.degree))
 
 
+def _first_split(s: Poly, cap: int, family) -> int | None:
+    """The least h <= cap with sigma(s^2h) factoring over family, or None."""
+    for h in range(1, cap + 1):
+        if factor_over_family(sigma_prime_power(s, 2 * h), family) is not None:
+            return h
+    return None
+
+
 def is_admissible(
     family, h_budget: int | None = None
 ) -> tuple[bool, AdmissibilityReport]:
@@ -372,15 +380,10 @@ def is_admissible(
     linear_detail = []
     linear_ok = False
     for s in (X, X1):
-        cap = budget(s)
-        for h in range(1, cap + 1):
-            if factor_over_family(sigma_prime_power(s, 2 * h), fam) is not None:
-                linear_detail.append(
-                    f"sigma({s.text()}^{2 * h}) factors over the family"
-                )
-                linear_ok = True
-                break
-        if linear_ok:
+        h = _first_split(s, budget(s), fam)
+        if h is not None:
+            linear_detail.append(f"sigma({s.text()}^{2 * h}) factors over the family")
+            linear_ok = True
             break
     if not linear_ok:
         linear_detail.append("no divisor sum of x or x+1 factors within budget")
@@ -392,12 +395,7 @@ def is_admissible(
         if factor_over_family(t + ONE, extended) is not None:
             feedback_detail.append(f"{label(t)}: 1+T factors over extended family")
             continue
-        cap = budget(t)
-        hit = None
-        for h in range(1, cap + 1):
-            if factor_over_family(sigma_prime_power(t, 2 * h), extended) is not None:
-                hit = h
-                break
+        hit = _first_split(t, budget(t), extended)
         if hit is not None:
             feedback_detail.append(
                 f"{label(t)}: sigma(T^{2 * hit}) factors over extended family"

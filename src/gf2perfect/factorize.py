@@ -7,15 +7,15 @@ products with random trace polynomials.  The randomness is drawn from a
 generator seeded by the input bits, so every run factors a given
 polynomial identically.
 
-The time goes into squaring modulo a fixed polynomial, in the Rabin
-test, the distinct-degree walk and the trace map; each of those loops
-reduces through one gf2poly._reducer table built for its modulus.  The
+The time goes into squaring modulo a fixed polynomial, in the
+distinct-degree walk and the trace map; each of those loops reduces
+through one gf2poly._reducer table built for its modulus.  The
 distinct-degree gcds are blocked: one gcd decides a run of degrees, and
-only a run that holds a factor is split degree by degree.  The Rabin
-test of a degree-d input walks one chain x^(2^k), k = 1..d, taking its
-gcds at the k = d/p in increasing order, so it costs d squarings.  From
-degree 33 it first screens out factors of degree up to 16 with one
-blocked gcd, which rejects most reducible inputs after 16 squarings.
+only a run that holds a factor is split degree by degree.  The same
+walk tests irreducibility: a degree-d input is prime exactly when it
+has no prime factor of degree at most d/2, repeated or not, so its
+first find is the whole input.  Most reducible inputs are rejected by
+the first block, after at most 16 squarings; a prime costs d/2 of them.
 
 `factor_over_family` is deliberately weaker than `factor_full`: it only
 divides by members of a supplied family and reports failure instead of
@@ -44,27 +44,13 @@ from .gf2poly import (
 )
 
 
-def _prime_divisors(n):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-# Consecutive degrees k whose gcds _distinct_degree folds into one (and
-# the degrees the Rabin test screens), and the degree of f from which a
-# block pays.  Timed per call on random square-free inputs, blocks of
-# 16 cost 1.05-1.2x one degree per block at degree 28-40 and win from
-# 44 (0.94-0.99x at 44-48, 0.85-0.92x at 56, 0.69x at 250, 0.43-0.48x
-# at 500-1,000).  Blocks of 8 match or beat 16 up to degree 250
-# (0.55-0.93x) but lose at 500-1,000 (0.55-0.56x).
+# Consecutive degrees k whose gcds _distinct_degree folds into one, and
+# the degree of f from which a block pays; irreducibility tests and
+# factoring share both.  Timed per call on random square-free inputs,
+# blocks of 16 cost 1.05-1.2x one degree per block at degree 28-40 and
+# win from 44 (0.94-0.99x at 44-48, 0.85-0.92x at 56, 0.69x at 250,
+# 0.43-0.48x at 500-1,000).  Blocks of 8 match or beat 16 up to degree
+# 250 (0.55-0.93x) but lose at 500-1,000 (0.55-0.56x).
 _DDF_BLOCK = 16
 _DDF_BLOCK_MIN_DEGREE = 44
 
@@ -84,40 +70,10 @@ def _frobenius_block(h, count, reduce):
 # of the exploratory sweeps is under a thousand entries.
 @lru_cache(maxsize=4096)
 def _is_irreducible_bits(a):
-    d = _degree(a)
-    # x and x+1 are the degree-1 primes; degree >= 2 needs the real test.
-    if d == 1:
-        return True
-    if not (a & 1):
-        return False  # divisible by x
-    # Rabin: x^(2^d) == x mod a, and for every prime p | d the map
-    # x -> x^(2^(d/p)) must move x (gcd check).  One chain h = x^(2^k)
-    # mod a runs k up to d and takes each gcd as it passes k = d/p:
-    # the primes come in increasing order, so reversed they give the
-    # d/p in increasing order.
-    reduce = _reducer(a)
-    h, k = 2, 0
-    if d > 2 * _DDF_BLOCK:
-        # Screen: a prime factor of degree at most _DDF_BLOCK divides
-        # the product of h_k - x over k <= _DDF_BLOCK, as in
-        # _distinct_degree.  Once that gcd is 1, so is every Rabin gcd
-        # with d/p <= _DDF_BLOCK, and the chain goes on from there.
-        h, prod = _frobenius_block(h, _DDF_BLOCK, reduce)
-        if _gcd(prod, a) != 1:
-            return False
-        k = _DDF_BLOCK
-    for p in reversed(_prime_divisors(d)):
-        e = d // p
-        if e <= k:
-            continue
-        for _ in range(e - k):
-            h = reduce(_square(h))
-        k = e
-        if _gcd(h ^ 2, a) != 1:
-            return False
-    for _ in range(d - k):
-        h = reduce(_square(h))
-    return h == 2
+    # a of degree d is prime exactly when the walk finds no prime factor
+    # of degree at most d/2, a repeated one included; its first output
+    # is then (a, d), and any earlier find has a degree k <= d/2.
+    return next(_distinct_degree(a)) == (a, _degree(a))
 
 
 def is_irreducible(p: Poly) -> bool:
@@ -256,7 +212,7 @@ def _squarefree_parts(a):
 
 
 def _distinct_degree(f):
-    """Split square-free f into [(product of its degree-k primes, k)].
+    """Yield (product of the degree-k primes of square-free f, k), k up.
 
     h_k = x^(2^k) mod f, and gcd(h_k - x, f) is the product of the
     primes of f whose degree divides k; taking k = 1, 2, ... in turn
@@ -277,7 +233,6 @@ def _distinct_degree(f):
     degree.  While deg f is below _DDF_BLOCK_MIN_DEGREE a block is one
     k, and the walk is the plain one-gcd-per-degree loop.
     """
-    out = []
     reduce = _reducer(f)
     d = _degree(f)
     h = 2  # x
@@ -306,18 +261,17 @@ def _distinct_degree(f):
                 hj = reduce_found(_square(hj))
                 g = _gcd(found, hj ^ 2)
                 if g != 1:
-                    out.append((g, j))
+                    yield g, j
                     found = _divmod(found, g)[0]
         if found != 1:
             # Only degree-k primes are left, or (after the break) one
             # prime of degree at most k: min gives the degree either way.
-            out.append((found, min(k, _degree(found))))
+            yield found, min(k, _degree(found))
         if 2 * (k + 1) <= d:
             reduce = _reducer(f)
             h = reduce(h)
     if f != 1:
-        out.append((f, d))
-    return out
+        yield f, d
 
 
 def _equal_degree(g, k, rng):

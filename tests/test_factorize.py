@@ -32,9 +32,14 @@ deg12 = st.integers(min_value=1, max_value=(1 << 13) - 1)
 deg96 = st.integers(min_value=1, max_value=(1 << 97) - 1)
 
 
-def test_irreducibility_exhaustive_through_degree_10():
-    for bits in range(2, 1 << 11):
-        assert is_irreducible(Poly(bits)) == i_is_prime(bits), bin(bits)
+def test_irreducibility_exhaustive_through_degree_14():
+    # Below degree 44 the walk's blocks are one degree each, so this
+    # covers every first block of an unblocked walk.  The sieve oracle
+    # is checked against trial division through degree 10.
+    primes = set(sieve_primes(14))
+    for bits in range(2, 1 << 15):
+        assert is_irreducible(Poly(bits)) == (bits in primes), bin(bits)
+        assert bits >> 11 or i_is_prime(bits) == (bits in primes), bin(bits)
 
 
 def test_irreducibility_of_constants():
@@ -112,7 +117,7 @@ def test_distinct_degree_matches_trial_division(block, parts):
         k = p.bit_length() - 1
         by_degree[k] = i_mul(by_degree.get(k, 1), p)
     with mock.patch.object(factorize, "_DDF_BLOCK", block):
-        got = _distinct_degree(f)
+        got = list(_distinct_degree(f))
     assert sorted(got) == sorted((g, k) for k, g in by_degree.items())
 
 
@@ -183,7 +188,7 @@ def test_irreducibility_cache_is_bounded():
     assert _is_irreducible_bits.cache_info().currsize <= maxsize
 
 
-# -- the Rabin test and its small-degree screen against factor_full -----------
+# -- the walk's irreducibility test against factor_full ------------------------
 
 
 def _is_prime_by_factoring(bits):
@@ -216,27 +221,35 @@ def _product(values):
 
 
 def _reducibles_of_degree(d):
-    """Reducible inputs of degree d for the Rabin test and its screen."""
+    """Reducible inputs of degree d for the walk's irreducibility test."""
     out = []
-    # A prime of degree at most 16 times a larger prime: the screen
-    # rejects these once d > 32.
+    # A prime of degree at most 16 times a larger prime: from d = 44 the
+    # walk's first block (degrees 1..16) rejects these.
     for s in (1, 2, 7, 16):
         if d - s > s:
             out.append(i_mul(_first_primes(s, 1)[0], _first_primes(d - s, 1)[0]))
-    # Two primes of degree above 16: the screen passes, Rabin rejects.
-    # (At d = 34 the pair is a case of the divisor products below.)
+    # Two primes of degree above 16: only a later block finds the
+    # smaller one.  (At d = 34 the pair is a case of the divisor
+    # products below.)
     if d > 34:
         out.append(i_mul(_first_primes(17, 1)[0], _first_primes(d - 17, 1)[0]))
     if d % 2 == 0:
         out.append(i_mul(_first_primes(d // 2, 1)[0], _first_primes(d // 2, 1)[0]))
-    # d/s distinct primes of degree s for a proper divisor s of d:
-    # x^(2^d) = x modulo these, so only a gcd (the screen's, or Rabin's
-    # at some d/p divisible by s) rejects them.
+    # d/s distinct primes of degree s for a proper divisor s of d: the
+    # block that holds degree s finds them all at once, so the walk's
+    # first find is the whole input, but with degree s rather than d.
     for s in range(2, d):
         if d % s == 0:
             primes = _first_primes(s, d // s)
             if len(primes) == d // s:
                 out.append(_product(primes))
+    # Repeated primes, which the walk meets without a square-free test:
+    # p^2 q with p of degree 3 or d // 3, and (x+1)^k p with k = 1..3.
+    for s in (3, d // 3):
+        p = _first_primes(s, 1)[0]
+        out.append(i_mul(i_mul(p, p), _first_primes(d - 2 * s, 1)[0]))
+    for k in (1, 2, 3):
+        out.append(i_mul(_product([0b11] * k), _first_primes(d - k, 1)[0]))
     return out
 
 

@@ -44,10 +44,12 @@ GOLDEN = tuple(
     ("factor", WIDE_HEX),
     ("sigma", WIDE_HEX),
     ("conjecture", "M1", "M4", "M13", "--hmax", "20"),
-    # A degree-127 prime base: the Rabin test's small-degree screen
-    # passes and the test accepts.
+    # A degree-127 prime base: no block of the distinct-degree walk up
+    # to degree 63 finds a factor, so the test accepts.
     ("conjecture", "x^127+x+1", "--hmax", "2"),
-    # (x^17+x^3+1)(x^20+x^3+1): the screen passes and the test rejects.
+    # (x^17+x^3+1)(x^20+x^3+1): below degree 44 each block of the walk
+    # is one degree; nothing is found through degree 16, and degree 17
+    # finds x^17+x^3+1, so the test rejects.
     ("conjecture", "0x2000820041", "--hmax", "2"),
     # Failing and exit-1 paths.
     ("sigma", "0"),
