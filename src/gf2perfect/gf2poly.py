@@ -313,7 +313,8 @@ class Poly:
             try:
                 return cls(int(stripped, 16))
             except ValueError:
-                raise PolyParseError("malformed hex polynomial", text.find("0x")) from None
+                offset = len(text) - len(text.lstrip())
+                raise PolyParseError("malformed hex polynomial", offset) from None
         if stripped == "0":
             return cls(0)
         bits = 0

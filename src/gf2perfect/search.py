@@ -39,7 +39,7 @@ from .catalog import (
     two_mersenne_family,
 )
 from .factorize import FactorMap, factor_full, factor_over_family, is_irreducible
-from .gf2poly import Poly, X, X1, _divmod, _linear, _mul, _split_linear, star, val_x
+from .gf2poly import Poly, X, X1, _divmod, _linear, _mul, _split_linear, star
 from .sigma import (
     US,
     U1S,
@@ -558,10 +558,25 @@ class IdentityReport(NamedTuple):
 
 
 def _powers_of_two(limit):
-    k = 1
-    while k <= limit:
-        yield k
-        k <<= 1
+    return [1 << i for i in range(limit.bit_length())]
+
+
+def _solve_linear(bits):
+    """x^b (x+1)^c."""
+    b, c, rest = _split_linear(bits)
+    return (b, c) if rest == 1 else None
+
+
+def _solve_x_power(bits):
+    """x^c."""
+    return (bits.bit_length() - 1,) if bits & (bits - 1) == 0 else None
+
+
+def _solve_x_m1(bits):
+    """x^b (x^2+x+1)^c."""
+    b = (bits & -bits).bit_length() - 1
+    cofactor, c = _strip_m1(bits >> b)
+    return (b, c) if cofactor == 1 else None
 
 
 def verify_split_identities(max_exp=32):
@@ -584,92 +599,42 @@ def verify_split_identities(max_exp=32):
     for _ in range(e):
         x1_pow.append(_mul(x1_pow[-1], X1.bits))
         m1_pow.append(_mul(m1_pow[-1], _M1_BITS))
-
-    # 1 + M1^a = x^b (x+1)^c
-    found1 = []
-    for a in range(1, e + 1):
-        b, c, rest = _split_linear(m1_pow[a] ^ 1)
-        if rest == 1:
-            found1.append((a, b, c))
-    expected1 = [(k, k, k) for k in _powers_of_two(e)]
-
-    # (x+1)^a + M1^b = x^c
-    found2 = []
-    for a in range(1, e + 1):
-        for b in range(1, e + 1):
-            s = x1_pow[a] ^ m1_pow[b]
-            if s & (s - 1) == 0:
-                found2.append((a, b, s.bit_length() - 1))
-    expected2 = []
-    for k in _powers_of_two(e):
-        expected2.append((k, k, 2 * k))
-        if 2 * k <= e:
-            expected2.append((2 * k, k, k))
-        if 3 * k <= e:
-            expected2.append((3 * k, k, 3 * k))
-
-    # (x+1)^a M1^b = 1 + x^c
-    found3 = []
-    for a in range(1, e + 1):
-        for b in range(1, e + 1):
-            s = _mul(x1_pow[a], m1_pow[b]) ^ 1
-            if s & (s - 1) == 0:
-                found3.append((a, b, s.bit_length() - 1))
-    expected3 = [(k, k, 3 * k) for k in _powers_of_two(e)]
-
-    # (x+1)^a + (x+1)^b = x^c (x+1)^d  with a < b
-    found4 = []
-    for a in range(1, e + 1):
-        for b in range(a + 1, e + 1):
-            s = x1_pow[a] ^ x1_pow[b]
-            cc, dd, rest = _split_linear(s)
-            if rest == 1:
-                found4.append((a, b, cc, dd))
-    expected4 = [
-        (a, a + k, k, a)
-        for a in range(1, e + 1)
-        for k in _powers_of_two(e - a)
-    ]
-
-    # 1 + (x+1)^a = x^b M1^c
-    found5 = []
-    for a in range(1, e + 1):
-        r = x1_pow[a] ^ 1
-        b = val_x(Poly(r))
-        cofactor, c = _strip_m1(r >> b)
-        if cofactor == 1:
-            found5.append((a, b, c))
-    expected5 = [(k, k, 0) for k in _powers_of_two(e)]
-    expected5 += [(3 * k, k, k) for k in _powers_of_two(e // 3)]
-
-    families = (
-        IdentityFamily(
-            "1 + (x^2+x+1)^a = x^b (x+1)^c",
-            tuple(sorted(found1)),
-            tuple(sorted(expected1)),
-        ),
-        IdentityFamily(
-            "(x+1)^a + (x^2+x+1)^b = x^c",
-            tuple(sorted(found2)),
-            tuple(sorted(expected2)),
-        ),
-        IdentityFamily(
-            "(x+1)^a (x^2+x+1)^b = 1 + x^c",
-            tuple(sorted(found3)),
-            tuple(sorted(expected3)),
-        ),
-        IdentityFamily(
-            "(x+1)^a + (x+1)^b = x^c (x+1)^d",
-            tuple(sorted(found4)),
-            tuple(sorted(expected4)),
-        ),
-        IdentityFamily(
-            "1 + (x+1)^a = x^b (x^2+x+1)^c",
-            tuple(sorted(found5)),
-            tuple(sorted(expected5)),
-        ),
+    span = range(1, e + 1)
+    ks = _powers_of_two(e)
+    # (label, (left-hand parameters, bits) over the sweep, solver giving
+    # the right-hand parameters the bits have or None, parameterized family)
+    identities = (
+        ("1 + (x^2+x+1)^a = x^b (x+1)^c",
+         (((a,), m1_pow[a] ^ 1) for a in span),
+         _solve_linear,
+         [(k, k, k) for k in ks]),
+        ("(x+1)^a + (x^2+x+1)^b = x^c",
+         (((a, b), x1_pow[a] ^ m1_pow[b]) for a, b in product(span, span)),
+         _solve_x_power,
+         [t for k in ks for t in ((k, k, 2 * k), (2 * k, k, k), (3 * k, k, 3 * k))
+          if t[0] <= e]),
+        ("(x+1)^a (x^2+x+1)^b = 1 + x^c",
+         (((a, b), _mul(x1_pow[a], m1_pow[b]) ^ 1) for a, b in product(span, span)),
+         _solve_x_power,
+         [(k, k, 3 * k) for k in ks]),
+        ("(x+1)^a + (x+1)^b = x^c (x+1)^d",
+         (((a, b), x1_pow[a] ^ x1_pow[b]) for a in span for b in range(a + 1, e + 1)),
+         _solve_linear,
+         [(a, a + k, k, a) for a in span for k in _powers_of_two(e - a)]),
+        ("1 + (x+1)^a = x^b (x^2+x+1)^c",
+         (((a,), x1_pow[a] ^ 1) for a in span),
+         _solve_x_m1,
+         [(k, k, 0) for k in ks] + [(3 * k, k, k) for k in _powers_of_two(e // 3)]),
     )
-    return IdentityReport(e, families)
+    families = []
+    for name, sums, solve, expected in identities:
+        found = []
+        for params, bits in sums:
+            rhs = solve(bits)
+            if rhs is not None:
+                found.append(params + rhs)
+        families.append(IdentityFamily(name, tuple(sorted(found)), tuple(sorted(expected))))
+    return IdentityReport(e, tuple(families))
 
 
 # ---------------------------------------------------------------------------

@@ -251,9 +251,9 @@ class ExponentTuple(NamedTuple):
         if self.v not in US:
             self._bad(f"v = {self.v} not in {US}")
         if not 0 <= self.n <= 4:
-            self._bad(f"n = {self.n} exceeds 4")
+            self._bad(f"n = {self.n} not in 0..4")
         if not 0 <= self.m <= 4:
-            self._bad(f"m = {self.m} exceeds 4")
+            self._bad(f"m = {self.m} not in 0..4")
         if self.ui[0] not in U1S:
             self._bad(f"u1 = {self.ui[0]} not in {U1S}")
         if self.ui[1] not in U23S or self.ui[2] not in U23S:
@@ -261,20 +261,20 @@ class ExponentTuple(NamedTuple):
         if self.ui[3] != 1 or self.ui[4] != 1:
             self._bad(f"u4, u5 = {self.ui[3]}, {self.ui[4]} must be 1")
         if not 0 <= self.ni[0] <= 4:
-            self._bad(f"n1 = {self.ni[0]} exceeds 4")
+            self._bad(f"n1 = {self.ni[0]} not in 0..4")
         if not (0 <= self.ni[1] <= 3 and 0 <= self.ni[2] <= 3):
-            self._bad(f"n2, n3 = {self.ni[1]}, {self.ni[2]} exceed 3")
+            self._bad(f"n2, n3 = {self.ni[1]}, {self.ni[2]} not in 0..3")
         if not (0 <= self.ni[3] <= 5 and 0 <= self.ni[4] <= 5):
-            self._bad(f"n4, n5 = {self.ni[3]}, {self.ni[4]} exceed 5")
+            self._bad(f"n4, n5 = {self.ni[3]}, {self.ni[4]} not in 0..5")
         if self.vj[0] not in U23S:
             self._bad(f"v1 = {self.vj[0]} not in {U23S}")
         if not 0 <= self.mj[0] <= 3:
-            self._bad(f"m1 = {self.mj[0]} exceeds 3")
+            self._bad(f"m1 = {self.mj[0]} not in 0..3")
         for j in range(1, 8):
             if self.vj[j] != 1:
                 self._bad(f"v{j + 1} = {self.vj[j]} not in (1,)")
             if not 0 <= self.mj[j] <= 1:
-                self._bad(f"m{j + 1} = {self.mj[j]} exceeds 1")
+                self._bad(f"m{j + 1} = {self.mj[j]} not in 0..1")
 
     @staticmethod
     def _bad(message: str):

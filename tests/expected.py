@@ -120,6 +120,10 @@ CLI_OUTPUT_SHA256 = """
 0 204fb8ebcc71846465b5e2b97928fcc97b21526aca67a686919e86760916e7cb e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 reciprocal --json
 0 cf760fdf1c17c386d609df275776b29a667c8abca1aeb52e5e1eb6bdaf6c2811 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 identities
 0 910f150af720e52785464aaa6d0fb4f2e078aad7de934d31d0cc55c894eebe42 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 identities --json
+0 a194c3a041c7b6fce95f32b7c4f194aa11a97e7ca2b6c0c07376e5bc35196f8b e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 identities --max-exp 64
+0 ec4781b4e012b96140fe9c1de99e664f6030cf7bfbc4e17971fc0945c5aafa92 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 identities --max-exp 64 --json
+0 f8643b084ae01989b98e3f1c33c1fe3ac4b1df8ebcc64c67a14bb52eb1196e4a e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 identities --max-exp 4
+0 96949879279bf67e7b705a23721a30394234a593ab4f1bb13d25af97aaef28ee e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 identities --max-exp 4 --json
 0 1c04f0ef01dd0faf878e59f2bc4f1d5bb6ce14c78575a0beefdefd9ac93e8e62 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 tables
 0 dc4bf49c2eddc9047fe2aab7c3f3b5443ccd030213eae061b4918f72b106e1a7 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 tables --json
 0 fda02a5ecca0e249f173d73c5debbe0b921956f26ba67d6329bf2f77ce805ab0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 conjecture M1 --hmax 8

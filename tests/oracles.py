@@ -272,6 +272,63 @@ def sigma_sweep(max_degree=14, max_omega=4, primes=None):
     return out
 
 
+# -- split identities ----------------------------------------------------------
+
+_X, _X1, _M1 = [0, 1], [1, 1], [1, 1, 1]
+
+
+def _multiplicity(a, d):
+    """(cofactor, k) with a = d^k cofactor and d not dividing the cofactor."""
+    k = 0
+    while True:
+        q, r = o_divmod(a, d)
+        if r:
+            return a, k
+        a, k = q, k + 1
+
+
+def _exponents_over(s, primes):
+    """The exponents of primes whose powers multiply to s, or None when
+    s is zero or has another factor."""
+    if not s:
+        return None
+    exps = []
+    for p in primes:
+        s, k = _multiplicity(s, p)
+        exps.append(k)
+    return tuple(exps) if s == [1] else None
+
+
+def split_identity_solutions(max_exp):
+    """Solutions of the five split identities, keyed by the labels of
+    verify_split_identities: each left-hand side with exponents 1..max_exp
+    whose sum has the right-hand shape, as its left-hand exponents followed
+    by the right-hand ones, found by trial division in list arithmetic."""
+    span = range(1, max_exp + 1)
+    x1 = {a: o_pow(_X1, a) for a in span}
+    m1 = {a: o_pow(_M1, a) for a in span}
+    identities = (
+        ("1 + (x^2+x+1)^a = x^b (x+1)^c", (_X, _X1),
+         [((a,), o_add([1], m1[a])) for a in span]),
+        ("(x+1)^a + (x^2+x+1)^b = x^c", (_X,),
+         [((a, b), o_add(x1[a], m1[b])) for a in span for b in span]),
+        ("(x+1)^a (x^2+x+1)^b = 1 + x^c", (_X,),
+         [((a, b), o_add(o_mul(x1[a], m1[b]), [1])) for a in span for b in span]),
+        ("(x+1)^a + (x+1)^b = x^c (x+1)^d", (_X, _X1),
+         [((a, b), o_add(x1[a], x1[b])) for a in span for b in span if a < b]),
+        ("1 + (x+1)^a = x^b (x^2+x+1)^c", (_X, _M1),
+         [((a,), o_add([1], x1[a])) for a in span]),
+    )
+    out = {}
+    for label, primes, sums in identities:
+        out[label] = set()
+        for params, s in sums:
+            rhs = _exponents_over(s, primes)
+            if rhs is not None:
+                out[label].add(params + rhs)
+    return out
+
+
 # -- stage-3 free slots -------------------------------------------------------
 
 # (a, b) of M3 = 1 + x^2 (x+1), M4 = 1 + x (x+1)^3 and M5 = 1 + x^3 (x+1),

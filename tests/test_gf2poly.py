@@ -424,6 +424,13 @@ def test_parse_exponent_bound():
         assert exc.value.offset == 4
 
 
+@pytest.mark.parametrize("text, offset", [("0xZZ", 0), ("0XZZ", 0), ("  0XZZ", 2)])
+def test_malformed_hex_reports_the_prefix_offset(text, offset):
+    with pytest.raises(PolyParseError, match="malformed hex") as exc:
+        Poly.parse(text)
+    assert exc.value.offset == offset
+
+
 @given(big, big)
 def test_order_is_degree_then_value(a, b):
     pa, pb = Poly(a), Poly(b)

@@ -62,6 +62,7 @@ from oracles import (
     naive_stage1_rows,
     naive_stage2_rows,
     naive_stage3_rows,
+    split_identity_solutions,
 )
 
 
@@ -354,6 +355,16 @@ def test_identity_families_all_verify():
     assert counts == EXPECTED_IDENTITY_COUNTS
     for fam in report.families:
         assert fam.found == fam.expected
+
+
+def test_identity_solutions_match_trial_division():
+    """Every family's found tuple is the sorted set of solutions the
+    oracle gets by dividing each left-hand sum by x, x+1 and x^2+x+1."""
+    oracle = split_identity_solutions(12)
+    report = verify_split_identities(max_exp=12)
+    assert [f.label for f in report.families] == list(oracle)
+    for fam in report.families:
+        assert fam.found == tuple(sorted(oracle[fam.label])), fam.label
 
 
 def test_identity_spot_instances():

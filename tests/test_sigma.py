@@ -179,6 +179,8 @@ def test_domain_validation():
         ExponentTuple.from_parts(u=2).validate()
     with pytest.raises(ValueError, match="n = 5"):
         ExponentTuple.from_parts(n=5).validate()
+    with pytest.raises(ValueError, match=r"n = -1 not in 0\.\.4"):
+        ExponentTuple.from_parts(n=-1).validate()
     with pytest.raises(ValueError, match="u1"):
         ExponentTuple.from_parts(ui=(9, 1, 1, 1, 1)).validate()
     with pytest.raises(ValueError, match="n4, n5"):

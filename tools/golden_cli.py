@@ -37,6 +37,8 @@ GOLDEN = tuple(
     ("tables",),
     ("reciprocal", "--max-abc", "8"),
     ("identities", "--max-exp", "64"),
+    # The lowest bound accepted.
+    ("identities", "--max-exp", "4"),
     ("conjecture", "M1", "M4", "--hmax", "12"),
     ("admissible", "M1", "M2", "M3"),
     ("admissible", "M1", "M2", "M3", "--budget", "128"),
