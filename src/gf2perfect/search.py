@@ -5,10 +5,11 @@ The centerpiece is a three-stage sieve over candidate shapes
     x^a (x+1)^b M1^c1 ... M5^c5 S1^d1 ... S8^d8
 
 driven entirely by integer arithmetic on the closed-form divisor-sum
-exponents, followed by an independent fixed-point confirmation of the
-survivors.  Stage 1 sums per-slot term tables of the formulas; stage 2
-tests the slot exponents stage 1 carries against sets; stage 3 filters
-rows on ints by the degrees the free M3..M5 slots can balance.
+exponents, followed by a fixed-point test on the factorization each
+survivor was assembled from, confirmed by an independent sigma.
+Stage 1 sums per-slot term tables of the formulas; stage 2 tests the
+slot exponents stage 1 carries against sets; stage 3 filters rows on
+ints by the degrees the free M3..M5 slots can balance.
 M3 takes its exponent from (n2, u2); a witness's n3 only balances
 degrees (n3 != n2 in 9 of the 44), the rule that reproduces the
 reference count and is kept.  The stages run one after another in one
@@ -43,13 +44,16 @@ from .gf2poly import Poly, X, X1, _divmod, _linear, _mul, _split_linear, star
 from .sigma import (
     US,
     U1S,
+    _sigma_of_powers,
     assemble,
     decompose_exponent,
     linear_exponents,
     m1_exponent,
+    mersenne,
     prefix_exponents,
     sigma,
     sigma_prime_power,
+    two_mersenne,
 )
 
 # Counts the three sieve stages are calibrated against, and the names
@@ -188,17 +192,43 @@ def _stage3_rows(rows):
     return out
 
 
-def _stage3_polys(rows2):
-    """The distinct stage-3 candidates, in domain order."""
-    return [Poly(bits) for bits in dict.fromkeys(r[0] for r in _stage3_rows(rows2))]
+def _stage3_candidates(rows2):
+    """The distinct stage-3 candidates in domain order, each bits -> its
+    exponent vector (a, b, c1..c5, d1..d8) over _SLOT_PRIMES."""
+    return {
+        bits: ((row[1] << row[0]) - 1, (row[3] << row[2]) - 1, *c, *row[8:16])
+        for bits, row, _witness, c in _stage3_rows(rows2)
+    }
 
 
-def _fixed_points(polys):
-    """The sorted sigma fixed points among the candidates.  Polynomials
-    that split into the two linear primes alone are not of interest."""
-    return tuple(
-        sorted(p for p in polys if _split_linear(p.bits)[2] != 1 and sigma(p) == p)
+# The primes a stage-3 exponent vector is over: x, x+1, M1..M5, S1..S8.
+_SLOT_PRIMES = (X.bits, X1.bits, *(mersenne(i).bits for i in range(1, 6)),
+                *(two_mersenne(j).bits for j in range(1, 9)))
+
+
+def _sigma_of_vector(exps):
+    """sigma on bits of the candidate with exponent vector exps."""
+    return _sigma_of_powers((q, e) for q, e in zip(_SLOT_PRIMES, exps) if e)
+
+
+def _fixed_points(candidates):
+    """The sorted sigma fixed points among the stage-3 candidates, given
+    as bits -> exponent vector.  Candidates that split into the two
+    linear primes alone (c and d all zero) are not of interest.  Each
+    survivor of the product test is confirmed by sigma, which factors
+    it afresh; a disagreement is an error, not a dropped candidate."""
+    points = tuple(
+        Poly(bits)
+        for bits, exps in sorted(candidates.items())
+        if any(exps[2:]) and _sigma_of_vector(exps) == bits
     )
+    for p in points:
+        if sigma(p) != p:
+            raise AssertionError(
+                f"{p.text()}: fixed by the divisor sums of its exponent vector "
+                f"{candidates[p.bits]}, not by sigma"
+            )
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +324,7 @@ def run_search(stage, stage2_rule="uniform", jobs=1) -> StageResult:
     steps = (
         ("1", lambda _: _stage1_rows()),
         ("2", lambda rows1: _stage2_rows(rows1, stage2_rule)),
-        ("3", _stage3_polys),
+        ("3", _stage3_candidates),
         ("final", _fixed_points),
     )
     counts = {}
@@ -318,6 +348,8 @@ def run_search(stage, stage2_rule="uniform", jobs=1) -> StageResult:
             break
     if key == "1":
         rows = (r[:8] for r in rows)
+    elif key == "3":
+        rows = map(Poly, rows)
     return StageResult(key, tuple(rows), counts[key], counts, diff or None)
 
 

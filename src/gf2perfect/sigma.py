@@ -96,10 +96,16 @@ def sigma(a: Poly) -> Poly:
 
 def sigma_of_factor_map(fm: FactorMap) -> Poly:
     """Sum of divisors straight from a known factorization."""
+    return Poly(_sigma_of_powers((prime.bits, exp) for prime, exp in fm))
+
+
+def _sigma_of_powers(powers) -> int:
+    """sigma on bits of the product of the (prime bits, exponent) pairs
+    powers, distinct primes: the product of their divisor sums."""
     bits = 1
-    for prime, exp in fm:
-        bits = _mul(bits, _sigma_pp(prime.bits, exp))
-    return Poly(bits)
+    for q, e in powers:
+        bits = _mul(bits, _sigma_pp(q, e))
+    return bits
 
 
 def is_perfect(a: Poly) -> bool:

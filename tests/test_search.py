@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from gf2perfect.catalog import (
+    by_name,
     mersenne,
     name_of,
     prime_family,
@@ -27,8 +28,11 @@ from gf2perfect.search import (
     explore_reciprocal,
     run_search,
     sigma_factor_tables,
+    _fixed_points,
+    _sigma_of_vector,
     _stage1_rows,
     _stage2_rows,
+    _stage3_candidates,
     _stage3_rows,
     verify_split_identities,
 )
@@ -253,12 +257,65 @@ def test_stage3_m1_exponent_matches_a_factorization():
     # (M3..M5 empty) really has.  The probes' divisor-sum slots may lie
     # outside the tight domain that
     # test_exponent_formulas_match_actual_divisor_sums draws from.
+    # The same factorizations pin the formula gap the README reports
+    # under "Known divergence": the S1..S8 formulas leave out what
+    # sigma(Sj^dj) adds when dj + 1 = 3 * 2^k, so 6 rows get another S1
+    # or S7 exponent, and 13 have such a mismatch or a prime of degree
+    # 12 or 20 outside the family.
     m1 = mersenne(1)
+    twos = [two_mersenne(j) for j in range(1, 9)]
+    family = {X.bits, X1.bits, *(p.bits for p in prime_family())}
     rows = _stage3_rows(run_search("2").tuples)
     assert len(rows) == 44
+    slot_rows, gap_rows, slots, degrees = 0, 0, set(), set()
     for _bits, row, _witness, c in rows:
         fm = factor_full(sigma(_stage2_probe(row)))
         assert fm.exponent(m1) == c[0], row
+        wrong = {j for j, q in enumerate(twos, 1) if fm.exponent(q) != row[7 + j]}
+        outside = {p.degree for p, _e in fm if p.bits not in family}
+        slots |= wrong
+        degrees |= outside
+        slot_rows += bool(wrong)
+        gap_rows += bool(wrong or outside)
+    assert (slot_rows, gap_rows) == (6, 13)
+    assert slots == {1, 7}
+    assert degrees == {12, 20}
+
+
+@pytest.mark.parametrize(("rule", "count"), [("uniform", 44), ("strict", 31)])
+def test_stage3_exponent_vectors_match_factor_full(rule, count):
+    # The final stage decides on exponent vectors and re-checks only its
+    # survivors with sigma, so a wrong vector could drop a true fixed
+    # point unseen; this compares every candidate's vector with its bits
+    # and its divisor sum with the one sigma gets from factor_full.
+    candidates = _stage3_candidates(run_search("2", stage2_rule=rule).tuples)
+    assert len(candidates) == count
+    for bits, exps in candidates.items():
+        assert len(exps) == 15
+        assert assemble(exps[0], exps[1], exps[2:7], exps[7:]).bits == bits, exps
+        assert _sigma_of_vector(exps) == sigma(Poly(bits)).bits, exps
+
+
+def test_final_stage_rejects_a_perturbed_exponent_vector():
+    t2 = by_name("T2").poly
+    candidates = _stage3_candidates(run_search("2").tuples)
+    exps = candidates[t2.bits]
+    assert _fixed_points({t2.bits: exps}) == (t2,)
+    for i, e in enumerate(exps):
+        for step in (-1, 1):
+            if e + step >= 0:
+                perturbed = (*exps[:i], e + step, *exps[i + 1 :])
+                assert _fixed_points({t2.bits: perturbed}) == (), (i, step)
+
+
+def test_final_stage_raises_when_sigma_disagrees(monkeypatch):
+    t2 = by_name("T2").poly
+    true_sigma = search_module.sigma
+    monkeypatch.setattr(
+        search_module, "sigma", lambda p: p * X if p == t2 else true_sigma(p)
+    )
+    with pytest.raises(AssertionError, match="not by sigma"):
+        run_search("final")
 
 
 # -- factor tables -----------------------------------------------------------
