@@ -16,6 +16,10 @@ walk tests irreducibility: a degree-d input is prime exactly when it
 has no prime factor of degree at most d/2, repeated or not, so its
 first find is the whole input.  Most reducible inputs are rejected by
 the first block, after at most 16 squarings; a prime costs d/2 of them.
+A caller that knows a step s dividing every prime factor's degree (the
+divisor sums of the conjecture scans) saves gcds: the walk squares
+through every degree as before but multiplies in, tests and backtracks
+over the multiples of s only, and a block without one takes no gcd.
 
 `factor_over_family` is deliberately weaker than `factor_full`: it only
 divides by members of a supplied family and reports failure instead of
@@ -55,14 +59,23 @@ _DDF_BLOCK = 16
 _DDF_BLOCK_MIN_DEGREE = 44
 
 
-def _frobenius_block(h, count, reduce):
-    """(h_(k+count), product of h_j - x for k < j <= k+count), from
-    h = h_k = x^(2^k) mod f, where reduce reduces modulo f."""
-    h = reduce(_square(h))
-    prod = h ^ 2
-    for _ in range(count - 1):
+def _frobenius_block(h, first, last, step, reduce):
+    """(h_last, product of h_j - x over the multiples j of step in
+    first..last, or None when there are none), from h = h_(first-1),
+    where h_j = x^(2^j) mod f and reduce reduces modulo f.  Step 1 keeps
+    a loop of its own, so that the plain walk pays no test per degree."""
+    if step == 1:
         h = reduce(_square(h))
-        prod = reduce(_mul(prod, h ^ 2))
+        prod = h ^ 2
+        for _ in range(last - first):
+            h = reduce(_square(h))
+            prod = reduce(_mul(prod, h ^ 2))
+        return h, prod
+    prod = None
+    for j in range(first, last + 1):
+        h = reduce(_square(h))
+        if j % step == 0:
+            prod = h ^ 2 if prod is None else reduce(_mul(prod, h ^ 2))
     return h, prod
 
 
@@ -211,7 +224,7 @@ def _squarefree_parts(a):
     return out
 
 
-def _distinct_degree(f):
+def _distinct_degree(f, step=1):
     """Yield (product of the degree-k primes of square-free f, k), k up.
 
     h_k = x^(2^k) mod f, and gcd(h_k - x, f) is the product of the
@@ -232,46 +245,67 @@ def _distinct_degree(f):
     degree needs no gcd: what is left by then has only primes of that
     degree.  While deg f is below _DDF_BLOCK_MIN_DEGREE a block is one
     k, and the walk is the plain one-gcd-per-degree loop.
+
+    The caller may promise that every prime of f has a degree divisible
+    by step.  The walk still squares through every k, but only the
+    multiples of step enter a block's product and its backtrack, a
+    block without one takes no gcd, and the walk stops once twice the
+    next multiple exceeds deg f.  Step 1 is the walk above.
     """
     reduce = _reducer(f)
     d = _degree(f)
     h = 2  # x
     k = 0
     size = _DDF_BLOCK if d >= _DDF_BLOCK_MIN_DEGREE else 1
-    while 2 * (k + 1) <= d:
+    top = d // 2 // step * step  # past it, f is 1 or one prime
+    while k < top:
         first, h_first = k + 1, h
-        k = min(k + size, d // 2)  # this block: degrees first..k
-        h, prod = _frobenius_block(h, k - first + 1, reduce)
+        k = min(k + size, top)  # this block: degrees first..k
+        h, prod = _frobenius_block(h, first, k, step, reduce)
+        if prod is None:
+            continue  # no multiple of step in the block
         found = _gcd(prod, f)
         if found == 1:
             continue
         f = _divmod(f, found)[0]
         d = _degree(f)
         size = _DDF_BLOCK if d >= _DDF_BLOCK_MIN_DEGREE else 1
-        if first < k:
-            # The primes of found have their degrees in first..k.
-            # Split off those of degree below k modulo found, which is
-            # small, redoing the block's squarings there; residues
+        top = d // 2 // step * step
+        last = k - k % step  # the block's last degree a prime may have
+        if first < last:
+            # The primes of found have their degrees in first..last.
+            # Split off those of degree below last modulo found, which
+            # is small, redoing the block's squarings there; residues
             # modulo f stay valid modulo found, which divided it.
             reduce_found = _reducer(found)
-            hj = h_first
-            for j in range(first, k):
+            hj, i = h_first, first - 1
+            for j in range(first + (-first) % step, last, step):
                 if 2 * j > _degree(found):
-                    break  # found is 1 or one prime, of degree j..k
-                hj = reduce_found(_square(hj))
+                    break  # found is 1 or one prime, of degree j..last
+                for _ in range(j - i):
+                    hj = reduce_found(_square(hj))
+                i = j
                 g = _gcd(found, hj ^ 2)
                 if g != 1:
                     yield g, j
                     found = _divmod(found, g)[0]
         if found != 1:
-            # Only degree-k primes are left, or (after the break) one
-            # prime of degree at most k: min gives the degree either way.
-            yield found, min(k, _degree(found))
-        if 2 * (k + 1) <= d:
+            # Only degree-last primes are left, or (after the break) one
+            # prime of degree at most last: min gives the degree either way.
+            yield found, min(last, _degree(found))
+        if k < top:
             reduce = _reducer(f)
             h = reduce(h)
     if f != 1:
         yield f, d
+
+
+# Random splits _equal_degree tries on one product.  A product of two or
+# more degree-k primes survives a try with probability at most 1/2, so
+# only a product that breaks the degree promise of factor_full's
+# degree_step (a prime of another degree, which no try splits off)
+# comes near the bound; it raises instead of looping forever.
+_SPLIT_TRIES = 64
 
 
 def _equal_degree(g, k, rng):
@@ -283,7 +317,7 @@ def _equal_degree(g, k, rng):
     # value in {0,1} modulo each prime factor, so gcd(T(r), g) cuts g
     # roughly in half for random r.
     reduce = _reducer(g)
-    while True:
+    for _ in range(_SPLIT_TRIES):
         r = rng.getrandbits(d)
         t = 0
         s = reduce(r)
@@ -295,19 +329,29 @@ def _equal_degree(g, k, rng):
             left = split
             right = _divmod(g, split)[0]
             return _equal_degree(left, k, rng) + _equal_degree(right, k, rng)
+    raise ValueError(f"no split of a degree-{d} product into degree-{k} primes")
 
 
-def factor_full(p: Poly) -> FactorMap:
-    """Complete factorization of a nonzero polynomial."""
+def factor_full(p: Poly, degree_step=1) -> FactorMap:
+    """Complete factorization of a nonzero polynomial.
+
+    degree_step is the caller's promise that every prime factor of p
+    has a degree divisible by it (sigma.sigma_degree_step gives one for
+    divisor sums); the distinct-degree walk then looks only at those
+    degrees.  A broken promise gives a wrong factorization or raises
+    ValueError.
+    """
     a = p.bits
     if a == 0:
         raise ValueError("cannot factor the zero polynomial")
+    if degree_step < 1:
+        raise ValueError("degree_step must be at least 1")
     if a == 1:
         return FactorMap([])
     rng = random.Random(a)
     pairs = []
     for part, mult in _squarefree_parts(a).items():
-        for prod, k in _distinct_degree(part):
+        for prod, k in _distinct_degree(part, degree_step):
             for prime in _equal_degree(prod, k, rng):
                 pairs.append((Poly(prime), mult))
     return FactorMap(pairs)

@@ -52,6 +52,7 @@ from .sigma import (
     mersenne,
     prefix_exponents,
     sigma,
+    sigma_degree_step,
     sigma_prime_power,
     two_mersenne,
 )
@@ -85,10 +86,11 @@ MAX_RECIPROCAL_ABC = 16
 MAX_IDENTITY_EXP = 256
 MAX_SCAN_H = 40
 # Largest 2 * h_max * deg(base) a conjecture scan accepts: the degree
-# of its last divisor sum.  Near the cap a scan factors in 0.3-2.5 s
-# (base degree 25 at h_max 40, 51 at 20, 256 at 4, 512 at 2), and
-# doubling it costs about 3x (degree 127 at h_max 8 and 16: 0.7 and
-# 6.9 s).  The Mersenne family stays at 720 or below up to MAX_SCAN_H.
+# of its last divisor sum.  Near the cap a scan takes 0.07-0.8 s (base
+# degree 25 at h_max 40, 51 at 20, 256 at 4, 512 at 2; 2-vCPU Xeon,
+# CPython 3.11), and doubling it costs about 12x (x^127+x+1 at h_max 8
+# and 16: 0.20 and 2.4 s).  The Mersenne family stays at 720 or below
+# up to MAX_SCAN_H.
 MAX_SCAN_DEGREE = 2048
 
 _M1_BITS = 0b111
@@ -611,6 +613,17 @@ def _solve_x_m1(bits):
     return (b, c) if cofactor == 1 else None
 
 
+def _x1_m1_rows(x1_pow, span):
+    """((a, b), (x+1)^a (x^2+x+1)^b + 1) for a, b in span, b fastest;
+    each row of fixed a steps b by one multiplication by x^2+x+1,
+    v + xv + x^2 v, in place of a general product."""
+    for a in span:
+        v = x1_pow[a]
+        for b in span:
+            v ^= (v << 1) ^ (v << 2)
+            yield (a, b), v ^ 1
+
+
 def verify_split_identities(max_exp=32):
     """Sweep the five split identities and compare with their families.
 
@@ -646,7 +659,7 @@ def verify_split_identities(max_exp=32):
          [t for k in ks for t in ((k, k, 2 * k), (2 * k, k, k), (3 * k, k, 3 * k))
           if t[0] <= e]),
         ("(x+1)^a (x^2+x+1)^b = 1 + x^c",
-         (((a, b), _mul(x1_pow[a], m1_pow[b]) ^ 1) for a, b in product(span, span)),
+         _x1_m1_rows(x1_pow, span),
          _solve_x_power,
          [(k, k, 3 * k) for k in ks]),
         ("(x+1)^a + (x+1)^b = x^c (x+1)^d",
@@ -750,7 +763,7 @@ def conjecture_scan(base, h_max=20):
     threshold = 2 if own == 1 else max(3, own + 1)
     rows = []
     for h in range(2, h_max + 1):
-        fm = factor_full(sigma_prime_power(base, 2 * h))
+        fm = factor_full(sigma_prime_power(base, 2 * h), sigma_degree_step(2 * h))
         witness = None
         for prime, _exp in fm:
             if prime.degree >= 2 and chain_length(prime) >= threshold:

@@ -25,6 +25,7 @@ too, so the formulas need nothing from the catalog layer above.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple
 
 from .factorize import FactorMap, factor_full, is_irreducible
@@ -85,6 +86,35 @@ def sigma_prime_power(p: Poly, e: int) -> Poly:
     """sigma(p^e) = 1 + p + ... + p^e for irreducible p."""
     _check_prime_power(p, e)
     return Poly(_sigma_pp(p.bits, e))
+
+
+def sigma_degree_step(e: int) -> int:
+    """A number dividing the degree of every prime factor of sigma(P^e),
+    for any P over GF(2): for even e, the gcd of ord_d(2) over the
+    divisors d > 1 of e + 1; for odd e, 1, since 1 + P divides
+    sigma(P^e) and may have a prime of any degree.
+
+    For even e, n = e + 1 is odd and sigma(P^e) = (P^n - 1) / (P - 1)
+    is the product of the cyclotomic Phi_d(P) over d | n, d > 1
+    (Canaday's decomposition).  A root beta of a prime factor in an
+    extension of GF(2) is then a root of some Phi_d(P), so P(beta) is
+    a primitive d-th root of unity.  P(beta) lies in GF(2)(beta), and a
+    primitive d-th root of unity generates GF(2^ord_d(2)), so
+    GF(2^ord_d(2)) is a subfield of GF(2)(beta), and ord_d(2) divides
+    the factor's degree [GF(2)(beta) : GF(2)].  Nothing here asks P to
+    be irreducible.  (Lidl and Niederreiter, Finite Fields, Thm 2.47.)
+    """
+    if e % 2:
+        return 1
+    n = e + 1
+    step = 0
+    for d in range(3, n + 1, 2):
+        if n % d == 0:
+            order, r = 1, 2 % d
+            while r != 1:
+                order, r = order + 1, 2 * r % d
+            step = gcd(step, order)
+    return step or 1
 
 
 def sigma(a: Poly) -> Poly:

@@ -130,6 +130,10 @@ CLI_OUTPUT_SHA256 = """
 0 e7d9bbc77eb30d0fee87150a731a8f5b8b406477fb8f6033cd2e22f29ce0e5fe e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 conjecture M1 --hmax 8 --json
 0 3dc4ee1b0cae6ec601c73c9f9609eda5c9f30a670c99cd639b094ab30b0ea50b e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 conjecture x^127+x+1 --hmax 2
 0 8bbbac7cc323001e778897edb01825a5eec12be013ff750363802ed48a55fb8e e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 conjecture x^127+x+1 --hmax 2 --json
+0 b176abc212057d8956008849510b948bf0783db236d7dde166f0c5844763a364 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 conjecture x^127+x+1 --hmax 8
+0 7e1059b9c8671ca6ee3d636bf465fbe690dae149ca2705288b3530f8ca7798d1 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 conjecture x^127+x+1 --hmax 8 --json
+0 d1ea58c0e534154e1c4b6572d316edc9860bbc764aa728e4e7ef4f221518ff12 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 conjecture M12 M13 --hmax 40
+0 f50deb514d321b5e5d62777d86e8a1d069837fd7c86d1bc387d5b4e4cb9d40b2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 conjecture M12 M13 --hmax 40 --json
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 0f805d67ccfe5666930b07008347500e904238b4ab95ea961e5f64155f0d68b8 conjecture 0x2000820041 --hmax 2
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 0f805d67ccfe5666930b07008347500e904238b4ab95ea961e5f64155f0d68b8 conjecture 0x2000820041 --hmax 2 --json
 0 24b46a668e0a04e5b5f56a7cd0ac92da4e6cec61f4dfb9809d7eb209497916bf e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 admissible M1 M2 M3

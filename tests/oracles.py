@@ -272,6 +272,37 @@ def sigma_sweep(max_degree=14, max_omega=4, primes=None):
     return out
 
 
+# -- cyclotomic pieces of divisor sums ---------------------------------------
+
+
+def cyclotomic_pieces(p_bits, n):
+    """{d: (Phi_d(P) as bits, ord_d(2))} for the divisors d > 1 of odd n.
+
+    P^d - 1 is the product of Phi_e(P) over e | d, so Phi_d(P) is P^d - 1
+    divided by the pieces of the proper divisors of d, in list
+    arithmetic; ord_d(2) is the least k with d | 2^k - 1.
+    """
+    p = to_list(p_bits)
+    phi = {}
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        piece = o_add(o_pow(p, d), [1])
+        for e, q in phi.items():
+            if d % e == 0:
+                piece, rem = o_divmod(piece, q)
+                assert not rem, (d, e)
+        phi[d] = piece
+    out = {}
+    for d, piece in phi.items():
+        if d > 1:
+            k = 1
+            while (2 ** k - 1) % d:
+                k += 1
+            out[d] = (to_bits(piece), k)
+    return out
+
+
 # -- split identities ----------------------------------------------------------
 
 _X, _X1, _M1 = [0, 1], [1, 1], [1, 1, 1]

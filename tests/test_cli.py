@@ -279,8 +279,8 @@ def test_catalog_failure_exits_1(capsys, monkeypatch, mode):
 
 def test_cli_outputs_are_pinned(capsys, monkeypatch):
     """Exit code and stdout/stderr digests of the invocations in
-    expected.CLI_OUTPUT_SHA256, in text and --json mode: every verb but
-    multi-base conjecture, failing inputs included."""
+    expected.CLI_OUTPUT_SHA256, in text and --json mode: every verb,
+    failing inputs included."""
     monkeypatch.setenv("COLUMNS", "80")
     lines = []
     for line in CLI_OUTPUT_SHA256.strip().splitlines():

@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gf2perfect import factorize
-from gf2perfect.catalog import mersenne, name_of, prime_family, two_mersenne
+from gf2perfect.catalog import (
+    mersenne,
+    mersenne_family,
+    name_of,
+    prime_family,
+    two_mersenne,
+    two_mersenne_family,
+)
 from gf2perfect.factorize import (
     FactorMap,
     _distinct_degree,
@@ -24,7 +31,7 @@ from gf2perfect.factorize import (
     is_squarefree,
 )
 from gf2perfect.gf2poly import ONE, Poly, X, X1
-from gf2perfect.sigma import sigma_prime_power
+from gf2perfect.sigma import sigma_degree_step, sigma_prime_power
 from expected import FACTOR_JSON_SHA256
 from oracles import i_divmod, i_factor, i_factor_over, i_is_prime, i_mul, sieve_primes
 
@@ -105,20 +112,67 @@ deg18_parts = st.lists(
 )
 
 
-@pytest.mark.parametrize("block", [2, factorize._DDF_BLOCK])
+# A step s > 1 keeps only the primes whose degree s divides, which is
+# the promise the stepped walk is given.  Few such products reach
+# _DDF_BLOCK_MIN_DEGREE, so the stepped cases block from degree 1 on:
+# blocks without a multiple of s, backtracks and the walk's stop all
+# occur at these sizes.  The unblocked stepped walk is checked on the
+# 71 conjecture inputs below of degree under 44.
+@pytest.mark.parametrize(
+    "block, step",
+    [
+        pytest.param(block, step, id=str(block) if step == 1 else f"{block}-step{step}")
+        for step in (1, 2, 3, 4)
+        for block in (2, factorize._DDF_BLOCK)
+    ],
+)
 @settings(max_examples=40, deadline=None)
 @given(parts=deg18_parts)
-def test_distinct_degree_matches_trial_division(block, parts):
-    primes = {p for bits in parts for p, _ in i_factor(bits)}
+def test_distinct_degree_matches_trial_division(block, step, parts):
+    primes = {
+        p for bits in parts for p, _ in i_factor(bits) if (p.bit_length() - 1) % step == 0
+    }
     f = 1
     by_degree = {}
     for p in primes:
         f = i_mul(f, p)
         k = p.bit_length() - 1
         by_degree[k] = i_mul(by_degree.get(k, 1), p)
-    with mock.patch.object(factorize, "_DDF_BLOCK", block):
-        got = list(_distinct_degree(f))
+    min_degree = factorize._DDF_BLOCK_MIN_DEGREE if step == 1 else 1
+    with mock.patch.object(factorize, "_DDF_BLOCK", block), \
+            mock.patch.object(factorize, "_DDF_BLOCK_MIN_DEGREE", min_degree):
+        got = list(_distinct_degree(f, step))
     assert sorted(got) == sorted((g, k) for k, g in by_degree.items())
+
+
+def _conjecture_inputs():
+    """(sigma(P^2h), its degree step) for every row of the conjecture
+    scans of M1..M13 at h <= 20 and S1..S15 at h <= 8."""
+    bases = [(p, 20) for p in mersenne_family()] + [(p, 8) for p in two_mersenne_family()]
+    return [
+        (sigma_prime_power(p, 2 * h), sigma_degree_step(2 * h))
+        for p, h_max in bases
+        for h in range(2, h_max + 1)
+    ]
+
+
+def test_stepped_factor_full_matches_unstepped_on_conjecture_inputs():
+    inputs = _conjecture_inputs()
+    assert len(inputs) == 13 * 19 + 15 * 7
+    assert {step for _, step in inputs} > {1, 2, 3, 4}
+    for p, step in inputs:
+        assert factor_full(p, degree_step=step) == factor_full(p), (p.text(), step)
+
+
+def test_broken_degree_promise_raises():
+    # Step 3 walks to degree 6, where x^2+x+1 joins the two degree-6
+    # primes; the trace map splits it off, but nothing splits it further.
+    f = Poly.parse("x^2+x+1") * Poly.parse("x^6+x+1") * Poly.parse("x^6+x^3+1")
+    assert factor_full(f, degree_step=2) == factor_full(f)
+    with pytest.raises(ValueError, match="degree-2 product into degree-6 primes"):
+        factor_full(f, degree_step=3)
+    with pytest.raises(ValueError, match="degree_step"):
+        factor_full(f, degree_step=0)
 
 
 def test_factor_of_one_is_empty():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from itertools import product
 
 import pytest
@@ -45,6 +46,7 @@ from gf2perfect.sigma import (
     decompose_exponent,
     prefix_exponents,
     sigma,
+    sigma_degree_step,
     sigma_exponents,
 )
 from expected import (
@@ -63,6 +65,9 @@ from expected import (
 )
 from oracles import (
     NAIVE_STAGE2_RULES,
+    cyclotomic_pieces,
+    i_divmod,
+    i_mul,
     naive_stage1_rows,
     naive_stage2_rows,
     naive_stage3_rows,
@@ -486,19 +491,47 @@ def test_scan_degree_cap(monkeypatch):
     assert 2 * h_cap * base.degree == MAX_SCAN_DEGREE
     factored = []
     monkeypatch.setattr(
-        search_module, "factor_full", lambda p: factored.append(p) or FactorMap([])
+        search_module,
+        "factor_full",
+        lambda p, step: factored.append((p.degree, step)) or FactorMap([]),
     )
     scan = conjecture_scan(base, h_max=h_cap)
-    assert [p.degree for p in factored] == [2 * h * 64 for h in range(2, h_cap + 1)]
+    assert factored == [
+        (2 * h * 64, sigma_degree_step(2 * h)) for h in range(2, h_cap + 1)
+    ]
     assert len(scan.rows) == h_cap - 1
 
-    def no_work(p):
+    def no_work(*args):
         raise AssertionError("work started above the degree cap")
 
     monkeypatch.setattr(search_module, "is_irreducible", no_work)
     monkeypatch.setattr(search_module, "factor_full", no_work)
     with pytest.raises(ValueError, match="deg"):
         conjecture_scan(base, h_max=h_cap + 1)
+
+
+def test_conjecture_factors_lie_in_one_cyclotomic_piece():
+    # sigma(P^2h) is the product of Phi_d(P) over d | 2h+1, d > 1, and
+    # every prime of Phi_d(P) has a degree divisible by ord_d(2), which
+    # is the premise of the walk's degree step.  The pieces come from
+    # list arithmetic that shares no code with factorize.
+    for i in range(1, 14):
+        base = mersenne(i)
+        for row in conjecture_scan(base, h_max=12).rows:
+            pieces = cyclotomic_pieces(base.bits, 2 * row.h + 1)
+            product_bits = 1
+            for piece, _order in pieces.values():
+                product_bits = i_mul(product_bits, piece)
+            assert product_bits == row.factors.product().bits
+            for prime, _exp in row.factors:
+                holders = [
+                    order for piece, order in pieces.values()
+                    if i_divmod(piece, prime.bits)[1] == 0
+                ]
+                assert len(holders) == 1, (i, row.h, prime.text())
+                assert prime.degree % holders[0] == 0, (i, row.h, prime.text())
+            orders = [order for _piece, order in pieces.values()]
+            assert sigma_degree_step(2 * row.h) == math.gcd(*orders)
 
 
 def test_scan_json_reports_counterexamples_field():

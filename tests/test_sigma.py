@@ -13,7 +13,7 @@ from gf2perfect.catalog import (
     prime_family,
     two_mersenne,
 )
-from gf2perfect.factorize import FactorMap, factor_over_family
+from gf2perfect.factorize import FactorMap, factor_full, factor_over_family
 from gf2perfect.gf2poly import Poly, X, X1, bar, val_x, val_x1
 from gf2perfect.sigma import (
     MAX_OMEGA_FOR_DECOMPOSITION,
@@ -31,6 +31,7 @@ from gf2perfect.sigma import (
     is_indecomposable_perfect,
     is_perfect,
     sigma,
+    sigma_degree_step,
     sigma_exponents,
     sigma_of_factor_map,
     sigma_prime_power,
@@ -88,6 +89,20 @@ def test_prime_power_degree_cap_raises_before_any_work(monkeypatch, fn, e):
     monkeypatch.setattr(sigma_module, "is_irreducible", no_work)
     with pytest.raises(ValueError, match="deg"):
         fn(Poly.parse("x^127+x+1"), e)
+
+
+def test_degree_step_divides_every_prime_degree():
+    # For odd e, 1 + P divides sigma(P^e), and 1 + M1 = x(x+1), so 1 is
+    # the only step that holds for every P.
+    for e in range(41):
+        step = sigma_degree_step(e)
+        assert step >= 1
+        for p in (mersenne(1), mersenne(4), two_mersenne(1)):
+            for q, _ in factor_full(sigma_prime_power(p, e)):
+                assert q.degree % step == 0, (p.text(), e, q.text())
+        if e % 2:
+            assert step == 1
+            assert factor_full(sigma_prime_power(mersenne(1), e)).exponent(X) > 0
 
 
 @given(st.integers(min_value=0, max_value=(1 << 30) - 1))

@@ -49,6 +49,11 @@ GOLDEN = tuple(
     # A degree-127 prime base: no block of the distinct-degree walk up
     # to degree 63 finds a factor, so the test accepts.
     ("conjecture", "x^127+x+1", "--hmax", "2"),
+    # The same base's degree-2032 divisor sums, and two wide Mersenne
+    # scans: 2h+1 runs to 81, so many degree steps come from composite
+    # 2h+1.
+    ("conjecture", "x^127+x+1", "--hmax", "8"),
+    ("conjecture", "M12", "M13", "--hmax", "40"),
     # (x^17+x^3+1)(x^20+x^3+1): below degree 44 each block of the walk
     # is one degree; nothing is found through degree 16, and degree 17
     # finds x^17+x^3+1, so the test rejects.
