@@ -15,12 +15,18 @@ a verification came out negative (a count off its reference, a scan
 row without a witness, an inadmissible family, a mismatched identity)
 or a CatalogError says the catalog self-check failed, and 2, through
 argparse, for a malformed invocation or any ValueError a verb raises.
+
+The argument parser is built on the first main call and reused by
+every later one in the process.  Its set_defaults(func=...) binds the
+_cmd_* functions at that build, so a test that patches behaviour
+targets the names those functions call, not the functions themselves.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .catalog import (
@@ -45,8 +51,9 @@ _POLY_HELP = (
 
 
 # Largest degree of a polynomial argument: factoring a random dense
-# input of this degree takes about 1.5 s (0.3 s at degree 2000), and
-# the time grows faster than the square of the degree.
+# input of this degree takes 0.6-1.4 s (0.2-0.3 s at degree 2000;
+# 2-vCPU Xeon, CPython 3.11), and the time grows faster than the
+# square of the degree.
 MAX_INPUT_DEGREE = 4096
 
 
@@ -172,6 +179,7 @@ def _cmd_admissible(args):
     return Result(report.to_json, report.text, ok)
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gf2perfect",

@@ -277,19 +277,43 @@ def test_catalog_failure_exits_1(capsys, monkeypatch, mode):
 # -- every cheap invocation, byte for byte ----------------------------------------
 
 
-def test_cli_outputs_are_pinned(capsys, monkeypatch):
-    """Exit code and stdout/stderr digests of the invocations in
-    expected.CLI_OUTPUT_SHA256, in text and --json mode: every verb,
-    failing inputs included."""
-    monkeypatch.setenv("COLUMNS", "80")
+# The invocations of expected.CLI_OUTPUT_SHA256; the missing-verb line
+# has no arguments.
+PINNED_ARGV = [line.split()[3:] for line in CLI_OUTPUT_SHA256.strip().splitlines()]
+
+
+def pinned_lines(capsys, before_each=lambda: None):
+    """Exit code, stdout and stderr digests and arguments of every
+    pinned invocation, in the format of expected.CLI_OUTPUT_SHA256."""
     lines = []
-    for line in CLI_OUTPUT_SHA256.strip().splitlines():
-        argv = line.split(" ", 3)[3]
+    for argv in PINNED_ARGV:
+        before_each()
         try:
-            rc = main(argv.split())
+            rc = main(argv)
         except SystemExit as exc:
             rc = exc.code
         out, err = capsys.readouterr()
         out, err = (hashlib.sha256(s.encode()).hexdigest() for s in (out, err))
-        lines.append(f"{rc} {out} {err} {argv}")
-    assert lines == CLI_OUTPUT_SHA256.strip().splitlines()
+        lines.append(" ".join([str(rc), out, err, *argv]))
+    return lines
+
+
+def test_cli_outputs_are_pinned(capsys, monkeypatch):
+    """Exit code and stdout/stderr digests of the invocations in
+    expected.CLI_OUTPUT_SHA256, in text and --json mode: every verb,
+    failing inputs, help and the missing verb included."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert pinned_lines(capsys) == CLI_OUTPUT_SHA256.strip().splitlines()
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_shared_parser_matches_a_fresh_one(capsys, monkeypatch):
+    """Every pinned invocation through one parser, after the exit-2
+    cases too, prints what a parser built for that call alone prints."""
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = pinned_lines(capsys, cli._build_parser.cache_clear)
+    shared = pinned_lines(capsys)
+    assert shared == fresh

@@ -510,28 +510,41 @@ def test_scan_degree_cap(monkeypatch):
         conjecture_scan(base, h_max=h_cap + 1)
 
 
+def assert_in_cyclotomic_pieces(base, h, factors):
+    """sigma(P^2h) is the product of Phi_d(P) over d | 2h+1, d > 1, and
+    every prime of Phi_d(P) has a degree divisible by ord_d(2), which
+    is the premise of the walk's degree step.  The pieces come from
+    list arithmetic that shares no code with factorize."""
+    pieces = cyclotomic_pieces(base.bits, 2 * h + 1)
+    product_bits = 1
+    for piece, _order in pieces.values():
+        product_bits = i_mul(product_bits, piece)
+    assert product_bits == factors.product().bits
+    for prime, _exp in factors:
+        holders = [
+            order for piece, order in pieces.values()
+            if i_divmod(piece, prime.bits)[1] == 0
+        ]
+        assert len(holders) == 1, (base.text(), h, prime.text())
+        assert prime.degree % holders[0] == 0, (base.text(), h, prime.text())
+    orders = [order for _piece, order in pieces.values()]
+    assert sigma_degree_step(2 * h) == math.gcd(*orders)
+
+
 def test_conjecture_factors_lie_in_one_cyclotomic_piece():
-    # sigma(P^2h) is the product of Phi_d(P) over d | 2h+1, d > 1, and
-    # every prime of Phi_d(P) has a degree divisible by ord_d(2), which
-    # is the premise of the walk's degree step.  The pieces come from
-    # list arithmetic that shares no code with factorize.
     for i in range(1, 14):
         base = mersenne(i)
         for row in conjecture_scan(base, h_max=12).rows:
-            pieces = cyclotomic_pieces(base.bits, 2 * row.h + 1)
-            product_bits = 1
-            for piece, _order in pieces.values():
-                product_bits = i_mul(product_bits, piece)
-            assert product_bits == row.factors.product().bits
-            for prime, _exp in row.factors:
-                holders = [
-                    order for piece, order in pieces.values()
-                    if i_divmod(piece, prime.bits)[1] == 0
-                ]
-                assert len(holders) == 1, (i, row.h, prime.text())
-                assert prime.degree % holders[0] == 0, (i, row.h, prime.text())
-            orders = [order for _piece, order in pieces.values()]
-            assert sigma_degree_step(2 * row.h) == math.gcd(*orders)
+            assert_in_cyclotomic_pieces(base, row.h, row.factors)
+
+
+@pytest.mark.parametrize("base_set", ["linear", "mersenne", "two-mersenne"])
+def test_table_factors_lie_in_one_cyclotomic_piece(base_set):
+    tables = sigma_factor_tables(base_set)
+    assert sum(len(table.rows) for table in tables) > 0
+    for table in tables:
+        for h, factors in table.rows:
+            assert_in_cyclotomic_pieces(table.base, h, factors)
 
 
 def test_scan_json_reports_counterexamples_field():

@@ -73,6 +73,10 @@ GOLDEN = tuple(
     ("admissible", "M6"),
     ("sigma", "x^5000"),
     ("factor", "x^"),
+    # Help and the missing verb: text argparse formats from the parser.
+    ("--help",),
+    ("conjecture", "--help"),
+    (),
 )
 
 
