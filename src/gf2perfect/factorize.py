@@ -17,9 +17,10 @@ has no prime factor of degree at most d/2, repeated or not, so its
 first find is the whole input.  Most reducible inputs are rejected by
 the first block, after at most 16 squarings; a prime costs d/2 of them.
 A caller that knows a step s dividing every prime factor's degree (the
-divisor sums of the conjecture scans) saves gcds: the walk squares
-through every degree as before but multiplies in, tests and backtracks
-over the multiples of s only, and a block without one takes no gcd.
+cyclotomic pieces of the conjecture scans' divisor sums) saves gcds:
+the walk squares through every degree as before but multiplies in,
+tests and backtracks over the multiples of s only, and a block without
+one takes no gcd.
 
 `factor_over_family` is deliberately weaker than `factor_full`: it only
 divides by members of a supplied family and reports failure instead of
@@ -336,10 +337,10 @@ def factor_full(p: Poly, degree_step=1) -> FactorMap:
     """Complete factorization of a nonzero polynomial.
 
     degree_step is the caller's promise that every prime factor of p
-    has a degree divisible by it (sigma.sigma_degree_step gives one for
-    divisor sums); the distinct-degree walk then looks only at those
-    degrees.  A broken promise gives a wrong factorization or raises
-    ValueError.
+    has a degree divisible by it (sigma._cyclotomic_pieces gives one
+    for each piece of a divisor sum); the distinct-degree walk then
+    looks only at those degrees.  A broken promise gives a wrong
+    factorization or raises ValueError.
     """
     a = p.bits
     if a == 0:

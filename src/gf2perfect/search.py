@@ -44,6 +44,7 @@ from .gf2poly import Poly, X, X1, _divmod, _linear, _mul, _split_linear, star
 from .sigma import (
     US,
     U1S,
+    _cyclotomic_pieces,
     _sigma_of_powers,
     assemble,
     decompose_exponent,
@@ -52,7 +53,6 @@ from .sigma import (
     mersenne,
     prefix_exponents,
     sigma,
-    sigma_degree_step,
     sigma_prime_power,
     two_mersenne,
 )
@@ -86,11 +86,11 @@ MAX_RECIPROCAL_ABC = 16
 MAX_IDENTITY_EXP = 256
 MAX_SCAN_H = 40
 # Largest 2 * h_max * deg(base) a conjecture scan accepts: the degree
-# of its last divisor sum.  Near the cap a scan takes 0.07-0.8 s (base
+# of its last divisor sum.  Near the cap a scan takes 0.08-0.4 s (base
 # degree 25 at h_max 40, 51 at 20, 256 at 4, 512 at 2; 2-vCPU Xeon,
-# CPython 3.11), and doubling it costs about 12x (x^127+x+1 at h_max 8
-# and 16: 0.20 and 2.4 s).  The Mersenne family stays at 720 or below
-# up to MAX_SCAN_H.
+# CPython 3.11), and doubling it costs about 10x (x^127+x+1 at h_max 8
+# and 16: 0.11-0.14 and 1.3-1.4 s).  The Mersenne family stays at 720
+# or below up to MAX_SCAN_H.
 MAX_SCAN_DEGREE = 2048
 
 _M1_BITS = 0b111
@@ -761,9 +761,21 @@ def conjecture_scan(base, h_max=20):
         raise ValueError("scan base must be an odd irreducible polynomial")
     own = chain_length(base)
     threshold = 2 if own == 1 else max(3, own + 1)
+    # sigma(base^(2h)) is the product of the coprime pieces of Phi_d(base)
+    # over d | 2h + 1, d > 1; each d's are factored once, for every h.
+    factored = {}
     rows = []
     for h in range(2, h_max + 1):
-        fm = factor_full(sigma_prime_power(base, 2 * h), sigma_degree_step(2 * h))
+        n = 2 * h + 1
+        for d in range(3, n + 1, 2):
+            if n % d == 0 and d not in factored:
+                step, pieces = _cyclotomic_pieces(base.bits, d)
+                factored[d] = [
+                    pair for piece in pieces for pair in factor_full(Poly(piece), step)
+                ]
+        fm = FactorMap(
+            pair for d, found in factored.items() if n % d == 0 for pair in found
+        )
         witness = None
         for prime, _exp in fm:
             if prime.degree >= 2 and chain_length(prime) >= threshold:

@@ -25,11 +25,11 @@ too, so the formulas need nothing from the catalog layer above.
 
 from __future__ import annotations
 
-from math import gcd
+from functools import lru_cache
 from typing import NamedTuple
 
 from .factorize import FactorMap, factor_full, is_irreducible
-from .gf2poly import Poly, _linear, _mul, _square
+from .gf2poly import Poly, _divmod, _gcd, _linear, _mul, _square
 
 US = (1, 3, 5, 7, 9, 13, 15)
 U1S = (1, 3, 5, 7, 15)
@@ -88,33 +88,47 @@ def sigma_prime_power(p: Poly, e: int) -> Poly:
     return Poly(_sigma_pp(p.bits, e))
 
 
-def sigma_degree_step(e: int) -> int:
-    """A number dividing the degree of every prime factor of sigma(P^e),
-    for any P over GF(2): for even e, the gcd of ord_d(2) over the
-    divisors d > 1 of e + 1; for odd e, 1, since 1 + P divides
-    sigma(P^e) and may have a prime of any degree.
+# The d the conjecture scans ask for: the odd d in 3..81 that divide
+# 2h + 1 for some h <= search.MAX_SCAN_H = 40, 40 values in all.
+@lru_cache(maxsize=40)
+def _cyclotomic_factors(d):
+    """(ord_d(2), the prime factors of Phi_d(Y) over GF(2) on bits), for
+    odd d > 1.  Y^d - 1 is square-free and the product of Phi_e(Y) over
+    e | d, so dividing out its gcd with Y^e - 1 for each proper divisor
+    e leaves Phi_d(Y); each of its primes has degree ord_d(2)."""
+    order, r = 1, 2 % d
+    while r != 1:
+        order, r = order + 1, 2 * r % d
+    phi = (1 << d) | 1
+    for e in range(1, d):
+        if d % e == 0:
+            phi = _divmod(phi, _gcd(phi, (1 << e) | 1))[0]
+    return order, tuple(q.bits for q, _ in factor_full(Poly(phi), order))
+
+
+def _cyclotomic_pieces(p: int, d: int) -> tuple[int, tuple[int, ...]]:
+    """(ord_d(2), the pieces R_i(p) of Phi_d(p) on bits, one per prime
+    factor R_i of Phi_d(Y), each by Horner), for odd d > 1 and any p.
 
     For even e, n = e + 1 is odd and sigma(P^e) = (P^n - 1) / (P - 1)
-    is the product of the cyclotomic Phi_d(P) over d | n, d > 1
-    (Canaday's decomposition).  A root beta of a prime factor in an
-    extension of GF(2) is then a root of some Phi_d(P), so P(beta) is
-    a primitive d-th root of unity.  P(beta) lies in GF(2)(beta), and a
-    primitive d-th root of unity generates GF(2^ord_d(2)), so
-    GF(2^ord_d(2)) is a subfield of GF(2)(beta), and ord_d(2) divides
-    the factor's degree [GF(2)(beta) : GF(2)].  Nothing here asks P to
+    is the product of Phi_d(P) over d | n, d > 1 (Canaday's
+    decomposition), so of all these pieces.  They are pairwise coprime:
+    a common root beta would make P(beta) a root of two of the
+    distinct primes of the square-free Y^n - 1.  A root beta of a prime
+    of R_i(P) makes P(beta) a root of R_i, a primitive d-th root of
+    unity; it lies in GF(2)(beta) and generates GF(2^ord_d(2)), so
+    ord_d(2) divides the prime's degree [GF(2)(beta) : GF(2)], the
+    degree step factor_full may be promised.  Nothing here asks P to
     be irreducible.  (Lidl and Niederreiter, Finite Fields, Thm 2.47.)
     """
-    if e % 2:
-        return 1
-    n = e + 1
-    step = 0
-    for d in range(3, n + 1, 2):
-        if n % d == 0:
-            order, r = 1, 2 % d
-            while r != 1:
-                order, r = order + 1, 2 * r % d
-            step = gcd(step, order)
-    return step or 1
+    order, factors = _cyclotomic_factors(d)
+    pieces = []
+    for r in factors:
+        acc = 0
+        for i in range(order, -1, -1):
+            acc = _mul(acc, p) ^ (r >> i & 1)
+        pieces.append(acc)
+    return order, tuple(pieces)
 
 
 def sigma(a: Poly) -> Poly:

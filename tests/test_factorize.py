@@ -31,9 +31,18 @@ from gf2perfect.factorize import (
     is_squarefree,
 )
 from gf2perfect.gf2poly import ONE, Poly, X, X1
-from gf2perfect.sigma import sigma_degree_step, sigma_prime_power
+from gf2perfect.search import conjecture_scan
+from gf2perfect.sigma import _cyclotomic_pieces, sigma_prime_power
 from expected import FACTOR_JSON_SHA256
-from oracles import i_divmod, i_factor, i_factor_over, i_is_prime, i_mul, sieve_primes
+from oracles import (
+    cyclotomic_pieces,
+    i_divmod,
+    i_factor,
+    i_factor_over,
+    i_is_prime,
+    i_mul,
+    sieve_primes,
+)
 
 deg12 = st.integers(min_value=1, max_value=(1 << 13) - 1)
 deg96 = st.integers(min_value=1, max_value=(1 << 97) - 1)
@@ -145,23 +154,66 @@ def test_distinct_degree_matches_trial_division(block, step, parts):
     assert sorted(got) == sorted((g, k) for k, g in by_degree.items())
 
 
+# The conjecture scans of M1..M13 at h <= 20 and S1..S15 at h <= 8.
+_CONJECTURE_BASES = [(p, 20) for p in mersenne_family()] + [
+    (p, 8) for p in two_mersenne_family()
+]
+
+
 def _conjecture_inputs():
-    """(sigma(P^2h), its degree step) for every row of the conjecture
-    scans of M1..M13 at h <= 20 and S1..S15 at h <= 8."""
-    bases = [(p, 20) for p in mersenne_family()] + [(p, 8) for p in two_mersenne_family()]
-    return [
-        (sigma_prime_power(p, 2 * h), sigma_degree_step(2 * h))
-        for p, h_max in bases
-        for h in range(2, h_max + 1)
-    ]
+    """(P, h, the pieces of sigma(P^2h) with their steps) for every row
+    of the _CONJECTURE_BASES scans: the R_i(P) over the prime factors
+    R_i of Phi_d(Y), d | 2h+1, d > 1, each with ord_d(2)."""
+    inputs = []
+    for p, h_max in _CONJECTURE_BASES:
+        for h in range(2, h_max + 1):
+            n = 2 * h + 1
+            pieces = []
+            for d in range(3, n + 1, 2):
+                if n % d == 0:
+                    step, found = _cyclotomic_pieces(p.bits, d)
+                    pieces += [(Poly(piece), step) for piece in found]
+            inputs.append((p, h, pieces))
+    return inputs
 
 
 def test_stepped_factor_full_matches_unstepped_on_conjecture_inputs():
     inputs = _conjecture_inputs()
     assert len(inputs) == 13 * 19 + 15 * 7
-    assert {step for _, step in inputs} > {1, 2, 3, 4}
-    for p, step in inputs:
-        assert factor_full(p, degree_step=step) == factor_full(p), (p.text(), step)
+    # Each step is ord_d(2), never 1; every odd d in 3..41 divides some
+    # 2h+1 with h <= 20.
+    steps = {step for _, _, pieces in inputs for _, step in pieces}
+    assert steps == {cyclotomic_pieces(X.bits, d)[d][1] for d in range(3, 42, 2)}
+    for p, h, pieces in inputs:
+        for piece, step in pieces:
+            assert factor_full(piece, degree_step=step) == factor_full(piece), (
+                p.text(), h, piece.text(), step)
+
+
+# Bases with a repeated prime in a divisor sum: (x^2+x+1)^2 divides
+# sigma(P^8) and sigma(P^14) of the first, (x^3+x+1)^2 sigma(P^6) of
+# the second, so a piece of Phi_d(P) need not be square-free.
+_REPEATED_PRIME_BASES = (
+    (Poly.parse("x^5+x^3+x^2+x+1"), 8, {4: mersenne(1), 7: mersenne(1)}),
+    (Poly.parse("x^7+x^3+x^2+x+1"), 3, {3: Poly.parse("x^3+x+1")}),
+)
+
+
+def test_conjecture_scan_rows_match_unsplit_factoring():
+    rows = 0
+    for p, h_max in _CONJECTURE_BASES:
+        for row in conjecture_scan(p, h_max).rows:
+            rows += 1
+            assert row.factors == factor_full(sigma_prime_power(p, 2 * row.h)), (
+                p.text(), row.h)
+    assert rows == 13 * 19 + 15 * 7
+    for p, h_max, squares in _REPEATED_PRIME_BASES:
+        for row in conjecture_scan(p, h_max).rows:
+            assert row.factors == factor_full(sigma_prime_power(p, 2 * row.h)), (
+                p.text(), row.h)
+            repeated = [(q, e) for q, e in row.factors if e > 1]
+            assert repeated == ([(squares[row.h], 2)] if row.h in squares else []), (
+                p.text(), row.h)
 
 
 def test_broken_degree_promise_raises():

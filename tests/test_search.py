@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import math
 from itertools import product
 
 import pytest
@@ -42,12 +41,13 @@ from gf2perfect.sigma import (
     U23S,
     US,
     ExponentTuple,
+    _cyclotomic_pieces,
     assemble,
     decompose_exponent,
     prefix_exponents,
     sigma,
-    sigma_degree_step,
     sigma_exponents,
+    sigma_prime_power,
 )
 from expected import (
     COMPUTED_STAGE2_STRICT,
@@ -484,22 +484,37 @@ def test_scan_input_validation():
 
 def test_scan_degree_cap(monkeypatch):
     # x^64+x^4+x^3+x+1 is irreducible.  At the cap the scan runs (its
-    # factoring stubbed out); one h past it, it is refused before the
-    # irreducibility test and any factoring.
+    # factoring stubbed out: each piece of Phi_d(base) passes for a
+    # prime, and no prime is a witness); one h past it, it is refused
+    # before the irreducibility test and any factoring.
     base = Poly.parse("x^64+x^4+x^3+x+1")
     h_cap = MAX_SCAN_DEGREE // (2 * base.degree)
     assert 2 * h_cap * base.degree == MAX_SCAN_DEGREE
-    factored = []
-    monkeypatch.setattr(
-        search_module,
-        "factor_full",
-        lambda p, step: factored.append((p.degree, step)) or FactorMap([]),
-    )
+    steps = {}
+
+    def one_prime(p, step):
+        assert p.bits not in steps, "a piece factored twice in one scan"
+        steps[p.bits] = step
+        return FactorMap([(p, 1)])
+
+    monkeypatch.setattr(search_module, "factor_full", one_prime)
+    monkeypatch.setattr(search_module, "chain_length", lambda p: 1)
     scan = conjecture_scan(base, h_max=h_cap)
-    assert factored == [
-        (2 * h * 64, sigma_degree_step(2 * h)) for h in range(2, h_cap + 1)
-    ]
-    assert len(scan.rows) == h_cap - 1
+    assert [r.h for r in scan.rows] == list(range(2, h_cap + 1))
+    for r in scan.rows:
+        pieces = [p for p, _ in r.factors]
+        assert sum(p.degree for p in pieces) == 2 * r.h * 64
+        assert r.factors.product() == sigma_prime_power(base, 2 * r.h)
+        # Phi_d(Y) has phi(d) / ord_d(2) prime factors of degree
+        # ord_d(2); the oracle gives Phi_d(x), of degree phi(d).
+        orders = [
+            order
+            for phi_d, order in cyclotomic_pieces(X.bits, 2 * r.h + 1).values()
+            for _ in range((phi_d.bit_length() - 1) // order)
+        ]
+        assert sorted(steps[p.bits] for p in pieces) == sorted(orders), r.h
+        for p in pieces:
+            assert p.degree == 64 * steps[p.bits], r.h
 
     def no_work(*args):
         raise AssertionError("work started above the degree cap")
@@ -512,23 +527,30 @@ def test_scan_degree_cap(monkeypatch):
 
 def assert_in_cyclotomic_pieces(base, h, factors):
     """sigma(P^2h) is the product of Phi_d(P) over d | 2h+1, d > 1, and
-    every prime of Phi_d(P) has a degree divisible by ord_d(2), which
-    is the premise of the walk's degree step.  The pieces come from
-    list arithmetic that shares no code with factorize."""
+    Phi_d(P) that of the pieces R_i(P) over the prime factors R_i of
+    Phi_d(Y).  Every prime lies in exactly one piece, and its degree is
+    divisible by that piece's step ord_d(2), the premise of the walk's
+    degree step.  The Phi_d(P) and the orders come from list arithmetic
+    that shares no code with factorize or sigma."""
     pieces = cyclotomic_pieces(base.bits, 2 * h + 1)
     product_bits = 1
-    for piece, _order in pieces.values():
+    parts = []
+    for d, (piece, order) in pieces.items():
         product_bits = i_mul(product_bits, piece)
+        step, found = _cyclotomic_pieces(base.bits, d)
+        assert step == order, (base.text(), h, d)
+        piece_bits = 1
+        for part in found:
+            piece_bits = i_mul(piece_bits, part)
+            parts.append((part, step))
+        assert piece_bits == piece, (base.text(), h, d)
     assert product_bits == factors.product().bits
     for prime, _exp in factors:
         holders = [
-            order for piece, order in pieces.values()
-            if i_divmod(piece, prime.bits)[1] == 0
+            step for part, step in parts if i_divmod(part, prime.bits)[1] == 0
         ]
         assert len(holders) == 1, (base.text(), h, prime.text())
         assert prime.degree % holders[0] == 0, (base.text(), h, prime.text())
-    orders = [order for _piece, order in pieces.values()]
-    assert sigma_degree_step(2 * h) == math.gcd(*orders)
 
 
 def test_conjecture_factors_lie_in_one_cyclotomic_piece():

@@ -1,6 +1,7 @@
 """Divisor sum: formulas against factorizations and the naive oracle."""
 
 import importlib
+import math
 import random
 
 import pytest
@@ -13,7 +14,12 @@ from gf2perfect.catalog import (
     prime_family,
     two_mersenne,
 )
-from gf2perfect.factorize import FactorMap, factor_full, factor_over_family
+from gf2perfect.factorize import (
+    FactorMap,
+    factor_full,
+    factor_over_family,
+    is_irreducible,
+)
 from gf2perfect.gf2poly import Poly, X, X1, bar, val_x, val_x1
 from gf2perfect.sigma import (
     MAX_OMEGA_FOR_DECOMPOSITION,
@@ -25,19 +31,21 @@ from gf2perfect.sigma import (
     U1S,
     U23S,
     ExponentTuple,
+    _cyclotomic_factors,
+    _cyclotomic_pieces,
     assemble,
     chi,
     decompose_exponent,
     is_indecomposable_perfect,
     is_perfect,
     sigma,
-    sigma_degree_step,
     sigma_exponents,
     sigma_of_factor_map,
     sigma_prime_power,
     trivial_perfect,
 )
-from oracles import divisor_sum_bits, sigma_sweep
+from gf2perfect.search import MAX_SCAN_H
+from oracles import cyclotomic_pieces, divisor_sum_bits, i_mul, sigma_sweep
 
 # The package re-exports the function sigma under the submodule's name.
 sigma_module = importlib.import_module("gf2perfect.sigma")
@@ -92,17 +100,46 @@ def test_prime_power_degree_cap_raises_before_any_work(monkeypatch, fn, e):
 
 
 def test_degree_step_divides_every_prime_degree():
-    # For odd e, 1 + P divides sigma(P^e), and 1 + M1 = x(x+1), so 1 is
-    # the only step that holds for every P.
+    # For even e, sigma(P^e) is the product of the pieces of Phi_d(P)
+    # over d | e+1, d > 1, and every prime of a piece has a degree
+    # divisible by its step.  For odd e, 1 + P divides sigma(P^e), and
+    # 1 + M1 = x(x+1), so no step above 1 holds for every P.
     for e in range(41):
-        step = sigma_degree_step(e)
-        assert step >= 1
-        for p in (mersenne(1), mersenne(4), two_mersenne(1)):
-            for q, _ in factor_full(sigma_prime_power(p, e)):
-                assert q.degree % step == 0, (p.text(), e, q.text())
         if e % 2:
-            assert step == 1
             assert factor_full(sigma_prime_power(mersenne(1), e)).exponent(X) > 0
+            continue
+        n = e + 1
+        for p in (mersenne(1), mersenne(4), two_mersenne(1)):
+            product = 1
+            for d in range(3, n + 1, 2):
+                if n % d:
+                    continue
+                step, pieces = _cyclotomic_pieces(p.bits, d)
+                for piece in pieces:
+                    product = i_mul(product, piece)
+                    for q, _ in factor_full(Poly(piece)):
+                        assert q.degree % step == 0, (p.text(), e, d, q.text())
+            assert product == sigma_prime_power(p, e).bits, (p.text(), e)
+
+
+def test_cyclotomic_factor_table_matches_list_division():
+    # Every odd d > 1 that divides some 2h + 1, h <= MAX_SCAN_H, fits
+    # in the cache at once.
+    ds = range(3, 2 * MAX_SCAN_H + 2, 2)
+    assert len(ds) == 40
+    assert _cyclotomic_factors.cache_info().maxsize >= len(ds)
+    for d in ds:
+        # Phi_d(Y) is the oracle's Phi_d(P) at P = x.
+        phi, order = cyclotomic_pieces(X.bits, d)[d]
+        totient = sum(1 for k in range(1, d) if math.gcd(k, d) == 1)
+        step, factors = _cyclotomic_factors(d)
+        assert step == order, d
+        assert len(set(factors)) == len(factors) == totient // order, d
+        product = 1
+        for r in factors:
+            assert r.bit_length() - 1 == order and is_irreducible(Poly(r)), d
+            product = i_mul(product, r)
+        assert product == phi, d
 
 
 @given(st.integers(min_value=0, max_value=(1 << 30) - 1))

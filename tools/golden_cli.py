@@ -54,6 +54,9 @@ GOLDEN = tuple(
     # 2h+1.
     ("conjecture", "x^127+x+1", "--hmax", "8"),
     ("conjecture", "M12", "M13", "--hmax", "40"),
+    # (x^2+x+1)^2 divides sigma(base^8) and sigma(base^14): a repeated
+    # prime inside one cyclotomic piece.
+    ("conjecture", "x^5+x^3+x^2+x+1", "--hmax", "8"),
     # (x^17+x^3+1)(x^20+x^3+1): below degree 44 each block of the walk
     # is one degree; nothing is found through degree 16, and degree 17
     # finds x^17+x^3+1, so the test rejects.
