@@ -325,12 +325,13 @@ def admissibility_budget(family: tuple[Poly, ...], s: Poly) -> int:
     return max(1, total // (2 * s.degree))
 
 
-def _first_split(s: Poly, cap: int, family) -> int | None:
-    """The least h <= cap with sigma(s^2h) factoring over family, or None."""
-    for h in range(1, cap + 1):
-        if factor_over_family(sigma_prime_power(s, 2 * h), family) is not None:
-            return h
-    return None
+def split_divisor_sums(s: Poly, h_max: int, family):
+    """Yield (h, FactorMap) for each h <= h_max, h up, where sigma(s^2h)
+    factors completely over family."""
+    for h in range(1, h_max + 1):
+        fm = factor_over_family(sigma_prime_power(s, 2 * h), family)
+        if fm is not None:
+            yield h, fm
 
 
 def is_admissible(
@@ -377,16 +378,16 @@ def is_admissible(
             closure_detail.append(f"{label(t)}: neither conjugate nor reciprocal")
             closure_ok = False
 
-    linear_detail = []
-    linear_ok = False
-    for s in (X, X1):
-        h = _first_split(s, budget(s), fam)
-        if h is not None:
-            linear_detail.append(f"sigma({s.text()}^{2 * h}) factors over the family")
-            linear_ok = True
-            break
-    if not linear_ok:
-        linear_detail.append("no divisor sum of x or x+1 factors within budget")
+    linear_hit = next(
+        ((s, h) for s in (X, X1) for h, _ in split_divisor_sums(s, budget(s), fam)),
+        None,
+    )
+    linear_ok = linear_hit is not None
+    if linear_ok:
+        s, h = linear_hit
+        linear_detail = [f"sigma({s.text()}^{2 * h}) factors over the family"]
+    else:
+        linear_detail = ["no divisor sum of x or x+1 factors within budget"]
 
     extended = fam + (X, X1)
     feedback_detail = []
@@ -395,10 +396,10 @@ def is_admissible(
         if factor_over_family(t + ONE, extended) is not None:
             feedback_detail.append(f"{label(t)}: 1+T factors over extended family")
             continue
-        hit = _first_split(t, budget(t), extended)
+        hit = next(split_divisor_sums(t, budget(t), extended), None)
         if hit is not None:
             feedback_detail.append(
-                f"{label(t)}: sigma(T^{2 * hit}) factors over extended family"
+                f"{label(t)}: sigma(T^{2 * hit[0]}) factors over extended family"
             )
         else:
             feedback_detail.append(f"{label(t)}: no feedback within budget")

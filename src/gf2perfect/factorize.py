@@ -196,32 +196,26 @@ class FactorMap:
 def _squarefree_parts(a):
     """Square-free decomposition: dict {square-free factor bits: exponent}."""
     out = {}
-
-    def absorb(f, mult):
-        if f == 1:
-            return
-        out[f] = out.get(f, 0) + mult
-
-    def walk(a, mult):
+    mult = 1
+    while a != 1:
         d = _derivative(a)
         if d == 0:
             # a is a perfect square; halve it and double multiplicities.
-            walk(_sqrt(a), 2 * mult)
-            return
+            a, mult = _sqrt(a), 2 * mult
+            continue
         g = _gcd(a, d)
         w = _divmod(a, g)[0]
         i = 1
         while w != 1:
             y = _gcd(w, g)
             z = _divmod(w, y)[0]
-            absorb(z, i * mult)
+            if z != 1:
+                out[z] = out.get(z, 0) + i * mult
             w = y
             g = _divmod(g, y)[0]
             i += 1
-        if g != 1:
-            walk(g, mult)
-
-    walk(a, 1)
+        # What is left is a perfect square, or 1.
+        a = g
     return out
 
 

@@ -37,9 +37,10 @@ from .catalog import (
     name_of,
     mersenne_family,
     prime_family,
+    split_divisor_sums,
     two_mersenne_family,
 )
-from .factorize import FactorMap, factor_full, factor_over_family, is_irreducible
+from .factorize import FactorMap, factor_full, is_irreducible
 from .gf2poly import Poly, X, X1, _divmod, _linear, _mul, _split_linear, star
 from .sigma import (
     US,
@@ -53,7 +54,6 @@ from .sigma import (
     mersenne,
     prefix_exponents,
     sigma,
-    sigma_prime_power,
     two_mersenne,
 )
 
@@ -254,14 +254,13 @@ class StageResult(NamedTuple):
     filter_diff: dict | None
 
     def matches_reference(self):
-        for k, n in self.stage_counts.items():
-            if k == "final":
-                names = sorted(map(label, self.tuples))
-                if names != sorted(FINAL_REFERENCE_NAMES):
-                    return False
-            elif n != REFERENCE_STAGE_COUNTS[k]:
-                return False
-        return True
+        """No stage count missed its reference (run_search records each
+        miss in filter_diff), and a final stage found the reference names."""
+        if self.filter_diff:
+            return False
+        if self.stage != "final":
+            return True
+        return sorted(map(label, self.tuples)) == sorted(FINAL_REFERENCE_NAMES)
 
     def to_json(self):
         if self.stage in ("3", "final"):
@@ -408,12 +407,8 @@ def sigma_factor_tables(base_set):
     tables = []
     for base in _BASE_SETS[key]():
         h_max = budget // (2 * base.degree)
-        rows = []
-        for h in range(1, h_max + 1):
-            fm = factor_over_family(sigma_prime_power(base, 2 * h), family)
-            if fm is not None:
-                rows.append((h, fm))
-        tables.append(SigmaTable(base, h_max, tuple(rows)))
+        rows = tuple(split_divisor_sums(base, h_max, family))
+        tables.append(SigmaTable(base, h_max, rows))
     return tuple(tables)
 
 
@@ -478,16 +473,7 @@ class ReciprocalReport(NamedTuple):
         return {
             "max_abc": self.max_abc,
             "entries": [
-                {
-                    "a": e.a,
-                    "b": e.b,
-                    "c": e.c,
-                    "poly": e.poly.text(),
-                    "name": e.name,
-                    "star_kind": e.star_kind,
-                    "star": e.star.text(),
-                    "star_name": e.star_name,
-                }
+                {**e._asdict(), "poly": e.poly.text(), "star": e.star.text()}
                 for e in self.entries
             ],
         }

@@ -1,11 +1,11 @@
 """Exit codes and output of every CLI verb, driven through main()."""
 
-import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
-from expected import CLI_OUTPUT_SHA256
 from gf2perfect import catalog, cli, search
 from gf2perfect.cli import main
 
@@ -277,43 +277,56 @@ def test_catalog_failure_exits_1(capsys, monkeypatch, mode):
 # -- every cheap invocation, byte for byte ----------------------------------------
 
 
-# The invocations of expected.CLI_OUTPUT_SHA256; the missing-verb line
-# has no arguments.
-PINNED_ARGV = [line.split()[3:] for line in CLI_OUTPUT_SHA256.strip().splitlines()]
+# tools/golden_cli.py holds the pinned invocations and their runner;
+# tests/golden_cli.txt is its committed output.
+_TOOL = Path(__file__).parents[1] / "tools" / "golden_cli.py"
+_spec = importlib.util.spec_from_file_location("golden_cli", _TOOL)
+golden_cli = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden_cli)
+RECORD = Path(__file__).with_name("golden_cli.txt")
 
 
-def pinned_lines(capsys, before_each=lambda: None):
-    """Exit code, stdout and stderr digests and arguments of every
-    pinned invocation, in the format of expected.CLI_OUTPUT_SHA256."""
-    lines = []
-    for argv in PINNED_ARGV:
-        before_each()
-        try:
-            rc = main(argv)
-        except SystemExit as exc:
-            rc = exc.code
-        out, err = capsys.readouterr()
-        out, err = (hashlib.sha256(s.encode()).hexdigest() for s in (out, err))
-        lines.append(" ".join([str(rc), out, err, *argv]))
-    return lines
+def golden_rows(lines):
+    """{arguments: (exit code, stdout digest, stderr digest)} of record
+    lines, in order."""
+    rows = {}
+    for line in lines:
+        rc, out, err, *argv = line.split()
+        rows[" ".join(argv)] = (rc, out, err)
+    return rows
 
 
-def test_cli_outputs_are_pinned(capsys, monkeypatch):
-    """Exit code and stdout/stderr digests of the invocations in
-    expected.CLI_OUTPUT_SHA256, in text and --json mode: every verb,
-    failing inputs, help and the missing verb included."""
-    monkeypatch.setenv("COLUMNS", "80")
-    assert pinned_lines(capsys) == CLI_OUTPUT_SHA256.strip().splitlines()
+def moved_invocations(lines):
+    """The invocations whose row in lines differs from tests/golden_cli.txt,
+    or that only one of the two holds."""
+    recorded = RECORD.read_text().splitlines()
+    expected, actual = golden_rows(recorded), golden_rows(lines)
+    # No invocation is listed twice.
+    assert len(expected) == len(recorded) and len(actual) == len(lines)
+    return [
+        argv or "(no arguments)"
+        for argv in {**expected, **actual}
+        if expected.get(argv) != actual.get(argv)
+    ]
+
+
+def test_cli_outputs_are_pinned():
+    """Exit code and stdout/stderr digests of every invocation in
+    tools/golden_cli.py, in text and --json mode, match the record:
+    every verb, failing inputs, help and the missing verb included."""
+    moved = moved_invocations(golden_cli.record())
+    assert not moved, (
+        f"CLI output moved for: {'; '.join(moved)}.  If on purpose, rewrite the "
+        "record: PYTHONPATH=src python3 tools/golden_cli.py > tests/golden_cli.txt"
+    )
 
 
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
 
 
-def test_shared_parser_matches_a_fresh_one(capsys, monkeypatch):
-    """Every pinned invocation through one parser, after the exit-2
-    cases too, prints what a parser built for that call alone prints."""
-    monkeypatch.setenv("COLUMNS", "80")
-    fresh = pinned_lines(capsys, cli._build_parser.cache_clear)
-    shared = pinned_lines(capsys)
-    assert shared == fresh
+def test_shared_parser_matches_a_fresh_one():
+    """Every pinned invocation, each through a parser built for that
+    call alone, prints what the record holds; the test above runs them
+    all through one shared parser, after the exit-2 cases too."""
+    assert moved_invocations(golden_cli.record(cli._build_parser.cache_clear)) == []

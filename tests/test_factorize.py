@@ -1,5 +1,6 @@
 """Factoring machinery against the trial-division oracle."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -283,6 +284,22 @@ def test_squarefree():
     assert not is_squarefree(X ** 2)
     assert not is_squarefree(mersenne(1) ** 2)
     assert is_squarefree(mersenne(1) * mersenne(2))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [mersenne(1) ** 2, mersenne(3) ** 2 * mersenne(1) ** 3 * X ** 4, X1 ** 12 * X],
+)
+def test_factor_full_leaves_no_reference_cycle(p):
+    """factor_full frees what it builds at return: nothing is left for
+    the cyclic collector, squares and repeated squares included."""
+    gc.collect()
+    gc.disable()
+    try:
+        factor_full(p)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_irreducibility_cache_is_bounded():

@@ -1,13 +1,18 @@
-"""Golden check of the CLI: exit code and output digests of fixed invocations.
+"""Golden record of the CLI: exit code and output digests of fixed invocations.
 
 Runs each invocation in GOLDEN through ``gf2perfect.cli.main``, once in
 text mode and once with ``--json``, and prints one line per run: the
 exit code, the sha256 of stdout, the sha256 of stderr and the
-arguments.  Two checkouts agree when their outputs are identical:
+arguments.  The output is committed as tests/golden_cli.txt, which
+tests/test_cli.py re-runs and compares, naming each invocation that
+moved.  A change that moves CLI output on purpose rewrites it with
 
-    PYTHONPATH=src python3 tools/golden_cli.py > after.txt
+    PYTHONPATH=src python3 tools/golden_cli.py > tests/golden_cli.txt
+
+and two checkouts agree when their outputs are identical:
+
     PYTHONPATH=/path/to/other/src python3 tools/golden_cli.py > before.txt
-    diff before.txt after.txt
+    diff before.txt tests/golden_cli.txt
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import hashlib
 import io
 import os
 import random
+from unittest import mock
 
 from gf2perfect.cli import main
 
@@ -28,20 +34,27 @@ GOLDEN = tuple(
     for rule in ("uniform", "strict")
     for stage in ("1", "2", "3", "final")
 ) + (
+    ("search",),
     ("search", "--jobs", "2"),
     ("sigma", "T5"),
+    ("sigma", "M1"),
     ("factor", "x^6+x^5+x^3+x^2"),
     ("repr", "S7"),
     ("classify", "S3"),
+    ("classify", "M4"),
     ("verify-catalog",),
     ("tables",),
+    ("reciprocal",),
     ("reciprocal", "--max-abc", "8"),
+    ("identities",),
     ("identities", "--max-exp", "64"),
     # The lowest bound accepted.
     ("identities", "--max-exp", "4"),
+    ("conjecture", "M1", "--hmax", "8"),
     ("conjecture", "M1", "M4", "--hmax", "12"),
     ("admissible", "M1", "M2", "M3"),
     ("admissible", "M1", "M2", "M3", "--budget", "128"),
+    ("admissible", "S11"),
     ("admissible", "S11", "--budget", "128"),
     ("factor", WIDE_HEX),
     ("sigma", WIDE_HEX),
@@ -98,10 +111,20 @@ def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-if __name__ == "__main__":
+def record(before_each=lambda: None):
+    """The record's lines: each invocation of GOLDEN in text and --json
+    mode, each run after a call to before_each."""
+    lines = []
     # argparse wraps its usage line to the terminal width.
-    os.environ["COLUMNS"] = "80"
-    for argv in GOLDEN:
-        for mode in ((), ("--json",)):
-            rc, out, err = run(argv + mode)
-            print(rc, digest(out), digest(err), " ".join(argv + mode))
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        for argv in GOLDEN:
+            for mode in ((), ("--json",)):
+                before_each()
+                rc, out, err = run(argv + mode)
+                args = " ".join(argv + mode)
+                lines.append(f"{rc} {digest(out)} {digest(err)} {args}")
+    return lines
+
+
+if __name__ == "__main__":
+    print("\n".join(record()))
