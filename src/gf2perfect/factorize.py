@@ -20,7 +20,7 @@ A caller that knows a step s dividing every prime factor's degree (the
 cyclotomic pieces of the conjecture scans' divisor sums) saves gcds:
 the walk squares through every degree as before but multiplies in,
 tests and backtracks over the multiples of s only, and a block without
-one takes no gcd.
+one takes no gcd.  The plain walk is the same loop with s = 1.
 
 `factor_over_family` is deliberately weaker than `factor_full`: it only
 divides by members of a supplied family and reports failure instead of
@@ -58,26 +58,6 @@ from .gf2poly import (
 # 250 (0.55-0.93x) but lose at 500-1,000 (0.55-0.56x).
 _DDF_BLOCK = 16
 _DDF_BLOCK_MIN_DEGREE = 44
-
-
-def _frobenius_block(h, first, last, step, reduce):
-    """(h_last, product of h_j - x over the multiples j of step in
-    first..last, or None when there are none), from h = h_(first-1),
-    where h_j = x^(2^j) mod f and reduce reduces modulo f.  Step 1 keeps
-    a loop of its own, so that the plain walk pays no test per degree."""
-    if step == 1:
-        h = reduce(_square(h))
-        prod = h ^ 2
-        for _ in range(last - first):
-            h = reduce(_square(h))
-            prod = reduce(_mul(prod, h ^ 2))
-        return h, prod
-    prod = None
-    for j in range(first, last + 1):
-        h = reduce(_square(h))
-        if j % step == 0:
-            prod = h ^ 2 if prod is None else reduce(_mul(prod, h ^ 2))
-    return h, prod
 
 
 # Bounded so long sweeps cannot grow it without limit; the working set
@@ -239,33 +219,40 @@ def _distinct_degree(f, step=1):
     what is left of found is 1 or a single prime.  The block's last
     degree needs no gcd: what is left by then has only primes of that
     degree.  While deg f is below _DDF_BLOCK_MIN_DEGREE a block is one
-    k, and the walk is the plain one-gcd-per-degree loop.
+    k, and the walk is the plain one-gcd-per-degree loop.  Each block
+    reads its size and the walk's stop from what is left of f then.
 
     The caller may promise that every prime of f has a degree divisible
     by step.  The walk still squares through every k, but only the
-    multiples of step enter a block's product and its backtrack, a
-    block without one takes no gcd, and the walk stops once twice the
-    next multiple exceeds deg f.  Step 1 is the walk above.
+    multiples of step enter a block's product and its backtrack, and
+    the walk stops once twice the next multiple exceeds deg f.  A
+    block's product starts at 1, and one still 1 at the block's end,
+    as in a block without a multiple of step, takes no gcd, for
+    gcd(1, f) = 1.  Step 1, the default, makes every k a multiple.
     """
-    reduce = _reducer(f)
-    d = _degree(f)
-    h = 2  # x
-    k = 0
-    size = _DDF_BLOCK if d >= _DDF_BLOCK_MIN_DEGREE else 1
-    top = d // 2 // step * step  # past it, f is 1 or one prime
-    while k < top:
+    h, k, reduce = 2, 0, None  # h = x; reduce is built at the first block
+    while True:
+        d = _degree(f)
+        top = d // 2 // step * step  # past it, f is 1 or one prime
+        if k >= top:
+            break
+        if reduce is None:  # the first block, or f was divided
+            reduce = _reducer(f)
+            h = reduce(h)
         first, h_first = k + 1, h
-        k = min(k + size, top)  # this block: degrees first..k
-        h, prod = _frobenius_block(h, first, k, step, reduce)
-        if prod is None:
-            continue  # no multiple of step in the block
+        k = min(k + (_DDF_BLOCK if d >= _DDF_BLOCK_MIN_DEGREE else 1), top)
+        prod = 1  # this block: degrees first..k
+        for j in range(first, k + 1):
+            h = reduce(_square(h))
+            if j % step == 0:  # 1 * (h - x) needs no product or reduction
+                prod = h ^ 2 if prod == 1 else reduce(_mul(prod, h ^ 2))
+        if prod == 1:
+            continue  # gcd(1, f) = 1
         found = _gcd(prod, f)
         if found == 1:
             continue
         f = _divmod(f, found)[0]
-        d = _degree(f)
-        size = _DDF_BLOCK if d >= _DDF_BLOCK_MIN_DEGREE else 1
-        top = d // 2 // step * step
+        reduce = None
         last = k - k % step  # the block's last degree a prime may have
         if first < last:
             # The primes of found have their degrees in first..last.
@@ -288,9 +275,6 @@ def _distinct_degree(f, step=1):
             # Only degree-last primes are left, or (after the break) one
             # prime of degree at most last: min gives the degree either way.
             yield found, min(last, _degree(found))
-        if k < top:
-            reduce = _reducer(f)
-            h = reduce(h)
     if f != 1:
         yield f, d
 

@@ -183,18 +183,16 @@ def is_indecomposable_perfect(a: Poly) -> bool:
     powers = [(p ** e).bits for p, e in entries]
     sigmas = [_sigma_pp(p.bits, e) for p, e in entries]
     # Fix factor 0 on the left side so each unordered bipartition is
-    # visited once.
-    for mask in range(1, 1 << (w - 1)):
-        left = right = 1
-        sleft = sright = 1
+    # visited once; the last mask would leave the right side empty.
+    # sigma(L) sigma(R) = sigma(a) = a = L R, so the right side is
+    # perfect exactly when the left side is, and only the left is tested.
+    for mask in range(1, (1 << (w - 1)) - 1):
+        left = sleft = 1
         for i in range(w):
             if i == 0 or (mask >> (i - 1)) & 1:
                 left = _mul(left, powers[i])
                 sleft = _mul(sleft, sigmas[i])
-            else:
-                right = _mul(right, powers[i])
-                sright = _mul(sright, sigmas[i])
-        if right != 1 and left == sleft and right == sright:
+        if left == sleft:
             return False
     return True
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gf2perfect import factorize
+from gf2perfect import factorize, gf2poly
 from gf2perfect.catalog import (
     mersenne,
     mersenne_family,
@@ -155,6 +155,46 @@ def test_distinct_degree_matches_trial_division(block, step, parts):
     assert sorted(got) == sorted((g, k) for k, g in by_degree.items())
 
 
+def test_distinct_degree_takes_no_gcd_of_one():
+    # Step 4 in blocks of 2: degrees 1-2 hold no multiple of 4, so that
+    # block's product stays 1 and gcd(1, f) = 1 is not taken; degrees
+    # 3-4 take the one gcd, which leaves a single prime.
+    q4, q8 = Poly.parse("x^4+x+1").bits, Poly.parse("x^8+x^4+x^3+x+1").bits
+    gcds = []
+
+    def spy(a, b):
+        gcds.append((a, b))
+        return gf2poly._gcd(a, b)
+
+    with mock.patch.object(factorize, "_gcd", spy), \
+            mock.patch.object(factorize, "_DDF_BLOCK", 2), \
+            mock.patch.object(factorize, "_DDF_BLOCK_MIN_DEGREE", 1):
+        got = list(_distinct_degree(i_mul(q4, q8), 4))
+    assert got == [(q4, 4), (q8, 8)]
+    assert len(gcds) == 1 and 1 not in gcds[0]
+
+
+@pytest.mark.parametrize(
+    "primes, moduli",
+    [
+        # Degrees 1-16 find x^2+x+1 and the walk goes on to degree 23:
+        # the walk reduces modulo f, the backtrack modulo x^2+x+1, and
+        # the walk modulo the degree-47 prime that is left.
+        (("x^2+x+1", "x^47+x^5+1"), [0, 1, 2]),
+        # Degree 2 finds x^2+x+1 and leaves a degree-3 prime, whose
+        # walk would stop at degree 1: no reducer is built for it.
+        (("x^2+x+1", "x^3+x+1"), [0]),
+    ],
+)
+def test_distinct_degree_rebuilds_its_reducer_after_a_division(primes, moduli):
+    small, big = (Poly.parse(t).bits for t in primes)
+    f = i_mul(small, big)
+    with mock.patch.object(factorize, "_reducer", wraps=gf2poly._reducer) as spy:
+        got = list(_distinct_degree(f))
+    assert got == [(small, 2), (big, big.bit_length() - 1)]
+    assert [c.args[0] for c in spy.call_args_list] == [(f, small, big)[i] for i in moduli]
+
+
 # The conjecture scans of M1..M13 at h <= 20 and S1..S15 at h <= 8.
 _CONJECTURE_BASES = [(p, 20) for p in mersenne_family()] + [
     (p, 8) for p in two_mersenne_family()
@@ -253,6 +293,15 @@ def test_factor_map_rejects_bad_exponent():
         FactorMap([(X, 0)])
 
 
+def test_factor_map_edges():
+    # A prime given as bits is read as Poly(bits).
+    assert FactorMap([(0b111, 2)]) == FactorMap([(mersenne(1), 2)])
+    fm = FactorMap([])
+    assert fm.text() == "1" and fm.product() == ONE
+    with pytest.raises(AttributeError, match="immutable"):
+        fm.entries = ()
+
+
 def test_factor_over_family_exact():
     fam = prime_family()
     fm = factor_over_family(sigma_prime_power(X, 14), fam)
@@ -284,6 +333,9 @@ def test_squarefree():
     assert not is_squarefree(X ** 2)
     assert not is_squarefree(mersenne(1) ** 2)
     assert is_squarefree(mersenne(1) * mersenne(2))
+    assert is_squarefree(ONE)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        is_squarefree(Poly(0))
 
 
 @pytest.mark.parametrize(

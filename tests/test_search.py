@@ -8,6 +8,7 @@ import pytest
 
 from gf2perfect.catalog import (
     by_name,
+    label,
     mersenne,
     name_of,
     prime_family,
@@ -329,12 +330,11 @@ def test_final_stage_raises_when_sigma_disagrees(monkeypatch):
 @pytest.mark.parametrize("base_set", ["linear", "mersenne", "two-mersenne"])
 def test_tables_reproduce_expected_rows(base_set):
     tables = sigma_factor_tables(base_set)
-    labels = [name_of(t.base) or t.base.text() for t in tables]
-    assert tuple(labels) == EXPECTED_BASE_NAMES[base_set]
+    assert tuple(label(t.base) for t in tables) == EXPECTED_BASE_NAMES[base_set]
     for t in tables:
-        label = name_of(t.base) or t.base.text()
+        name = label(t.base)
         got = {h: {name_of(p): e for p, e in fm} for h, fm in t.rows}
-        assert got == EXPECTED_TABLE_ROWS[base_set].get(label, {}), label
+        assert got == EXPECTED_TABLE_ROWS[base_set].get(name, {}), name
 
 
 def test_table_h_max_is_degree_budget():
@@ -456,6 +456,13 @@ def test_scan_of_smallest_mersenne():
     assert name_of(by_h[2].witness) == "S8"
     assert name_of(by_h[3].witness) == "S2"
     assert name_of(by_h[7].witness) == "S1"
+
+
+def test_scan_without_a_witness_reports_its_row():
+    # sigma(S14^4) = (x^4+x^3+x^2+x+1)(x^16+x^15+x^8+x^7+x^5+x+1): no
+    # factor of chain length >= 3, the one such row up to h = 6.
+    scan = conjecture_scan(by_name("S14").poly, h_max=6)
+    assert [r.h for r in scan.counterexample_rows] == [2]
 
 
 def test_scan_rows_match_table_rows():

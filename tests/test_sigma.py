@@ -20,7 +20,7 @@ from gf2perfect.factorize import (
     factor_over_family,
     is_irreducible,
 )
-from gf2perfect.gf2poly import Poly, X, X1, bar, val_x, val_x1
+from gf2perfect.gf2poly import ONE, Poly, X, X1, bar, val_x, val_x1
 from gf2perfect.sigma import (
     MAX_OMEGA_FOR_DECOMPOSITION,
     MAX_PRIME_POWER_EXP,
@@ -205,6 +205,11 @@ def test_trivial_perfects_are_indecomposable():
     # linear prime powers can never part ways
     for n in (1, 2, 3):
         assert is_indecomposable_perfect(trivial_perfect(n))
+
+
+def test_one_is_indecomposable():
+    # sigma(1) = 1, and no bipartition of no factors splits it.
+    assert is_indecomposable_perfect(ONE)
 
 
 def test_indecomposable_rejects_non_perfect():

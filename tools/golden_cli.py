@@ -42,6 +42,8 @@ GOLDEN = tuple(
     ("repr", "S7"),
     ("classify", "S3"),
     ("classify", "M4"),
+    # A 2-step prime whose cofactor is no Mersenne power: k=2, no shape.
+    ("classify", "x^7+x^5+x^2+x+1"),
     ("verify-catalog",),
     ("tables",),
     ("reciprocal",),
@@ -84,6 +86,8 @@ GOLDEN = tuple(
     ("identities", "--max-exp", "3"),
     ("conjecture", "x^4"),
     ("conjecture", "M1", "--hmax", "41"),
+    # Row h=2 has no witness: a note on stderr and exit 1.
+    ("conjecture", "S14", "--hmax", "6"),
     ("admissible", "x"),
     ("admissible", "M1", "--budget", "0"),
     ("admissible", "M6"),
