@@ -4,18 +4,19 @@ The centerpiece is a three-stage sieve over candidate shapes
 
     x^a (x+1)^b M1^c1 ... M5^c5 S1^d1 ... S8^d8
 
-driven entirely by integer arithmetic on the closed-form divisor-sum
-exponents, followed by a fixed-point test on the factorization each
-survivor was assembled from, confirmed by an independent sigma.
-Stage 1 sums per-slot term tables of the formulas; stage 2 tests the
-slot exponents stage 1 carries against sets; stage 3 filters rows on
-ints by the degrees the free M3..M5 slots can balance.
-M3 takes its exponent from (n2, u2); a witness's n3 only balances
-degrees (n3 != n2 in 9 of the 44), the rule that reproduces the
-reference count and is kept.  The stages run one after another in one
-process.  Stage counts are compared against fixed reference values; a
-mismatch is never hidden, it is reported together with the counts of
-the documented filter variants so the divergence can be localized.
+(the exponent vector's slot layout is sigma._SLOT_PRIMES) driven by
+integer arithmetic on the closed-form divisor-sum exponents, then a
+fixed-point test on the factorization each survivor was assembled
+from, confirmed by an independent sigma.  Stage 1 sums per-slot term
+tables of the formulas; stage 2 tests the slot exponents stage 1
+carries against sets; stage 3 filters rows on ints by the degrees the
+free M3..M5 slots can balance.  M3 takes its exponent from (n2, u2); a
+witness's n3 only balances degrees (n3 != n2 in 9 of the 44), the
+rule that reproduces the reference count and is kept.  run_search
+walks the stage table _STAGES in one process.  Stage counts are
+compared against fixed reference values; a mismatch is never hidden,
+it is reported together with the counts of the documented filter
+variants so the divergence can be localized.
 
 The module also holds the smaller sweeps: divisor-sum factor tables
 over the fixed prime family, the reciprocal-polynomial exploration,
@@ -31,8 +32,8 @@ from operator import add
 from typing import NamedTuple
 
 from .catalog import (
+    admissibility_budget,
     chain_length,
-    family_degree_sum,
     label,
     name_of,
     mersenne_family,
@@ -41,20 +42,19 @@ from .catalog import (
     two_mersenne_family,
 )
 from .factorize import FactorMap, factor_full, is_irreducible
-from .gf2poly import Poly, X, X1, _divmod, _linear, _mul, _split_linear, star
+from .gf2poly import Poly, X, X1, _divmod, _mul, _split_linear, star
 from .sigma import (
     US,
     U1S,
     _cyclotomic_pieces,
-    _sigma_of_powers,
+    _shape,
+    _sigma_of_vector,
     assemble,
     decompose_exponent,
     linear_exponents,
     m1_exponent,
-    mersenne,
     prefix_exponents,
     sigma,
-    two_mersenne,
 )
 
 # Counts the three sieve stages are calibrated against, and the names
@@ -196,21 +196,11 @@ def _stage3_rows(rows):
 
 def _stage3_candidates(rows2):
     """The distinct stage-3 candidates in domain order, each bits -> its
-    exponent vector (a, b, c1..c5, d1..d8) over _SLOT_PRIMES."""
+    exponent vector (a, b, c1..c5, d1..d8) over sigma._SLOT_PRIMES."""
     return {
         bits: ((row[1] << row[0]) - 1, (row[3] << row[2]) - 1, *c, *row[8:16])
         for bits, row, _witness, c in _stage3_rows(rows2)
     }
-
-
-# The primes a stage-3 exponent vector is over: x, x+1, M1..M5, S1..S8.
-_SLOT_PRIMES = (X.bits, X1.bits, *(mersenne(i).bits for i in range(1, 6)),
-                *(two_mersenne(j).bits for j in range(1, 9)))
-
-
-def _sigma_of_vector(exps):
-    """sigma on bits of the candidate with exponent vector exps."""
-    return _sigma_of_powers((q, e) for q, e in zip(_SLOT_PRIMES, exps) if e)
 
 
 def _fixed_points(candidates):
@@ -231,6 +221,16 @@ def _fixed_points(candidates):
                 f"{candidates[p.bits]}, not by sigma"
             )
     return points
+
+
+# The sieve's stages in order, each mapping (the rows of the stage
+# before, the stage-2 rule) to its own rows.
+_STAGES = {
+    "1": lambda _rows, _rule: _stage1_rows(),
+    "2": _stage2_rows,
+    "3": lambda rows2, _rule: _stage3_candidates(rows2),
+    "final": lambda candidates, _rule: _fixed_points(candidates),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -317,22 +317,15 @@ def run_search(stage, stage2_rule="uniform", jobs=1) -> StageResult:
     accepted only so existing callers keep working; it is ignored.
     """
     key = str(stage).lower()
-    if key not in ("1", "2", "3", "final"):
+    if key not in _STAGES:
         raise ValueError(f"unknown stage {stage!r}")
     if stage2_rule not in STAGE2_RULES:
         raise ValueError(f"unknown stage-2 rule {stage2_rule!r}")
-    # Each step maps the previous stage's rows to its own.
-    steps = (
-        ("1", lambda _: _stage1_rows()),
-        ("2", lambda rows1: _stage2_rows(rows1, stage2_rule)),
-        ("3", _stage3_candidates),
-        ("final", _fixed_points),
-    )
     counts = {}
     diff = {}
     rows = None
-    for name, step in steps:
-        previous, rows = rows, step(rows)
+    for name, step in _STAGES.items():
+        previous, rows = rows, step(rows, stage2_rule)
         counts[name] = len(rows)
         reference = REFERENCE_STAGE_COUNTS.get(name)
         if reference is not None and counts[name] != reference:
@@ -403,10 +396,9 @@ def sigma_factor_tables(base_set):
     if key not in _BASE_SETS:
         raise ValueError(f"unknown base set {base_set!r}")
     family = prime_family()
-    budget = family_degree_sum()
     tables = []
     for base in _BASE_SETS[key]():
-        h_max = budget // (2 * base.degree)
+        h_max = admissibility_budget(family, base)
         rows = tuple(split_divisor_sums(base, h_max, family))
         tables.append(SigmaTable(base, h_max, rows))
     return tuple(tables)
@@ -491,30 +483,23 @@ def explore_reciprocal(max_abc=6):
     if not 1 <= max_abc <= MAX_RECIPROCAL_ABC:
         raise ValueError(f"max_abc must be between 1 and {MAX_RECIPROCAL_ABC}")
     entries = []
-    for a in range(1, max_abc + 1):
-        for b in range(1, max_abc + 1):
-            for c in range(1, max_abc + 1):
-                if math.gcd(math.gcd(a, b), c) != 1:
-                    continue
-                bits = _linear(a, b)
-                for _ in range(c):
-                    bits = _mul(bits, _M1_BITS)
-                p = Poly(bits ^ 1)
-                if not is_irreducible(p):
-                    continue
-                q = star(p)
-                body = _split_linear(q.bits ^ 1)[2]
-                if q == p:
-                    kind = "self"
-                elif body == 1:
-                    kind = "mersenne"
-                elif _strip_m1(body)[0] == 1:
-                    kind = "two_mersenne"
-                else:
-                    kind = "outside"
-                entries.append(
-                    ReciprocalEntry(a, b, c, p, name_of(p), kind, q, name_of(q))
-                )
+    for a, b, c in product(range(1, max_abc + 1), repeat=3):
+        if math.gcd(a, b, c) != 1:
+            continue
+        p = _shape(a, b, c)
+        if not is_irreducible(p):
+            continue
+        q = star(p)
+        body = _split_linear(q.bits ^ 1)[2]
+        if q == p:
+            kind = "self"
+        elif body == 1:
+            kind = "mersenne"
+        elif _strip_m1(body)[0] == 1:
+            kind = "two_mersenne"
+        else:
+            kind = "outside"
+        entries.append(ReciprocalEntry(a, b, c, p, name_of(p), kind, q, name_of(q)))
     return ReciprocalReport(max_abc, tuple(entries))
 
 

@@ -20,7 +20,8 @@ prefix_exponents evaluates the formulas that read only the exponents
 of x, x+1 and M1, linear_exponents those of x and x+1 in sigma and
 m1_exponent that of M1, on bare ints, for the sieve's row filters.
 The shape parameters of the Mersenne and 2-Mersenne primes live here
-too, so the formulas need nothing from the catalog layer above.
+too, and with them _SLOT_PRIMES, the one slot layout of a candidate's
+exponent vector, so nothing here needs the catalog layer above.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .factorize import FactorMap, factor_full, is_irreducible
-from .gf2poly import Poly, _divmod, _gcd, _linear, _mul, _square
+from .gf2poly import Poly, X, X1, _divmod, _gcd, _linear, _mul, _square
 
 US = (1, 3, 5, 7, 9, 13, 15)
 U1S = (1, 3, 5, 7, 15)
@@ -237,19 +238,17 @@ TWO_MERSENNE_ABN = {
 }
 
 
-def _shape(a: int, b: int) -> Poly:
-    """1 + x^a (x+1)^b."""
-    return Poly(1 ^ _linear(a, b))
+def _shape(a: int, b: int, c: int = 0) -> Poly:
+    """1 + x^a (x+1)^b M1^c."""
+    return Poly(1 ^ _mul(_linear(a, b), (Poly(0b111) ** c).bits))
 
 
 def mersenne(i: int) -> Poly:
-    a, b = MERSENNE_AB[i]
-    return _shape(a, b)
+    return _shape(*MERSENNE_AB[i])
 
 
 def two_mersenne(j: int) -> Poly:
-    a, b, c = TWO_MERSENNE_ABN[j]
-    return Poly(1 ^ _mul(_linear(a, b), (mersenne(1) ** c).bits))
+    return _shape(*TWO_MERSENNE_ABN[j])
 
 
 def chi(w: int, t: int) -> int:
@@ -381,6 +380,10 @@ def prefix_exponents(
 _SLOT_AB = tuple(MERSENNE_AB[i] for i in range(1, 6)) + tuple(
     TWO_MERSENNE_ABN[j][:2] for j in range(1, 9)
 )
+# The primes of a candidate's exponent vector (a, b, c1..c5, d1..d8), on
+# bits: x, x+1, then the slots of _SLOT_AB.
+_SLOT_PRIMES = (X.bits, X1.bits, *(mersenne(i).bits for i in range(1, 6)),
+                *(two_mersenne(j).bits for j in range(1, 9)))
 
 
 def linear_exponents(n: int, m: int, ni: tuple, mj: tuple) -> tuple[int, int]:
@@ -463,13 +466,15 @@ def assemble(a: int, b: int, c: tuple, d: tuple) -> Poly:
     """Materialize the candidate x^a (x+1)^b prod Mi^ci prod Sj^dj from
     the exponents a, b, c = (c1..c5) and d = (d1..d8)."""
     bits = _linear(a, b)
-    for i, ci in enumerate(c, start=1):
-        if ci:
-            bits = _mul(bits, (mersenne(i) ** ci).bits)
-    for j, dj in enumerate(d, start=1):
-        if dj:
-            bits = _mul(bits, (two_mersenne(j) ** dj).bits)
+    for q, e in zip(_SLOT_PRIMES[2:], (*c, *d)):
+        if e:
+            bits = _mul(bits, (Poly(q) ** e).bits)
     return Poly(bits)
+
+
+def _sigma_of_vector(exps):
+    """sigma on bits of the candidate with exponent vector exps."""
+    return _sigma_of_powers((q, e) for q, e in zip(_SLOT_PRIMES, exps) if e)
 
 
 def trivial_perfect(n: int) -> Poly:

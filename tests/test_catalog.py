@@ -28,7 +28,7 @@ from gf2perfect.catalog import (
 )
 from gf2perfect.factorize import is_irreducible
 from gf2perfect.gf2poly import ONE, Poly, X, X1, bar, star
-from gf2perfect.sigma import is_perfect
+from gf2perfect.sigma import _SLOT_PRIMES, is_perfect
 
 
 # -- table integrity ----------------------------------------------------------
@@ -61,6 +61,14 @@ def test_family_degree_sum():
     assert family_degree_sum() == 184
     assert sum(p.degree for p in mersenne_family()) == 72
     assert sum(p.degree for p in two_mersenne_family()) == 112
+
+
+def test_slot_primes_are_the_catalog_primes_in_slot_order():
+    # sigma builds the exponent vector's primes from its shape tables,
+    # not from the catalog; both must name the same primes.
+    assert _SLOT_PRIMES[:2] == (X.bits, X1.bits)
+    names = [name_of(Poly(q)) for q in _SLOT_PRIMES[2:]]
+    assert names == [f"M{i}" for i in range(1, 6)] + [f"S{j}" for j in range(1, 9)]
 
 
 def test_bar_partner_tables_match_actual_conjugates():

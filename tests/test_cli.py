@@ -151,8 +151,9 @@ def test_search_strict_rule(capsys):
 
 def test_rule_choices_match_the_rule_table():
     verbs = next(a for a in cli._build_parser()._actions if a.dest == "verb")
-    rule = next(a for a in verbs.choices["search"]._actions if a.dest == "rule")
-    assert rule.choices == list(search.STAGE2_RULES)
+    actions = {a.dest: a for a in verbs.choices["search"]._actions}
+    assert actions["rule"].choices == list(search.STAGE2_RULES)
+    assert actions["stage"].choices == list(search._STAGES)
 
 
 @pytest.mark.parametrize("mode", [[], ["--json"]])

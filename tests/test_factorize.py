@@ -195,18 +195,21 @@ def test_distinct_degree_rebuilds_its_reducer_after_a_division(primes, moduli):
     assert [c.args[0] for c in spy.call_args_list] == [(f, small, big)[i] for i in moduli]
 
 
-# The conjecture scans of M1..M13 at h <= 20 and S1..S15 at h <= 8.
-_CONJECTURE_BASES = [(p, 20) for p in mersenne_family()] + [
-    (p, 8) for p in two_mersenne_family()
-]
+def _conjecture_bases():
+    """The conjecture scans of M1..M13 at h <= 20 and S1..S15 at h <= 8.
+
+    Built inside the tests, not at import: the catalog checks its primes
+    with the walk under test, so a broken walk fails these tests by name
+    rather than this whole file's collection."""
+    return [(p, 20) for p in mersenne_family()] + [(p, 8) for p in two_mersenne_family()]
 
 
 def _conjecture_inputs():
     """(P, h, the pieces of sigma(P^2h) with their steps) for every row
-    of the _CONJECTURE_BASES scans: the R_i(P) over the prime factors
+    of the _conjecture_bases scans: the R_i(P) over the prime factors
     R_i of Phi_d(Y), d | 2h+1, d > 1, each with ord_d(2)."""
     inputs = []
-    for p, h_max in _CONJECTURE_BASES:
+    for p, h_max in _conjecture_bases():
         for h in range(2, h_max + 1):
             n = 2 * h + 1
             pieces = []
@@ -242,7 +245,7 @@ _REPEATED_PRIME_BASES = (
 
 def test_conjecture_scan_rows_match_unsplit_factoring():
     rows = 0
-    for p, h_max in _CONJECTURE_BASES:
+    for p, h_max in _conjecture_bases():
         for row in conjecture_scan(p, h_max).rows:
             rows += 1
             assert row.factors == factor_full(sigma_prime_power(p, 2 * row.h)), (

@@ -30,7 +30,6 @@ from gf2perfect.search import (
     run_search,
     sigma_factor_tables,
     _fixed_points,
-    _sigma_of_vector,
     _stage1_rows,
     _stage2_rows,
     _stage3_candidates,
@@ -43,6 +42,7 @@ from gf2perfect.sigma import (
     US,
     ExponentTuple,
     _cyclotomic_pieces,
+    _sigma_of_vector,
     assemble,
     decompose_exponent,
     prefix_exponents,

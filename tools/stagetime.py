@@ -8,9 +8,7 @@ untimed call:
     stage2   _stage2_rows(rows1, "uniform")
     strict   the "strict" variant count over rows1, as run_search takes it
     stage3   _stage3_rows(rows2)
-    final    _fixed_points(stage-3 candidates): the exponent vectors of
-             _stage3_candidates, or the polynomials of _stage3_polys in
-             trees from before the final stage read those vectors
+    final    _fixed_points(_stage3_candidates(rows2))
     search   run_search("final")
 
 No stage time is the difference of two cumulative runs, so none can
@@ -45,8 +43,7 @@ import json, time
 from gf2perfect import search as s
 rows1 = s._stage1_rows()
 rows2 = s._stage2_rows(rows1, "uniform")
-stage3 = getattr(s, "_stage3_candidates", None) or s._stage3_polys
-candidates = stage3(rows2)
+candidates = s._stage3_candidates(rows2)
 calls = dict(zip({STEPS!r}, (
     s._stage1_rows,
     lambda: s._stage2_rows(rows1, "uniform"),
