@@ -61,23 +61,15 @@ class CatalogEntry(NamedTuple):
     name: str
     poly: Poly
     kind: str  # "mersenne" | "two_mersenne" | "perfect"
-    mersenne_params: tuple[int, int] | None
-    two_mersenne_params: tuple[int, int, int] | None
+    params: tuple[int, ...] | None  # (a, b) or (a, b, c) of a prime's shape
     bar_partner: str
 
     def to_json(self) -> dict:
-        params: tuple | None
-        if self.kind == "mersenne":
-            params = self.mersenne_params
-        elif self.kind == "two_mersenne":
-            params = self.two_mersenne_params
-        else:
-            params = None
         return {
             "name": self.name,
             "poly": self.poly.text(),
             "kind": self.kind,
-            "params": list(params) if params is not None else None,
+            "params": list(self.params) if self.params is not None else None,
             "bar_partner": self.bar_partner,
         }
 
@@ -101,31 +93,21 @@ def catalog_constants() -> tuple[CatalogEntry, ...]:
     """All 39 catalog entries, rebuilt from parameters and self-checked."""
     entries: list[CatalogEntry] = []
     primes: dict[str, Poly] = {}
-    for i, (a, b) in MERSENNE_AB.items():
-        p = _shape(a, b)
-        if not is_irreducible(p):
-            raise CatalogError(f"M{i} = {p.text()} is not irreducible")
-        primes[f"M{i}"] = p
-        entries.append(
-            CatalogEntry(f"M{i}", p, "mersenne", (a, b), None, f"M{BAR_MERSENNE[i]}")
-        )
-    for j, (a, b, c) in TWO_MERSENNE_ABN.items():
-        p = two_mersenne(j)
-        if not is_irreducible(p):
-            raise CatalogError(f"S{j} = {p.text()} is not irreducible")
-        primes[f"S{j}"] = p
-        entries.append(
-            CatalogEntry(
-                f"S{j}", p, "two_mersenne", None, (a, b, c), f"S{BAR_TWO_MERSENNE[j]}"
-            )
-        )
+    for prefix, kind, shapes, bars in (
+        ("M", "mersenne", MERSENNE_AB, BAR_MERSENNE),
+        ("S", "two_mersenne", TWO_MERSENNE_ABN, BAR_TWO_MERSENNE),
+    ):
+        for i, params in shapes.items():
+            name, p = f"{prefix}{i}", _shape(*params)
+            if not is_irreducible(p):
+                raise CatalogError(f"{name} = {p.text()} is not irreducible")
+            primes[name] = p
+            entries.append(CatalogEntry(name, p, kind, params, f"{prefix}{bars[i]}"))
     for k in range(1, 12):
         p = _perfect_poly(k, primes)
         if not is_perfect(p):
             raise CatalogError(f"T{k} = {p.text()} is not a divisor-sum fixed point")
-        entries.append(
-            CatalogEntry(f"T{k}", p, "perfect", None, None, f"T{BAR_PERFECT[k]}")
-        )
+        entries.append(CatalogEntry(f"T{k}", p, "perfect", None, f"T{BAR_PERFECT[k]}"))
     by = {e.name: e for e in entries}
     for e in entries:
         if bar(e.poly) != by[e.bar_partner].poly:

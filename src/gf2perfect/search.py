@@ -4,19 +4,20 @@ The centerpiece is a three-stage sieve over candidate shapes
 
     x^a (x+1)^b M1^c1 ... M5^c5 S1^d1 ... S8^d8
 
-(the exponent vector's slot layout is sigma._SLOT_PRIMES) driven by
-integer arithmetic on the closed-form divisor-sum exponents, then a
-fixed-point test on the factorization each survivor was assembled
-from, confirmed by an independent sigma.  Stage 1 sums per-slot term
-tables of the formulas; stage 2 tests the slot exponents stage 1
-carries against sets; stage 3 filters rows on ints by the degrees the
-free M3..M5 slots can balance.  M3 takes its exponent from (n2, u2); a
-witness's n3 only balances degrees (n3 != n2 in 9 of the 44), the
-rule that reproduces the reference count and is kept.  run_search
-walks the stage table _STAGES in one process.  Stage counts are
-compared against fixed reference values; a mismatch is never hidden,
-it is reported together with the counts of the documented filter
-variants so the divergence can be localized.
+(the exponent vector's slot layout is sigma._SLOT_PRIMES, the domain
+of each slot sigma.DOMAIN) driven by integer arithmetic on the
+closed-form divisor-sum exponents, then a fixed-point test on the
+factorization each survivor was assembled from, confirmed by an
+independent sigma.  Stage 1 sums per-slot term tables of the formulas;
+stage 2 tests the slot exponents stage 1 carries against sets; stage 3
+filters rows on ints by the degrees the free M3..M5 slots can balance.
+M3 takes its exponent from (n2, u2); a witness's n3 only balances
+degrees (n3 != n2 in 9 of the 44), the rule that reproduces the
+reference count and is kept.  run_search walks the stage table _STAGES
+in one process.  Stage counts are compared against fixed reference
+values; a mismatch is never hidden, it is reported together with the
+counts of the documented filter variants so the divergence can be
+localized.
 
 The module also holds the smaller sweeps: divisor-sum factor tables
 over the fixed prime family, the reciprocal-polynomial exploration,
@@ -44,8 +45,8 @@ from .catalog import (
 from .factorize import FactorMap, factor_full, is_irreducible
 from .gf2poly import Poly, X, X1, _divmod, _mul, _split_linear, star
 from .sigma import (
-    US,
-    U1S,
+    DOMAIN,
+    _M1_BITS,
     _cyclotomic_pieces,
     _shape,
     _sigma_of_vector,
@@ -64,20 +65,24 @@ from .sigma import (
 REFERENCE_STAGE_COUNTS = {"1": 10944, "2": 4484, "3": 44}
 FINAL_REFERENCE_NAMES = ("T2", "T4", "T5", "T7", "T8", "T11")
 
-# Exponent values of the form 2^m * v - 1 with m <= 3 and v in {1, 3}:
-# the room of the M2 and S1 slots, reused by the uniform stage-2 rule
-# for the remaining divisor-sum slots.  _SHAPES maps each to its 2-adic
-# shape (t, s), e = 2^t s - 1.
-REPRESENTABLE_EXPONENTS = frozenset(
-    (v << m) - 1 for m in range(4) for v in (1, 3)
-)
+
+def _slot_exponents(k):
+    """The exponents 2^t s - 1 that DOMAIN allows slot k."""
+    return frozenset((s << t) - 1 for t, s in product(*DOMAIN[k]))
+
+
+# The exponents the M2 slot allows, the same as S1's: the room stage 1
+# gives M2 and stage 2 gives S1.  _SHAPES maps each to its 2-adic shape
+# (t, s), e = 2^t s - 1.
+REPRESENTABLE_EXPONENTS = _slot_exponents(3)
 _SHAPES = {e: decompose_exponent(e) for e in REPRESENTABLE_EXPONENTS}
 
 # The stage-2 slot rules: the exponents each allows S2..S8 in sigma of
-# a surviving candidate.
+# a surviving candidate.  "uniform" applies S1's set to every slot,
+# "strict" is the set DOMAIN gives S2..S8.
 STAGE2_RULES = {
     "uniform": REPRESENTABLE_EXPONENTS,
-    "strict": frozenset((0, 1)),
+    "strict": _slot_exponents(8),
 }
 
 # Largest inputs the sweeps accept; each one takes a few seconds at
@@ -92,9 +97,6 @@ MAX_SCAN_H = 40
 # and 16: 0.11-0.14 and 1.3-1.4 s).  The Mersenne family stays at 720
 # or below up to MAX_SCAN_H.
 MAX_SCAN_DEGREE = 2048
-
-_M1_BITS = 0b111
-
 
 def _strip_m1(bits):
     """Divide out x^2+x+1 as often as it goes; (cofactor, count)."""
@@ -113,10 +115,10 @@ def _strip_m1(bits):
 
 # prefix_exponents is a sum of one term per slot, x (n, u), x+1 (m, v) and
 # M1 (n1, u1), each zero at the slot (0, 1); stage 1 adds up their tables.
-_X_TERMS = {(n, u): prefix_exponents(n, u, 0, 1, 0, 1) for n in range(5) for u in US}
-_X1_TERMS = {(m, v): prefix_exponents(0, 1, m, v, 0, 1) for m in range(5) for v in US}
+_X_TERMS = {(n, u): prefix_exponents(n, u, 0, 1, 0, 1) for n, u in product(*DOMAIN[0])}
+_X1_TERMS = {(m, v): prefix_exponents(0, 1, m, v, 0, 1) for m, v in product(*DOMAIN[1])}
 _M1_TERMS = [(n1, u1, *prefix_exponents(0, 1, 0, 1, n1, u1))
-             for n1 in range(5) for u1 in U1S]
+             for n1, u1 in product(*DOMAIN[2])]
 
 
 def _stage1_rows():
@@ -124,7 +126,7 @@ def _stage1_rows():
     n1, u1) whose M2 exponent 2^n2 u2 - 1 is representable; d1..d8 are
     the S1..S8 exponents in sigma of the candidate."""
     rows = []
-    for n, u, m, v in product(range(5), US, range(5), US):
+    for n, u, m, v in product(*DOMAIN[0], *DOMAIN[1]):
         a = (u << n) - 1
         if a < 1 or a > (v << m) - 1:
             continue
@@ -155,7 +157,7 @@ def _stage2_rows(rows1, rule):
 # contribution (a, b) the M3, M4 and M5 slots left free at stage 3 can
 # make: 144 witnesses, one lookup per row.
 _FREE_SLOT_WITNESS = {}
-for _w in product(range(4), range(6), range(6)):
+for _w in product(*(t for t, _s in DOMAIN[4:7])):
     _FREE_SLOT_WITNESS.setdefault(linear_exponents(0, 0, (0, 0, *_w), (0,) * 8), _w)
 del _w
 
@@ -307,8 +309,8 @@ def run_search(stage, stage2_rule="uniform", jobs=1) -> StageResult:
 
     Stage 2 filters the slot exponents stage 1 computed, under the
     rule stage2_rule names in STAGE2_RULES: "uniform" bounds every
-    divisor-sum slot the way the first one is bounded, "strict" pins
-    the later slots to exponents 0 and 1.
+    divisor-sum slot the way the first one is bounded, "strict" holds
+    the later slots to their own domain, exponents 0 and 1.
     Counts for each computed stage are recorded and compared against
     REFERENCE_STAGE_COUNTS by matches_reference; a divergent stage gets
     the counts of its filter variants spelled out in filter_diff.

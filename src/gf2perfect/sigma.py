@@ -21,7 +21,10 @@ of x, x+1 and M1, linear_exponents those of x and x+1 in sigma and
 m1_exponent that of M1, on bare ints, for the sieve's row filters.
 The shape parameters of the Mersenne and 2-Mersenne primes live here
 too, and with them _SLOT_PRIMES, the one slot layout of a candidate's
-exponent vector, so nothing here needs the catalog layer above.
+exponent vector, and DOMAIN, the one table of the search domain: the
+(t range, s values) of each slot, which ExponentTuple.validate checks
+and the sieve in search iterates.  Nothing here needs the catalog
+layer above.
 """
 
 from __future__ import annotations
@@ -184,9 +187,11 @@ def is_indecomposable_perfect(a: Poly) -> bool:
     powers = [(p ** e).bits for p, e in entries]
     sigmas = [_sigma_pp(p.bits, e) for p, e in entries]
     # Fix factor 0 on the left side so each unordered bipartition is
-    # visited once; the last mask would leave the right side empty.
-    # sigma(L) sigma(R) = sigma(a) = a = L R, so the right side is
-    # perfect exactly when the left side is, and only the left is tested.
+    # visited once; the last mask would leave the right side empty, and
+    # mask 0 would put factor 0 alone on the left, where it is never
+    # perfect: sigma(q^e) = 1 mod q.  sigma(L) sigma(R) = sigma(a) = a
+    # = L R, so the right side is perfect exactly when the left side is,
+    # and only the left is tested.
     for mask in range(1, (1 << (w - 1)) - 1):
         left = sleft = 1
         for i in range(w):
@@ -238,9 +243,13 @@ TWO_MERSENNE_ABN = {
 }
 
 
+# M1 = x^2 + x + 1, on bits.
+_M1_BITS = 0b111
+
+
 def _shape(a: int, b: int, c: int = 0) -> Poly:
     """1 + x^a (x+1)^b M1^c."""
-    return Poly(1 ^ _mul(_linear(a, b), (Poly(0b111) ** c).bits))
+    return Poly(1 ^ _mul(_linear(a, b), (Poly(_M1_BITS) ** c).bits))
 
 
 def mersenne(i: int) -> Poly:
@@ -249,6 +258,20 @@ def mersenne(i: int) -> Poly:
 
 def two_mersenne(j: int) -> Poly:
     return _shape(*TWO_MERSENNE_ABN[j])
+
+
+# The search domain (Gallardo and Rahavandrainy), one (t range, s values)
+# pair per slot of _SLOT_PRIMES, x, x+1, M1..M5, S1..S8: the slot's
+# exponent is 2^t s - 1.
+DOMAIN = (
+    (range(5), US), (range(5), US),
+    (range(5), U1S), (range(4), U23S), (range(4), U23S),
+    (range(6), (1,)), (range(6), (1,)),
+    (range(4), U23S), *((range(2), (1,)),) * 7,
+)
+# The names of each slot's (t, s) in an ExponentTuple, in DOMAIN order.
+_DOMAIN_NAMES = (("n", "u"), ("m", "v"), *((f"n{i}", f"u{i}") for i in range(1, 6)),
+                 *((f"m{j}", f"v{j}") for j in range(1, 9)))
 
 
 def chi(w: int, t: int) -> int:
@@ -293,39 +316,16 @@ class ExponentTuple(NamedTuple):
 
     def validate(self) -> None:
         """Check the search domain bounds; name the violated one."""
-        if self.u not in US:
-            self._bad(f"u = {self.u} not in {US}")
-        if self.v not in US:
-            self._bad(f"v = {self.v} not in {US}")
-        if not 0 <= self.n <= 4:
-            self._bad(f"n = {self.n} not in 0..4")
-        if not 0 <= self.m <= 4:
-            self._bad(f"m = {self.m} not in 0..4")
-        if self.ui[0] not in U1S:
-            self._bad(f"u1 = {self.ui[0]} not in {U1S}")
-        if self.ui[1] not in U23S or self.ui[2] not in U23S:
-            self._bad(f"u2, u3 = {self.ui[1]}, {self.ui[2]} not in {U23S}")
-        if self.ui[3] != 1 or self.ui[4] != 1:
-            self._bad(f"u4, u5 = {self.ui[3]}, {self.ui[4]} must be 1")
-        if not 0 <= self.ni[0] <= 4:
-            self._bad(f"n1 = {self.ni[0]} not in 0..4")
-        if not (0 <= self.ni[1] <= 3 and 0 <= self.ni[2] <= 3):
-            self._bad(f"n2, n3 = {self.ni[1]}, {self.ni[2]} not in 0..3")
-        if not (0 <= self.ni[3] <= 5 and 0 <= self.ni[4] <= 5):
-            self._bad(f"n4, n5 = {self.ni[3]}, {self.ni[4]} not in 0..5")
-        if self.vj[0] not in U23S:
-            self._bad(f"v1 = {self.vj[0]} not in {U23S}")
-        if not 0 <= self.mj[0] <= 3:
-            self._bad(f"m1 = {self.mj[0]} not in 0..3")
-        for j in range(1, 8):
-            if self.vj[j] != 1:
-                self._bad(f"v{j + 1} = {self.vj[j]} not in (1,)")
-            if not 0 <= self.mj[j] <= 1:
-                self._bad(f"m{j + 1} = {self.mj[j]} not in 0..1")
-
-    @staticmethod
-    def _bad(message: str):
-        raise ValueError(f"exponent tuple out of domain: {message}")
+        values = zip((self.n, self.m, *self.ni, *self.mj),
+                     (self.u, self.v, *self.ui, *self.vj))
+        for names, pair, allowed in zip(_DOMAIN_NAMES, values, DOMAIN):
+            for name, value, domain in zip(names, pair, allowed):
+                if value not in domain:
+                    shown = (f"{domain.start}..{domain.stop - 1}"
+                             if isinstance(domain, range) else domain)
+                    raise ValueError(
+                        f"exponent tuple out of domain: {name} = {value} not in {shown}"
+                    )
 
     @classmethod
     def from_parts(cls, n=0, u=1, m=0, v=1, ni=None, ui=None, mj=None, vj=None):

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from gf2perfect import catalog
 from gf2perfect.catalog import (
     BAR_MERSENNE,
     BAR_PERFECT,
     BAR_TWO_MERSENNE,
     MAX_H_BUDGET,
+    CatalogError,
     admissibility_budget,
     by_name,
     catalog_constants,
@@ -69,6 +71,51 @@ def test_slot_primes_are_the_catalog_primes_in_slot_order():
     assert _SLOT_PRIMES[:2] == (X.bits, X1.bits)
     names = [name_of(Poly(q)) for q in _SLOT_PRIMES[2:]]
     assert names == [f"M{i}" for i in range(1, 6)] + [f"S{j}" for j in range(1, 9)]
+
+
+@pytest.fixture
+def corrupt(monkeypatch):
+    """monkeypatch.setitem for the catalog's tables; the catalog's caches
+    are cleared before the test and after its tables are restored, so no
+    other test sees a catalog built from corrupted tables."""
+
+    def clear():
+        catalog.catalog_constants.cache_clear()
+        catalog._bits_to_name.cache_clear()
+
+    clear()
+    yield monkeypatch.setitem
+    monkeypatch.undo()
+    clear()
+
+
+@pytest.mark.parametrize(
+    "updates, message",
+    [
+        # 1 + x^2 (x+1)^2 = (x^2+x+1)^2
+        ([("MERSENNE_AB", 1, (2, 2))], "M1 = x^4+x^2+1 is not irreducible"),
+        # 1 + x^2 (x+1)^2 M1^2 = S1^2
+        ([("TWO_MERSENNE_ABN", 1, (2, 2, 2))], "S1 = x^8+x^2+1 is not irreducible"),
+        ([("BAR_MERSENNE", 2, 2)], "conjugate of M2 is not M2"),
+        (
+            [("PERFECT_SHAPES", 1, (2, 2, (("M1", 1),)))],
+            "T1 = x^6+x^5+x^3+x^2 is not a divisor-sum fixed point",
+        ),
+        # M12 and M13 become copies of M11 and M8: still irreducible and
+        # each other's conjugate, but of degree 7 in place of 9.
+        (
+            [("MERSENNE_AB", 12, (1, 6)), ("MERSENNE_AB", 13, (6, 1))],
+            "prime degree sum is 180, expected 184",
+        ),
+    ],
+    ids=["reducible-M1", "reducible-S1", "wrong-bar", "not-perfect", "degree-sum"],
+)
+def test_catalog_self_check_raises(corrupt, updates, message):
+    for table, key, value in updates:
+        corrupt(getattr(catalog, table), key, value)
+    with pytest.raises(CatalogError) as info:
+        catalog_constants()
+    assert str(info.value) == message
 
 
 def test_bar_partner_tables_match_actual_conjugates():
@@ -195,7 +242,7 @@ def test_classify_two_step_shape():
 
 def test_classify_every_catalog_prime_round_trips():
     for i, (a, b) in enumerate(
-        (by_name(f"M{i}").mersenne_params for i in range(1, 14)), start=1
+        (by_name(f"M{i}").params for i in range(1, 14)), start=1
     ):
         c = classify(mersenne(i))
         assert c.k == 1 and c.mersenne_params == (a, b)
@@ -205,7 +252,7 @@ def test_classify_every_catalog_prime_round_trips():
         assert c.k == chain_length(entry.poly)
         if c.k == 2 and c.two_mersenne_params is not None:
             a, b, base, e = c.two_mersenne_params
-            ea, eb, en = entry.two_mersenne_params
+            ea, eb, en = entry.params
             assert (a, b) == (ea, eb)
             assert base == mersenne(1) and e == en
 

@@ -36,14 +36,7 @@ def _exponents():
 SAMPLES = [
     (
         catalog.CatalogEntry,
-        (
-            "name",
-            "poly",
-            "kind",
-            "mersenne_params",
-            "two_mersenne_params",
-            "bar_partner",
-        ),
+        ("name", "poly", "kind", "params", "bar_partner"),
         lambda: by_name("S1"),
         "ddaa3837528ed6af8e0be1659e32c6ab2bf1fd66319fae14293d26763212b546",
     ),

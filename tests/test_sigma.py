@@ -212,6 +212,14 @@ def test_one_is_indecomposable():
     assert is_indecomposable_perfect(ONE)
 
 
+def test_split_into_two_perfects_is_reported(monkeypatch):
+    # No known perfect splits into two coprime perfects, so only a stubbed
+    # divisor sum reaches that branch: with sigma(q^e) = q^e every
+    # polynomial is its own divisor sum, and x (x+1) M1 (w = 3) splits.
+    monkeypatch.setattr(sigma_module, "_sigma_pp", lambda q, e: (Poly(q) ** e).bits)
+    assert not is_indecomposable_perfect(X * X1 * mersenne(1))
+
+
 def test_indecomposable_rejects_non_perfect():
     with pytest.raises(ValueError):
         is_indecomposable_perfect(X)
@@ -240,12 +248,31 @@ def test_domain_validation():
         ExponentTuple.from_parts(n=-1).validate()
     with pytest.raises(ValueError, match="u1"):
         ExponentTuple.from_parts(ui=(9, 1, 1, 1, 1)).validate()
-    with pytest.raises(ValueError, match="n4, n5"):
+    with pytest.raises(ValueError, match=r"n4 = 6 not in 0\.\.5"):
         ExponentTuple.from_parts(ni=(0, 0, 0, 6, 0)).validate()
     with pytest.raises(ValueError, match="v2"):
         ExponentTuple.from_parts(vj=(1, 3, 1, 1, 1, 1, 1, 1)).validate()
     with pytest.raises(ValueError, match="m2"):
         ExponentTuple.from_parts(mj=(0, 2, 0, 0, 0, 0, 0, 0)).validate()
+    # One rejection per remaining parameter, each with its exact message.
+    rejections = [
+        (dict(v=11), "v = 11 not in (1, 3, 5, 7, 9, 13, 15)"),
+        (dict(m=5), "m = 5 not in 0..4"),
+        (dict(ui=(1, 5, 1, 1, 1)), "u2 = 5 not in (1, 3)"),
+        (dict(ui=(1, 1, 7, 1, 1)), "u3 = 7 not in (1, 3)"),
+        (dict(ui=(1, 1, 1, 3, 1)), "u4 = 3 not in (1,)"),
+        (dict(ui=(1, 1, 1, 1, 3)), "u5 = 3 not in (1,)"),
+        (dict(ni=(5, 0, 0, 0, 0)), "n1 = 5 not in 0..4"),
+        (dict(ni=(0, 4, 0, 0, 0)), "n2 = 4 not in 0..3"),
+        (dict(ni=(0, 0, -1, 0, 0)), "n3 = -1 not in 0..3"),
+        (dict(ni=(0, 0, 0, 0, 6)), "n5 = 6 not in 0..5"),
+        (dict(vj=(5, 1, 1, 1, 1, 1, 1, 1)), "v1 = 5 not in (1, 3)"),
+        (dict(mj=(4, 0, 0, 0, 0, 0, 0, 0)), "m1 = 4 not in 0..3"),
+    ]
+    for parts, message in rejections:
+        with pytest.raises(ValueError) as info:
+            ExponentTuple.from_parts(**parts).validate()
+        assert str(info.value) == f"exponent tuple out of domain: {message}"
 
 
 def test_exponent_tuple_shape_parameters():
