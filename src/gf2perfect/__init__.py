@@ -8,132 +8,46 @@ with their classification helpers, and search the staged sieve plus
 the exploratory sweeps.  The cli module exposes all of it as the
 gf2perfect command.
 
-Importing the package loads every layer but search and cli; a module
-__getattr__ imports search the first time one of its names in __all__
-is read.  The result records are NamedTuples, so each one also equals
-the plain tuple of its fields.
+Each layer lists its public names in its own __all__, and the
+package re-exports them.  Importing the package loads every layer but
+search and cli; a module __getattr__ imports search the first time one
+of its names is read.  The result records are NamedTuples, so each one
+also equals the plain tuple of its fields.
 """
 
-from .catalog import (
-    CatalogEntry,
-    CatalogError,
-    Classification,
-    Representation,
-    by_name,
-    catalog_constants,
-    chain_length,
-    classify,
-    family_degree_sum,
-    is_admissible,
-    mersenne,
-    mersenne_family,
-    name_of,
-    perfect_family,
-    prime_family,
-    representation,
-    two_mersenne,
-    two_mersenne_family,
-)
-from .factorize import (
-    FactorMap,
-    factor_full,
-    factor_over_family,
-    is_irreducible,
-    is_squarefree,
-)
-from .gf2poly import (
-    ONE,
-    X,
-    X1,
-    Poly,
-    PolyParseError,
-    bar,
-    derivative,
-    gcd,
-    is_even,
-    is_odd,
-    star,
-    val_x,
-    val_x1,
-)
-from .sigma import (
-    ExponentTuple,
-    SigmaExponents,
-    assemble,
-    is_indecomposable_perfect,
-    is_perfect,
-    sigma,
-    sigma_exponents,
-    sigma_of_factor_map,
-    sigma_prime_power,
-    trivial_perfect,
-)
+from . import catalog, factorize, gf2poly
+from .catalog import *
+from .factorize import *
+from .gf2poly import *
+from .sigma import *
+
+# Under another name: the star import above rebinds sigma to the function.
+from .sigma import __all__ as _sigma_all
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CatalogEntry",
-    "CatalogError",
-    "Classification",
+# search's public names, kept here: a list in search would load it to
+# be read.  __getattr__ imports search when one is first asked for.
+_SEARCH_NAMES = [
     "ConjectureScan",
-    "ExponentTuple",
-    "FactorMap",
     "IdentityReport",
-    "ONE",
-    "Poly",
-    "PolyParseError",
     "ReciprocalReport",
-    "Representation",
-    "SigmaExponents",
     "SigmaTable",
     "StageResult",
-    "X",
-    "X1",
-    "assemble",
-    "bar",
-    "by_name",
-    "catalog_constants",
-    "chain_length",
-    "classify",
     "conjecture_scan",
-    "derivative",
     "explore_reciprocal",
-    "factor_full",
-    "factor_over_family",
-    "family_degree_sum",
-    "gcd",
-    "is_admissible",
-    "is_even",
-    "is_indecomposable_perfect",
-    "is_irreducible",
-    "is_odd",
-    "is_perfect",
-    "is_squarefree",
-    "mersenne",
-    "mersenne_family",
-    "name_of",
-    "perfect_family",
-    "prime_family",
-    "representation",
     "run_search",
-    "sigma",
-    "sigma_exponents",
     "sigma_factor_tables",
-    "sigma_of_factor_map",
-    "sigma_prime_power",
-    "star",
-    "trivial_perfect",
-    "two_mersenne",
-    "two_mersenne_family",
-    "val_x",
-    "val_x1",
     "verify_split_identities",
 ]
 
+__all__ = sorted(
+    gf2poly.__all__ + factorize.__all__ + _sigma_all + catalog.__all__ + _SEARCH_NAMES
+)
+
 
 def __getattr__(name):
-    # The public names not bound above are search's, imported on first use.
-    if name in __all__:
+    if name in _SEARCH_NAMES:
         from . import search
 
         return getattr(search, name)

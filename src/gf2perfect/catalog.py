@@ -21,15 +21,26 @@ from typing import NamedTuple
 
 from .factorize import factor_over_family, is_irreducible
 from .gf2poly import ONE, Poly, X, X1, _linear, _mul, _split_linear, bar, is_odd, star
-from .sigma import (
-    MERSENNE_AB,
-    TWO_MERSENNE_ABN,
-    _shape,
-    is_perfect,
-    mersenne,
-    sigma_prime_power,
-    two_mersenne,
-)
+from .sigma import MERSENNE_AB, TWO_MERSENNE_ABN, _shape, is_perfect, sigma_prime_power
+
+__all__ = [
+    "CatalogEntry",
+    "CatalogError",
+    "Classification",
+    "Representation",
+    "by_name",
+    "catalog_constants",
+    "chain_length",
+    "classify",
+    "family_degree_sum",
+    "is_admissible",
+    "mersenne_family",
+    "name_of",
+    "perfect_family",
+    "prime_family",
+    "representation",
+    "two_mersenne_family",
+]
 
 # Odd-index perfect entries as (a, b, catalog prime powers); the even
 # index in each pair is the conjugate of its predecessor, which is how

@@ -48,6 +48,14 @@ from .gf2poly import (
     _square,
 )
 
+__all__ = [
+    "FactorMap",
+    "factor_full",
+    "factor_over_family",
+    "is_irreducible",
+    "is_squarefree",
+]
+
 
 # Consecutive degrees k whose gcds _distinct_degree folds into one, and
 # the degree of f from which a block pays; irreducibility tests and

@@ -27,6 +27,22 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+__all__ = [
+    "ONE",
+    "Poly",
+    "PolyParseError",
+    "X",
+    "X1",
+    "bar",
+    "derivative",
+    "gcd",
+    "is_even",
+    "is_odd",
+    "star",
+    "val_x",
+    "val_x1",
+]
+
 NEG_INF = float("-inf")
 
 # Largest k that Poly.parse accepts in a term x^k (7 decimal digits).

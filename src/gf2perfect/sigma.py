@@ -29,11 +29,26 @@ layer above.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from .factorize import FactorMap, factor_full, is_irreducible
 from .gf2poly import Poly, X, X1, _divmod, _gcd, _linear, _mul, _square
+
+__all__ = [
+    "ExponentTuple",
+    "SigmaExponents",
+    "assemble",
+    "is_indecomposable_perfect",
+    "is_perfect",
+    "mersenne",
+    "sigma",
+    "sigma_exponents",
+    "sigma_of_factor_map",
+    "sigma_prime_power",
+    "trivial_perfect",
+    "two_mersenne",
+]
 
 US = (1, 3, 5, 7, 9, 13, 15)
 U1S = (1, 3, 5, 7, 15)
@@ -174,18 +189,16 @@ def is_indecomposable_perfect(a: Poly) -> bool:
     and nonconstant by construction, so each check is a plain sigma
     fixed-point test on the side's known factorization.
     """
-    fm = factor_full(a)
-    sig = sigma_of_factor_map(fm)
-    if sig.bits != a.bits:
+    entries = factor_full(a).entries
+    sigmas = [_sigma_pp(p.bits, e) for p, e in entries]
+    if reduce(_mul, sigmas, 1) != a.bits:
         raise ValueError("input is not perfect")
-    w = fm.omega
+    w = len(entries)
     if w > MAX_OMEGA_FOR_DECOMPOSITION:
         raise ValueError(f"too many distinct factors ({w}) for bipartition search")
     if w < 2:
         return True
-    entries = list(fm.entries)
     powers = [(p ** e).bits for p, e in entries]
-    sigmas = [_sigma_pp(p.bits, e) for p, e in entries]
     # Fix factor 0 on the left side so each unordered bipartition is
     # visited once; the last mask would leave the right side empty, and
     # mask 0 would put factor 0 alone on the left, where it is never

@@ -14,7 +14,6 @@ from gf2perfect.catalog import (
     catalog_constants,
     chain_length,
     family_degree_sum,
-    mersenne,
     mersenne_family,
     name_of,
     prime_family,
@@ -30,7 +29,7 @@ from gf2perfect.search import (
     sigma_factor_tables,
     verify_split_identities,
 )
-from gf2perfect.sigma import sigma, sigma_prime_power
+from gf2perfect.sigma import mersenne, sigma, sigma_prime_power
 from expected import (
     EXPECTED_FINAL_NAMES,
     EXPECTED_IDENTITY_COUNTS,

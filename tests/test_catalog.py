@@ -19,18 +19,16 @@ from gf2perfect.catalog import (
     classify,
     family_degree_sum,
     is_admissible,
-    mersenne,
     mersenne_family,
     name_of,
     perfect_family,
     prime_family,
     representation,
-    two_mersenne,
     two_mersenne_family,
 )
 from gf2perfect.factorize import is_irreducible
 from gf2perfect.gf2poly import ONE, Poly, X, X1, bar, star
-from gf2perfect.sigma import _SLOT_PRIMES, is_perfect
+from gf2perfect.sigma import _SLOT_PRIMES, is_perfect, mersenne, two_mersenne
 
 
 # -- table integrity ----------------------------------------------------------

@@ -15,11 +15,9 @@ from hypothesis import strategies as st
 
 from gf2perfect import factorize, gf2poly
 from gf2perfect.catalog import (
-    mersenne,
     mersenne_family,
     name_of,
     prime_family,
-    two_mersenne,
     two_mersenne_family,
 )
 from gf2perfect.factorize import (
@@ -33,7 +31,7 @@ from gf2perfect.factorize import (
 )
 from gf2perfect.gf2poly import ONE, Poly, X, X1
 from gf2perfect.search import conjecture_scan
-from gf2perfect.sigma import _cyclotomic_pieces, sigma_prime_power
+from gf2perfect.sigma import _cyclotomic_pieces, mersenne, sigma_prime_power, two_mersenne
 from expected import FACTOR_JSON_SHA256
 from oracles import (
     cyclotomic_pieces,

@@ -264,6 +264,12 @@ def test_power_is_repeated_mul(a, e):
     assert Poly(a) ** e == acc
 
 
+def test_division_by_zero_raises():
+    for op in (divmod, operator.floordiv, operator.mod):
+        with pytest.raises(ZeroDivisionError):
+            op(X1, Poly(0))
+
+
 def test_power_of_zero():
     assert Poly(0) ** 3 == Poly(0)
     with pytest.raises(ValueError):
@@ -375,6 +381,8 @@ def test_valuation_of_zero_raises():
         val_x(Poly(0))
     with pytest.raises(ValueError):
         val_x1(Poly(0))
+    with pytest.raises(ValueError, match="parity"):
+        is_even(Poly(0))
 
 
 @given(small_nonzero)
@@ -408,7 +416,7 @@ def test_parse_examples():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "  ", "x^^2", "x^1", "y", "x +", "0xg", "x^", "x^\u00b2"]
+    "bad", ["", "  ", "x^^2", "x^1", "y", "x +", "0xg", "x^", "x^\u00b2", 3]
 )
 def test_parse_errors(bad):
     with pytest.raises(PolyParseError):
@@ -435,8 +443,19 @@ def test_malformed_hex_reports_the_prefix_offset(text, offset):
 def test_order_is_degree_then_value(a, b):
     pa, pb = Poly(a), Poly(b)
     assert (pa < pb) == ((pa.degree, pa.bits) < (pb.degree, pb.bits))
+    assert (pa <= pb) == ((pa.degree, pa.bits) <= (pb.degree, pb.bits))
 
 
 def test_constants():
     assert X.text() == "x" and X1.text() == "x+1" and ONE.text() == "1"
     assert (X + ONE) == X1
+    assert str(X1) == "x+1" and Poly(X1) == X1
+    assert ONE and not Poly(0)
+
+
+def test_bits_are_a_nonnegative_int_and_immutable():
+    for bad in (-1, 1.0, "3"):
+        with pytest.raises(TypeError, match="nonnegative int"):
+            Poly(bad)
+    with pytest.raises(AttributeError, match="immutable"):
+        X1.bits = 1

@@ -10,9 +10,14 @@ package or the cli and building the catalog leaves search unloaded
 until one of its names is read, and never loads dataclasses.  Every
 public name, the search ones included, resolves as an attribute,
 through a star import and in dir().
+
+Each eager layer declares the names the package exports from it in
+its own __all__, and only names it defines itself; those lists and
+search's names make up the package's __all__, each name once.
 """
 
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -23,6 +28,7 @@ import pytest
 import gf2perfect
 
 LAYERS = ("gf2poly", "factorize", "sigma", "catalog", "search", "cli")
+EAGER = LAYERS[:4]
 PACKAGE = Path(gf2perfect.__file__).parent
 
 
@@ -124,3 +130,99 @@ def test_lazy_names_are_the_search_objects():
     }
     for name in lazy:
         assert getattr(gf2perfect, name) is getattr(search, name)
+
+
+PUBLIC_NAMES = [
+    "CatalogEntry",
+    "CatalogError",
+    "Classification",
+    "ConjectureScan",
+    "ExponentTuple",
+    "FactorMap",
+    "IdentityReport",
+    "ONE",
+    "Poly",
+    "PolyParseError",
+    "ReciprocalReport",
+    "Representation",
+    "SigmaExponents",
+    "SigmaTable",
+    "StageResult",
+    "X",
+    "X1",
+    "assemble",
+    "bar",
+    "by_name",
+    "catalog_constants",
+    "chain_length",
+    "classify",
+    "conjecture_scan",
+    "derivative",
+    "explore_reciprocal",
+    "factor_full",
+    "factor_over_family",
+    "family_degree_sum",
+    "gcd",
+    "is_admissible",
+    "is_even",
+    "is_indecomposable_perfect",
+    "is_irreducible",
+    "is_odd",
+    "is_perfect",
+    "is_squarefree",
+    "mersenne",
+    "mersenne_family",
+    "name_of",
+    "perfect_family",
+    "prime_family",
+    "representation",
+    "run_search",
+    "sigma",
+    "sigma_exponents",
+    "sigma_factor_tables",
+    "sigma_of_factor_map",
+    "sigma_prime_power",
+    "star",
+    "trivial_perfect",
+    "two_mersenne",
+    "two_mersenne_family",
+    "val_x",
+    "val_x1",
+    "verify_split_identities",
+]
+
+
+def test_public_names_are_pinned():
+    assert gf2perfect.__all__ == PUBLIC_NAMES
+
+
+def _top_level_definitions(tree):
+    """Names bound at module level by def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+@pytest.mark.parametrize("module", EAGER)
+def test_layer_exports_only_what_it_defines(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    exported = importlib.import_module(f"gf2perfect.{module}").__all__
+    assert set(exported) <= set(_top_level_definitions(tree)) - {"__all__"}
+
+
+def test_package_names_are_the_layer_lists_and_search_names():
+    lazy = sorted(set(gf2perfect.__all__) - set(vars(gf2perfect)))
+    listed = [
+        name
+        for module in EAGER
+        for name in importlib.import_module(f"gf2perfect.{module}").__all__
+    ] + lazy
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == gf2perfect.__all__
+
+
+def test_package_sigma_is_the_function():
+    assert gf2perfect.sigma is importlib.import_module("gf2perfect.sigma").sigma

@@ -9,10 +9,8 @@ import pytest
 from gf2perfect.catalog import (
     by_name,
     label,
-    mersenne,
     name_of,
     prime_family,
-    two_mersenne,
 )
 from gf2perfect.factorize import FactorMap, factor_full, factor_over_family
 from gf2perfect.gf2poly import Poly, X, X1, bar, val_x, val_x1
@@ -45,10 +43,12 @@ from gf2perfect.sigma import (
     _sigma_of_vector,
     assemble,
     decompose_exponent,
+    mersenne,
     prefix_exponents,
     sigma,
     sigma_exponents,
     sigma_prime_power,
+    two_mersenne,
 )
 from expected import (
     COMPUTED_STAGE2_STRICT,

@@ -8,12 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gf2perfect.catalog import (
-    mersenne,
-    perfect_family,
-    prime_family,
-    two_mersenne,
-)
+from gf2perfect.catalog import by_name, perfect_family, prime_family
 from gf2perfect.factorize import (
     FactorMap,
     factor_full,
@@ -38,11 +33,13 @@ from gf2perfect.sigma import (
     decompose_exponent,
     is_indecomposable_perfect,
     is_perfect,
+    mersenne,
     sigma,
     sigma_exponents,
     sigma_of_factor_map,
     sigma_prime_power,
     trivial_perfect,
+    two_mersenne,
 )
 from gf2perfect.search import MAX_SCAN_H
 from oracles import cyclotomic_pieces, divisor_sum_bits, i_mul, sigma_sweep
@@ -162,6 +159,15 @@ def test_sigma_of_zero_raises():
         sigma(Poly(0))
 
 
+def test_guards_reject_inputs_outside_the_domain():
+    with pytest.raises(ValueError, match="exponent must be nonnegative"):
+        decompose_exponent(-1)
+    with pytest.raises(ValueError, match="perfection of the zero polynomial"):
+        is_perfect(Poly(0))
+    with pytest.raises(ValueError, match="n must be positive"):
+        trivial_perfect(0)
+
+
 def test_sigma_multiplicative_over_coprime_parts():
     rng = random.Random(7)
     pool = [X, X1, *prime_family()]
@@ -224,6 +230,16 @@ def test_indecomposable_rejects_non_perfect():
     with pytest.raises(ValueError):
         is_indecomposable_perfect(X)
     assert MAX_OMEGA_FOR_DECOMPOSITION == 30
+
+
+def test_indecomposable_refuses_past_the_omega_cap(monkeypatch):
+    # T5 = x^4 (x+1)^4 M4 M5 has 4 distinct primes.  Perfection is
+    # checked first, so a non-perfect past the cap is called that.
+    monkeypatch.setattr(sigma_module, "MAX_OMEGA_FOR_DECOMPOSITION", 3)
+    with pytest.raises(ValueError, match=r"too many distinct factors \(4\)"):
+        is_indecomposable_perfect(by_name("T5").poly)
+    with pytest.raises(ValueError, match="not perfect"):
+        is_indecomposable_perfect(X * X1 * mersenne(1) * mersenne(2))
 
 
 # -- the exponent calculus -------------------------------------------------------

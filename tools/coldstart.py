@@ -24,15 +24,12 @@ PYTHONDONTWRITEBYTECODE and the state of ``__pycache__``.
 
 from __future__ import annotations
 
-import argparse
-import os
 import statistics
 import subprocess
 import sys
 import time
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from srctrees import parse_trees
 
 LAUNCHES = {
     "bare": "pass",
@@ -65,27 +62,7 @@ def _self_times(stderr):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "-n", "--launches", type=int, default=21, help="launches of each kind"
-    )
-    parser.add_argument(
-        "--src",
-        type=Path,
-        action="append",
-        help="directory holding the package; repeat to compare trees "
-        "(default: this checkout's src)",
-    )
-    args = parser.parse_args(argv)
-    if args.launches < 1:
-        parser.error("--launches must be at least 1")
-    envs = {}
-    for src in args.src or [SRC]:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src.resolve()), env.get("PYTHONPATH")) if p
-        )
-        envs[str(src)] = env
+    launches, envs = parse_trees(__doc__, 21, "launches of each kind", argv)
 
     # One untimed launch of each kind warms the file cache.
     for env in envs.values():
@@ -93,7 +70,7 @@ def main(argv=None):
             _run(["-c", code], env)
     walls = {(src, kind): [] for src in envs for kind in LAUNCHES}
     selfs = {src: {} for src in envs}
-    for _ in range(args.launches):
+    for _ in range(launches):
         for src, env in envs.items():
             for kind, code in LAUNCHES.items():
                 walls[src, kind].append(_run(["-c", code], env)[0])
@@ -103,7 +80,7 @@ def main(argv=None):
 
     for src in envs:
         medians = {kind: statistics.median(walls[src, kind]) * 1e3 for kind in LAUNCHES}
-        print(f"{src}: median of {args.launches} launches, ms")
+        print(f"{src}: median of {launches} launches, ms")
         for kind, ms in medians.items():
             above = "" if kind == "bare" else f"  (+{ms - medians['bare']:.1f} over bare)"
             print(f"  {kind:8} {ms:7.1f}{above}")

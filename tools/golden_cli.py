@@ -58,6 +58,10 @@ GOLDEN = tuple(
     ("admissible", "M1", "M2", "M3", "--budget", "128"),
     ("admissible", "S11"),
     ("admissible", "S11", "--budget", "128"),
+    # A member whose reciprocal stays in the family.
+    ("admissible", "M4"),
+    # sigma(S1^2) = M4 M5, which splits over the extended family.
+    ("admissible", "S1", "M4", "M5"),
     ("factor", WIDE_HEX),
     ("sigma", WIDE_HEX),
     ("conjecture", "M1", "M4", "M13", "--hmax", "20"),

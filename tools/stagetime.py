@@ -23,15 +23,12 @@ speed falls on each tree alike.  Uses only the standard library:
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from srctrees import parse_trees
 
 # Timed calls of each step per launch.
 REPEATS = 7
@@ -65,30 +62,10 @@ print(json.dumps(times))
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "-n", "--launches", type=int, default=5, help="launches per tree"
-    )
-    parser.add_argument(
-        "--src",
-        type=Path,
-        action="append",
-        help="directory holding the package; repeat to compare trees "
-        "(default: this checkout's src)",
-    )
-    args = parser.parse_args(argv)
-    if args.launches < 1:
-        parser.error("--launches must be at least 1")
-    envs = {}
-    for src in args.src or [SRC]:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src.resolve()), env.get("PYTHONPATH")) if p
-        )
-        envs[str(src)] = env
+    launches, envs = parse_trees(__doc__, 5, "launches per tree", argv)
 
     samples = {src: {step: [] for step in STEPS} for src in envs}
-    for _ in range(args.launches):
+    for _ in range(launches):
         for src, env in envs.items():
             done = subprocess.run(
                 [sys.executable, "-c", CHILD],
@@ -103,7 +80,7 @@ def main(argv=None):
     trees = list(envs)
     for i, src in enumerate(trees, start=1):
         print(f"[{i}] {src}")
-    print(f"median ms of {args.launches} launches x {REPEATS} calls")
+    print(f"median ms of {launches} launches x {REPEATS} calls")
     print(f"  {'step':8}" + "".join(f"{f'[{i}]':>9}" for i in range(1, len(trees) + 1)))
     for step in STEPS:
         cells = (statistics.median(samples[src][step]) * 1e3 for src in trees)
