@@ -2,7 +2,7 @@
 
 The package is organized in layers: gf2poly holds the carry-less ring
 arithmetic, factorize the irreducibility and factoring machinery,
-sigma the multiplicative divisor sum together with its closed-form
+sigma the multiplicative divisor sum together with its slot-term
 exponent bookkeeping, catalog the fixed prime and fixed-point tables
 with their classification helpers, and search the staged sieve plus
 the exploratory sweeps.  The cli module exposes all of it as the

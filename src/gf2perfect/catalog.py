@@ -21,7 +21,14 @@ from typing import NamedTuple
 
 from .factorize import factor_over_family, is_irreducible
 from .gf2poly import ONE, Poly, X, X1, _linear, _mul, _split_linear, bar, is_odd, star
-from .sigma import MERSENNE_AB, TWO_MERSENNE_ABN, _shape, is_perfect, sigma_prime_power
+from .sigma import (
+    MAX_SIGMA_DEGREE,
+    MERSENNE_AB,
+    TWO_MERSENNE_ABN,
+    _shape,
+    is_perfect,
+    sigma_prime_power,
+)
 
 __all__ = [
     "CatalogEntry",
@@ -346,6 +353,13 @@ def is_admissible(
     members: list[Poly] = []
     seen: set[int] = set()
     for p in family:
+        # The scan's last divisor sum, sigma(p^(2 h_budget)), must stay
+        # within the cap sigma_prime_power enforces; checked before any work.
+        if h_budget is not None and 2 * h_budget * p.degree > MAX_SIGMA_DEGREE:
+            raise ValueError(
+                f"family member {p.text()}: 2 * budget * degree "
+                f"{2 * h_budget * p.degree} exceeds {MAX_SIGMA_DEGREE}"
+            )
         if not is_irreducible(p):
             raise ValueError(f"family member {p.text()} is reducible")
         if not is_odd(p):

@@ -145,11 +145,6 @@ class FactorMap:
         inner = ", ".join(f"{p.text()}:{e}" for p, e in self.entries)
         return f"FactorMap({{{inner}}})"
 
-    @property
-    def omega(self):
-        """Number of distinct irreducible factors."""
-        return len(self.entries)
-
     def exponent(self, prime: Poly) -> int:
         """Exponent of a given prime, 0 when absent."""
         for p, e in self.entries:

@@ -1,4 +1,4 @@
-"""Exhaustive searches built on the exponent formulas and the catalog.
+"""Exhaustive searches built on the exponent calculus and the catalog.
 
 The centerpiece is a three-stage sieve over candidate shapes
 
@@ -6,9 +6,10 @@ The centerpiece is a three-stage sieve over candidate shapes
 
 (the exponent vector's slot layout is sigma._SLOT_PRIMES, the domain
 of each slot sigma.DOMAIN) driven by integer arithmetic on the
-closed-form divisor-sum exponents, then a fixed-point test on the
+divisor-sum exponents of sigma.slot_term, factored once per (slot,
+exponent) on the first run, then a fixed-point test on the
 factorization each survivor was assembled from, confirmed by an
-independent sigma.  Stage 1 sums per-slot term tables of the formulas;
+independent sigma.  Stage 1 sums per-slot tables of slot terms;
 stage 2 tests the slot exponents stage 1 carries against sets; stage 3
 filters rows on ints by the degrees the free M3..M5 slots can balance.
 M3 takes its exponent from (n2, u2); a witness's n3 only balances
@@ -28,6 +29,7 @@ bookkeeping, and the chain-length scan behind the conjecture tooling.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import product
 from operator import add
 from typing import NamedTuple
@@ -52,10 +54,8 @@ from .sigma import (
     _sigma_of_vector,
     assemble,
     decompose_exponent,
-    linear_exponents,
-    m1_exponent,
-    prefix_exponents,
     sigma,
+    slot_term,
 )
 
 # Counts the three sieve stages are calibrated against, and the names
@@ -113,27 +113,33 @@ def _strip_m1(bits):
 # Sieve stages.  Each returns its rows in domain order.
 
 
-# prefix_exponents is a sum of one term per slot, x (n, u), x+1 (m, v) and
-# M1 (n1, u1), each zero at the slot (0, 1); stage 1 adds up their tables.
-_X_TERMS = {(n, u): prefix_exponents(n, u, 0, 1, 0, 1) for n, u in product(*DOMAIN[0])}
-_X1_TERMS = {(m, v): prefix_exponents(0, 1, m, v, 0, 1) for m, v in product(*DOMAIN[1])}
-_M1_TERMS = [(n1, u1, *prefix_exponents(0, 1, 0, 1, n1, u1))
-             for n1, u1 in product(*DOMAIN[2])]
+def _term_sum(pairs, components):
+    """The given components of the summed slot terms of the (slot, exponent) pairs."""
+    terms = [slot_term(k, e) for k, e in pairs]
+    return tuple(sum(term[i] for term in terms) for i in components)
+
+
+@lru_cache(maxsize=1)
+def _stage1_terms():
+    """For each of the x, x+1 and M1 slots, (t, s) -> the M2 and S1..S8
+    components of its slot term, in domain order; stage 1 sums them."""
+    return [{(t, s): _term_sum([(k, (s << t) - 1)], (3, *range(7, 15)))
+             for t, s in product(*DOMAIN[k])} for k in range(3)]
 
 
 def _stage1_rows():
     """Rows (n, u, m, v, n1, u1, n2, u2, d1, ..., d8), one per (prefix,
     n1, u1) whose M2 exponent 2^n2 u2 - 1 is representable; d1..d8 are
     the S1..S8 exponents in sigma of the candidate."""
+    x_terms, x1_terms, m1_terms = _stage1_terms()
     rows = []
     for n, u, m, v in product(*DOMAIN[0], *DOMAIN[1]):
         a = (u << n) - 1
         if a < 1 or a > (v << m) - 1:
             continue
-        (xg, xd), (yg, yd) = _X_TERMS[n, u], _X1_TERMS[m, v]
-        p1, p2, p3, p4, p5, p6, p7, p8 = map(add, xd, yd)
-        for n1, u1, g, (d1, d2, d3, d4, d5, d6, d7, d8) in _M1_TERMS:
-            shape = _SHAPES.get(xg + yg + g)
+        p0, p1, p2, p3, p4, p5, p6, p7, p8 = map(add, x_terms[n, u], x1_terms[m, v])
+        for (n1, u1), (g, d1, d2, d3, d4, d5, d6, d7, d8) in m1_terms.items():
+            shape = _SHAPES.get(p0 + g)
             if shape is not None:
                 rows.append((n, u, m, v, n1, u1, *shape, p1 + d1, p2 + d2, p3 + d3,
                              p4 + d4, p5 + d5, p6 + d6, p7 + d7, p8 + d8))
@@ -153,44 +159,49 @@ def _stage2_rows(rows1, rule):
     return [r + _SHAPES[r[8]] for r in _stage2_kept(rows1, rule)]
 
 
-# First free-slot witness (n3, n4, n5), in loop order, for each degree
-# contribution (a, b) the M3, M4 and M5 slots left free at stage 3 can
-# make: 144 witnesses, one lookup per row.
-_FREE_SLOT_WITNESS = {}
-for _w in product(*(t for t, _s in DOMAIN[4:7])):
-    _FREE_SLOT_WITNESS.setdefault(linear_exponents(0, 0, (0, 0, *_w), (0,) * 8), _w)
-del _w
+@lru_cache(maxsize=1)
+def _free_slot_witness():
+    """The first free-slot witness (n3, n4, n5), in loop order, for each
+    degree contribution (a, b) the M3, M4 and M5 slots left free at stage
+    3 can make: 144 witnesses, one lookup per row."""
+    table = {}
+    for w in product(*(t for t, _s in DOMAIN[4:7])):
+        need = _term_sum(zip((4, 5, 6), [(1 << n) - 1 for n in w]), (0, 1))
+        table.setdefault(need, w)
+    return table
 
 
 def _stage3_rows(rows):
     """(bits, stage-2 row, free-slot witness, Mersenne exponents) of each
     candidate whose linear-prime valuations a free-slot witness balances.
 
-    Filters on ints: linear_exponents of the row's valuations, summed from
-    parts cached per (n, m, n1, n2) and per S1..S8 tail, then one
-    _FREE_SLOT_WITNESS lookup.  Survivors are assembled from ints: M1
-    takes the exponent m1_exponent gives the row with M3..M5 empty.
-    M3 takes its exponent from (n2, u2); the witness's n3 only balances
-    degrees (n3 != n2 in 9 of the 44), the rule kept because it
-    reproduces the reference count.
+    Filters on ints: the exponents of x and x+1 in sigma of the row's
+    candidate, summed from slot terms cached per (n, m, n1, n2) and per
+    S1..S8 tail, then one free-slot witness lookup.  x and x+1 divide
+    no sigma(q^(s-1)) with s odd, for its value at 0 and at 1 is odd,
+    so a head slot's linear part reads only its t, at s = 1.  Survivors are
+    assembled from ints: M1 takes its exponent in sigma of the row with
+    M3..M5 empty.  M3 takes its exponent from (n2, u2); the witness's
+    n3 only balances degrees (n3 != n2 in 9 of the 44), the rule kept
+    because it reproduces the reference count.
     """
+    witnesses = _free_slot_witness()
     heads, tails, out = {}, {}, []
     for row in rows:
         n, u, m, v, n1, u1, n2, u2 = row[:8]
         head, tail = row[:8:2], row[8:16]
         if head not in heads:
-            heads[head] = linear_exponents(n, m, (n1, n2, 0, 0, 0), (0,) * 8)
+            heads[head] = _term_sum(enumerate((1 << t) - 1 for t in head), (0, 1))
         if tail not in tails:
-            mj = tuple(decompose_exponent(d)[0] for d in tail)
-            tails[tail] = (*linear_exponents(0, 0, (0,) * 5, mj), mj)
-        (ha, hb), (ta, tb, mj) = heads[head], tails[tail]
+            tails[tail] = _term_sum(zip(range(7, 15), tail), (0, 1, 2))
+        (ha, hb), (ta, tb, tg) = heads[head], tails[tail]
         a, b = (u << n) - 1, (v << m) - 1
-        witness = _FREE_SLOT_WITNESS.get((a - ha - ta, b - hb - tb))
+        witness = witnesses.get((a - ha - ta, b - hb - tb))
         if witness is None:
             continue
         _n3, n4, n5 = witness
-        gamma1 = m1_exponent(n, u, m, v, (n1, n2, 0, 0, 0), (u1, u2, 1, 1, 1), mj)
         c2 = (u2 << n2) - 1
+        gamma1 = tg + _term_sum(enumerate((a, b, (u1 << n1) - 1, c2)), (2,))[0]
         c = (gamma1, c2, c2, (1 << n4) - 1, (1 << n5) - 1)
         out.append((assemble(a, b, c, tail).bits, row, witness, c))
     return out

@@ -10,21 +10,21 @@ powers into data about small ones.  It is also the one evaluation
 route: _sigma_pp runs Horner over the odd part s, then t steps of
 squaring and multiplying by 1 + P, so an even exponent is plain Horner.
 
-The second half of the module is symbolic.  A candidate perfect
-polynomial is described by an ExponentTuple (the 2-adic shape of every
-exponent in its factorization over the fixed catalog families), and
-SigmaExponents gives the exponent of each catalog prime in sigma of
-that candidate as a closed integer formula.  No polynomial arithmetic
-is involved there, which is what makes the exhaustive search cheap;
-prefix_exponents evaluates the formulas that read only the exponents
-of x, x+1 and M1, linear_exponents those of x and x+1 in sigma and
-m1_exponent that of M1, on bare ints, for the sieve's row filters.
-The shape parameters of the Mersenne and 2-Mersenne primes live here
-too, and with them _SLOT_PRIMES, the one slot layout of a candidate's
-exponent vector, and DOMAIN, the one table of the search domain: the
-(t range, s values) of each slot, which ExponentTuple.validate checks
-and the sieve in search iterates.  Nothing here needs the catalog
-layer above.
+The second half of the module is the exponent calculus.  A candidate
+perfect polynomial is described by an ExponentTuple (the 2-adic shape
+of every exponent in its factorization over the fixed catalog
+families), and SigmaExponents gives the exponent of each catalog prime
+in sigma of that candidate.  sigma is multiplicative, so that is a sum
+of one slot term per prime power, and slot_term computes each term
+once from factor_full of the factored form above, under the paper's
+rule for odd parts outside the domain.  The sieve then works on bare
+ints: a few dozen small factorizations, cached, instead of one per
+candidate.  The shape parameters of the Mersenne and 2-Mersenne primes
+live here too, and with them _SLOT_PRIMES, the one slot layout of a
+candidate's exponent vector, and DOMAIN, the one table of the search
+domain: the (t range, s values) of each slot, which
+ExponentTuple.validate checks, slot_term's rule reads and the sieve in
+search iterates.  Nothing here needs the catalog layer above.
 """
 
 from __future__ import annotations
@@ -286,10 +286,42 @@ DOMAIN = (
 _DOMAIN_NAMES = (("n", "u"), ("m", "v"), *((f"n{i}", f"u{i}") for i in range(1, 6)),
                  *((f"m{j}", f"v{j}") for j in range(1, 9)))
 
+# The primes of a candidate's exponent vector (a, b, c1..c5, d1..d8), on
+# bits: x, x+1, M1..M5, S1..S8.
+_SLOT_PRIMES = (X.bits, X1.bits, *(mersenne(i).bits for i in range(1, 6)),
+                *(two_mersenne(j).bits for j in range(1, 9)))
 
-def chi(w: int, t: int) -> int:
-    """Indicator of the singleton {w}."""
-    return 1 if t == w else 0
+
+@lru_cache(maxsize=64)
+def _slot_vector(bits):
+    """The exponent vector of bits over _SLOT_PRIMES, from factor_full;
+    None when a prime outside the slots divides it."""
+    exps = dict.fromkeys(_SLOT_PRIMES, 0)
+    for p, e in factor_full(Poly(bits)):
+        if p.bits not in exps:
+            return None
+        exps[p.bits] = e
+    return tuple(exps.values())
+
+
+# The domain's 145 (slot, exponent) pairs and 42 more S2..S8 ones stage 2 admits.
+@lru_cache(maxsize=256)
+def slot_term(k: int, e: int) -> tuple[int, ...]:
+    """The exponent vector over _SLOT_PRIMES of sigma(q^e), q the prime
+    of slot k, under the paper's rule.
+
+    With e = 2^t s - 1, sigma(q^e) = (1 + q)^(2^t - 1) sigma(q^(s-1))^(2^t)
+    (Canaday).  When s is not among the values DOMAIN gives slot k, the
+    rule keeps only (1 + q)^(2^t - 1), whose primes are x, x+1 and, for
+    S1..S8, M1.  Raises ValueError when a prime outside the 15 slots
+    divides what is kept.
+    """
+    t, s = decompose_exponent(e)
+    q = _SLOT_PRIMES[k]
+    odd = _slot_vector(_sigma_pp(q, s - 1) if s in DOMAIN[k][1] else 1)
+    if odd is None:
+        raise ValueError(f"sigma(({Poly(q).text()})^{e}) has a prime outside the slots")
+    return tuple((2**t - 1) * a + (b << t) for a, b in zip(_slot_vector(q ^ 1), odd))
 
 
 class ExponentTuple(NamedTuple):
@@ -363,116 +395,13 @@ class SigmaExponents(NamedTuple):
     delta: tuple[int, int, int, int, int, int, int, int]
 
 
-def prefix_exponents(
-    n: int, u: int, m: int, v: int, n1: int, u1: int
-) -> tuple[int, tuple[int, ...]]:
-    """Exponents of M2 and of S1..S8 in sigma of a candidate, on bare ints.
-
-    These nine formulas read only the 2-adic shape of the exponents of
-    x, x+1 and M1, one term per slot, so the sieve tabulates each slot's
-    term once and adds them up; sigma_exponents takes its gamma2 and
-    delta from here too.  Returns (gamma2, delta).  The arguments are
-    not validated.
-    """
-    gamma2 = chi(7, u) * 2**n + chi(7, v) * 2**m + chi(7, u1) * 2**n1
-    delta = (
-        chi(15, u) * 2**n + chi(15, v) * 2**m + (chi(3, u1) + chi(15, u1)) * 2**n1,
-        chi(7, u1) * 2**n1,
-        chi(13, u) * 2**n,
-        chi(9, u) * 2**n,
-        chi(9, v) * 2**m,
-        chi(13, v) * 2**m,
-        chi(15, u1) * 2**n1,
-        (chi(5, u1) + chi(15, u1)) * 2**n1,
-    )
-    return gamma2, delta
-
-
-# Shape parameters (a, b) of M1..M5 and S1..S8, the slots a candidate
-# records, in ExponentTuple order.
-_SLOT_AB = tuple(MERSENNE_AB[i] for i in range(1, 6)) + tuple(
-    TWO_MERSENNE_ABN[j][:2] for j in range(1, 9)
-)
-# The primes of a candidate's exponent vector (a, b, c1..c5, d1..d8), on
-# bits: x, x+1, then the slots of _SLOT_AB.
-_SLOT_PRIMES = (X.bits, X1.bits, *(mersenne(i).bits for i in range(1, 6)),
-                *(two_mersenne(j).bits for j in range(1, 9)))
-
-
-def linear_exponents(n: int, m: int, ni: tuple, mj: tuple) -> tuple[int, int]:
-    """Exponents (alpha, beta) of x and x+1 in sigma of a candidate, from
-    the 2-adic valuations n, m, ni, mj of x, x+1, M1..M5 and S1..S8 on
-    bare ints, unvalidated; used by stage 3 and by sigma_exponents."""
-    alpha, beta = 2**m - 1, 2**n - 1
-    for k, (a, b) in zip((*ni, *mj), _SLOT_AB):
-        alpha += (2**k - 1) * a
-        beta += (2**k - 1) * b
-    return alpha, beta
-
-
-def m1_exponent(n: int, u: int, m: int, v: int, ni: tuple, ui: tuple, mj: tuple) -> int:
-    """Exponent gamma1 of M1 in sigma of a candidate, from the 2-adic
-    shapes of x, x+1, M1..M5 and S1..S8 on bare ints, unvalidated; used
-    by stage 3 and by sigma_exponents."""
-    # Each indicator sum compares one value against disjoint
-    # singletons, so it is 0 or 1.
-    xi1 = chi(3, u) + chi(9, u) + chi(15, u)
-    xi2 = chi(3, v) + chi(9, v) + chi(15, v)
-    gamma1 = sum(
-        (2**k - 1) * TWO_MERSENNE_ABN[j][2] for j, k in enumerate(mj, start=1)
-    )
-    return (
-        gamma1
-        + xi1 * 2**n
-        + xi2 * 2**m
-        + chi(3, ui[1]) * 2 ** ni[1]
-        + chi(3, ui[2]) * 2 ** ni[2]
-    )
-
-
 def sigma_exponents(t: ExponentTuple) -> SigmaExponents:
-    """Closed-form exponents of sigma of the candidate described by t.
-
-    Pure integer arithmetic over the catalog shape parameters.  The
-    test suite pins every formula against exponents read off an actual
-    factorization of sigma, which is the ground truth here; in
-    particular the last two delta formulas are the ones that
-    factorization forces (delta7 tracks chi_15 alone and delta8 the
-    chi_5 + chi_15 sum).
-    """
+    """Exponents of x, x+1 and each slot prime in sigma of the candidate t
+    describes: sigma is multiplicative, so the sum of its slot terms.  The
+    tests pin them against the paper's closed forms and a factorization."""
     t.validate()
-    n, u, m, v = t.n, t.u, t.m, t.v
-    n1, n2, n3 = t.ni[0], t.ni[1], t.ni[2]
-    u1, u2, u3 = t.ui[0], t.ui[1], t.ui[2]
-    m1 = t.mj[0]
-    v1 = t.vj[0]
-    # The indicator sums gamma4 and gamma5 share, each 0 or 1.
-    xi3 = chi(5, u) + chi(15, u)
-    xi4 = chi(5, v) + chi(15, v)
-
-    alpha, beta = linear_exponents(n, m, t.ni, t.mj)
-    gamma1 = m1_exponent(n, u, m, v, t.ni, t.ui, t.mj)
-    gamma2, delta = prefix_exponents(n, u, m, v, n1, u1)
-    gamma4 = (
-        xi3 * 2**n
-        + chi(15, v) * 2**m
-        + chi(15, u1) * 2**n1
-        + chi(3, u3) * 2**n3
-        + chi(3, v1) * 2**m1
-    )
-    gamma5 = (
-        chi(15, u) * 2**n
-        + xi4 * 2**m
-        + chi(15, u1) * 2**n1
-        + chi(3, u2) * 2**n2
-        + chi(3, v1) * 2**m1
-    )
-    return SigmaExponents(
-        alpha=alpha,
-        beta=beta,
-        gamma=(gamma1, gamma2, gamma2, gamma4, gamma5),
-        delta=delta,
-    )
+    exps = [sum(col) for col in zip(*map(slot_term, range(15), (t.a, t.b, *t.c, *t.d)))]
+    return SigmaExponents(exps[0], exps[1], tuple(exps[2:7]), tuple(exps[7:]))
 
 
 def assemble(a: int, b: int, c: tuple, d: tuple) -> Poly:

@@ -12,11 +12,14 @@ package internals, used where the list forms would be too slow (the
 exhaustive factoring and divisor-sum sweeps).  The two layers are
 cross-checked against each other in the test suite.
 
-The one exception is the sieve stages at the end: they call the
-package's exponent formulas (gf2perfect.sigma), which are the ground
-truth there, afresh for every row, where the stages read them through
-term tables and caches.  The formulas themselves are pinned against
-real factorizations in test_sigma.py.
+The exponent calculus is here too, as the paper writes it: closed
+integer formulas, one indicator per divisor sum, for the exponent of
+each slot prime in sigma of a candidate.  The package computes the
+same exponents from factorizations (gf2perfect.sigma.slot_term), and
+the tests check the two against each other over the whole search
+domain.  The naive sieve stages at the end evaluate these formulas
+afresh for every row; they take only the catalog's shape parameters
+and assemble from the package.
 """
 
 from __future__ import annotations
@@ -25,12 +28,12 @@ from functools import reduce
 from itertools import product
 
 from gf2perfect.sigma import (
+    MERSENNE_AB,
+    TWO_MERSENNE_ABN,
     U1S,
     US,
+    SigmaExponents,
     assemble,
-    linear_exponents,
-    m1_exponent,
-    prefix_exponents,
 )
 
 # -- conversions ------------------------------------------------------------
@@ -367,13 +370,13 @@ def split_identity_solutions(max_exp):
 FREE_SLOT_SHAPES = ((2, 1), (1, 3), (3, 1))
 
 
-def free_slot_witness(need_a, need_b):
-    """First (n3, n4, n5) with n3 < 4 and n4, n5 < 6, n3 outermost, whose
-    contribution sum (2^ni - 1) * (ai, bi) equals (need_a, need_b); None
-    when there is none."""
-    for n3 in range(4):
-        for n4 in range(6):
-            for n5 in range(6):
+def free_slot_witness(need_a, need_b, ranges=(range(4), range(6), range(6))):
+    """First (n3, n4, n5) from the ranges, by default n3 < 4 and n4, n5 < 6,
+    n3 outermost, whose contribution sum (2^ni - 1) * (ai, bi) equals
+    (need_a, need_b); None when there is none."""
+    for n3 in ranges[0]:
+        for n4 in ranges[1]:
+            for n5 in ranges[2]:
                 a = b = 0
                 for k, (sa, sb) in zip((n3, n4, n5), FREE_SLOT_SHAPES):
                     a += (2**k - 1) * sa
@@ -381,6 +384,98 @@ def free_slot_witness(need_a, need_b):
                 if a == need_a and b == need_b:
                     return n3, n4, n5
     return None
+
+
+# -- the exponent calculus in closed form ---------------------------------------
+
+
+def chi(w, t):
+    """Indicator of the singleton {w}."""
+    return 1 if t == w else 0
+
+
+def prefix_exponents(n, u, m, v, n1, u1):
+    """(gamma2, delta): the exponents of M2 and of S1..S8 in sigma of a
+    candidate, from the 2-adic shapes of the exponents of x, x+1 and M1."""
+    gamma2 = chi(7, u) * 2**n + chi(7, v) * 2**m + chi(7, u1) * 2**n1
+    delta = (
+        chi(15, u) * 2**n + chi(15, v) * 2**m + (chi(3, u1) + chi(15, u1)) * 2**n1,
+        chi(7, u1) * 2**n1,
+        chi(13, u) * 2**n,
+        chi(9, u) * 2**n,
+        chi(9, v) * 2**m,
+        chi(13, v) * 2**m,
+        chi(15, u1) * 2**n1,
+        (chi(5, u1) + chi(15, u1)) * 2**n1,
+    )
+    return gamma2, delta
+
+
+# Shape parameters (a, b) of M1..M5 and S1..S8, in ExponentTuple order.
+_SLOT_AB = tuple(MERSENNE_AB[i] for i in range(1, 6)) + tuple(
+    TWO_MERSENNE_ABN[j][:2] for j in range(1, 9)
+)
+
+
+def linear_exponents(n, m, ni, mj):
+    """(alpha, beta): the exponents of x and x+1 in sigma of a candidate,
+    from the 2-adic valuations of x, x+1, M1..M5 and S1..S8."""
+    alpha, beta = 2**m - 1, 2**n - 1
+    for k, (a, b) in zip((*ni, *mj), _SLOT_AB):
+        alpha += (2**k - 1) * a
+        beta += (2**k - 1) * b
+    return alpha, beta
+
+
+def m1_exponent(n, u, m, v, ni, ui, mj):
+    """gamma1: the exponent of M1 in sigma of a candidate."""
+    # Each indicator sum compares one value against disjoint
+    # singletons, so it is 0 or 1.
+    xi1 = chi(3, u) + chi(9, u) + chi(15, u)
+    xi2 = chi(3, v) + chi(9, v) + chi(15, v)
+    gamma1 = sum(
+        (2**k - 1) * TWO_MERSENNE_ABN[j][2] for j, k in enumerate(mj, start=1)
+    )
+    return (
+        gamma1
+        + xi1 * 2**n
+        + xi2 * 2**m
+        + chi(3, ui[1]) * 2 ** ni[1]
+        + chi(3, ui[2]) * 2 ** ni[2]
+    )
+
+
+def closed_form_exponents(t):
+    """Every exponent of sigma of the candidate the ExponentTuple t
+    describes, by the closed forms, unvalidated.  delta7 tracks chi_15
+    alone and delta8 the chi_5 + chi_15 sum, as factorization forces.
+    Outside the domain each S1..S8 slot adds only its linear part
+    (1 + Sj)^(2^mj - 1)."""
+    n, u, m, v = t.n, t.u, t.m, t.v
+    n1, n2, n3 = t.ni[0], t.ni[1], t.ni[2]
+    u1, u2, u3 = t.ui[0], t.ui[1], t.ui[2]
+    m1, v1 = t.mj[0], t.vj[0]
+    # The indicator sums gamma4 and gamma5 share, each 0 or 1.
+    xi3 = chi(5, u) + chi(15, u)
+    xi4 = chi(5, v) + chi(15, v)
+    alpha, beta = linear_exponents(n, m, t.ni, t.mj)
+    gamma1 = m1_exponent(n, u, m, v, t.ni, t.ui, t.mj)
+    gamma2, delta = prefix_exponents(n, u, m, v, n1, u1)
+    gamma4 = (
+        xi3 * 2**n
+        + chi(15, v) * 2**m
+        + chi(15, u1) * 2**n1
+        + chi(3, u3) * 2**n3
+        + chi(3, v1) * 2**m1
+    )
+    gamma5 = (
+        chi(15, u) * 2**n
+        + xi4 * 2**m
+        + chi(15, u1) * 2**n1
+        + chi(3, u2) * 2**n2
+        + chi(3, v1) * 2**m1
+    )
+    return SigmaExponents(alpha, beta, (gamma1, gamma2, gamma2, gamma4, gamma5), delta)
 
 
 # -- sieve stages, one formula evaluation per row ------------------------------

@@ -311,6 +311,28 @@ def test_admissibility_input_validation():
         is_admissible((mersenne(1),), h_budget=MAX_H_BUDGET + 1)
 
 
+def test_explicit_budget_is_checked_before_any_scan(monkeypatch):
+    # sigma(T^(2h)) past MAX_SIGMA_DEGREE is refused; an explicit budget
+    # is held to that cap for every member before any divisor-sum scan,
+    # whichever member breaks it.
+    def no_scan(*_args):
+        raise AssertionError("a scan started")
+
+    monkeypatch.setattr(catalog, "split_divisor_sums", no_scan)
+    big = Poly.parse("x^3217+x^67+1")
+    message = r"x\^3217\+x\^67\+1: 2 \* budget \* degree 823552 exceeds 262144"
+    for family in ((big,), (mersenne(1), big)):
+        with pytest.raises(ValueError, match=message):
+            is_admissible(family, h_budget=128)
+    # 2 * 128 * 1024 is the cap itself; one degree more is over it.
+    # Irreducibility is waved through so that only the cap decides.
+    monkeypatch.setattr(catalog, "is_irreducible", lambda p: True)
+    with pytest.raises(AssertionError, match="a scan started"):
+        is_admissible((Poly.parse("x^1024+x+1"),), h_budget=128)
+    with pytest.raises(ValueError, match="degree 262400 exceeds 262144"):
+        is_admissible((Poly.parse("x^1025+x+1"),), h_budget=128)
+
+
 def test_admissibility_report_json():
     _, report = is_admissible((by_name("S11").poly,))
     blob = report.to_json()

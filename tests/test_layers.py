@@ -7,7 +7,8 @@ exempt.
 
 Fresh interpreters check what a cold start loads: importing the
 package or the cli and building the catalog leaves search unloaded
-until one of its names is read, and never loads dataclasses.  Every
+until one of its names is read, and never loads dataclasses; importing
+search builds none of the sieve's slot tables.  Every
 public name, the search ones included, resolves as an attribute,
 through a star import and in dir().
 
@@ -55,15 +56,15 @@ def test_imports_point_to_earlier_layers(module):
         assert LAYERS.index(target) < rank, f"{module} imports {target}"
 
 
-def _modules_loaded_by(code):
-    """Modules that code adds to sys.modules in a fresh interpreter
-    started without site, so that nothing but the package loads."""
+def _fresh(code, result):
+    """The value of the expression result, through JSON, after code runs
+    in a fresh interpreter started without site, so that nothing but the
+    package loads."""
     script = (
         "import json, sys\n"
         f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
-        "before = set(sys.modules)\n"
         f"{code}\n"
-        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        f"print(json.dumps({result}))\n"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", script],
@@ -71,7 +72,13 @@ def _modules_loaded_by(code):
         text=True,
         check=True,
     )
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _modules_loaded_by(code):
+    """Modules that code adds to sys.modules in a fresh interpreter."""
+    return set(_fresh(f"before = set(sys.modules)\n{code}",
+                      "sorted(set(sys.modules) - before)"))
 
 
 def test_package_cold_start_skips_search_cli_and_dataclasses():
@@ -88,6 +95,18 @@ def test_cli_cold_start_skips_search():
     )
     assert "gf2perfect.cli" in loaded
     assert "gf2perfect.search" not in loaded
+
+
+def test_imports_build_no_slot_table():
+    # The slot terms, and the sieve's tables read from them, are built on
+    # the first run_search, not when the package or search is imported.
+    sizes = _fresh(
+        "import gf2perfect.search as search\n"
+        "sigma = sys.modules['gf2perfect.sigma']",
+        "[f.cache_info().currsize for f in (sigma.slot_term,"
+        " search._stage1_terms, search._free_slot_witness)]",
+    )
+    assert sizes == [0, 0, 0]
 
 
 def test_reading_a_search_name_loads_search():

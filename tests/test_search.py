@@ -44,7 +44,6 @@ from gf2perfect.sigma import (
     assemble,
     decompose_exponent,
     mersenne,
-    prefix_exponents,
     sigma,
     sigma_exponents,
     sigma_prime_power,
@@ -67,11 +66,13 @@ from expected import (
 from oracles import (
     NAIVE_STAGE2_RULES,
     cyclotomic_pieces,
+    free_slot_witness,
     i_divmod,
     i_mul,
     naive_stage1_rows,
     naive_stage2_rows,
     naive_stage3_rows,
+    prefix_exponents,
     split_identity_solutions,
 )
 
@@ -172,20 +173,15 @@ def test_stage1_rows_match_the_per_row_oracle():
 
 def test_prefix_exponents_are_a_sum_of_slot_terms():
     # Stage 1 adds one term-table entry per slot.  On the whole domain,
-    # the rows stage 1 rejects included, that sum is prefix_exponents.
-    m1_terms = {(n1, u1): (g, d) for n1, u1, g, d in search_module._M1_TERMS}
+    # the rows stage 1 rejects included, that sum is the closed form.
+    x_terms, x1_terms, m1_terms = search_module._stage1_terms()
     cases = 0
     for n, u, m, v, n1, u1 in product(range(5), US, range(5), US, range(5), U1S):
         if not 1 <= (u << n) - 1 <= (v << m) - 1:
             continue
-        terms = (
-            search_module._X_TERMS[n, u],
-            search_module._X1_TERMS[m, v],
-            m1_terms[n1, u1],
-        )
+        terms = (x_terms[n, u], x1_terms[m, v], m1_terms[n1, u1])
         g, delta = prefix_exponents(n, u, m, v, n1, u1)
-        assert g == sum(t[0] for t in terms)
-        assert delta == tuple(map(sum, zip(*(t[1] for t in terms))))
+        assert (g, *delta) == tuple(map(sum, zip(*terms)))
         cases += 1
     assert cases == 14875
 
@@ -205,6 +201,25 @@ def test_stage2_matches_the_slot_by_slot_rules(rule):
 def test_stage3_rows_match_the_per_row_oracle(rule):
     rows2 = run_search("2", stage2_rule=rule).tuples
     assert _stage3_rows(rows2) == naive_stage3_rows(rows2)
+
+
+def test_free_slot_witness_is_the_first_in_loop_order(monkeypatch):
+    # The domain's 144 (n3, n4, n5) make 144 distinct contributions.
+    # Wider t ranges make two collide: at range(6) each, (3, 2, 4) and
+    # (5, 0, 0) both give (62, 31), and the table keeps the first.
+    domain = list(search_module.DOMAIN)
+    assert len(search_module._free_slot_witness()) == 144
+    ranges = (range(6), range(6), range(6))
+    domain[4:7] = [(r, (1,)) for r in ranges]
+    monkeypatch.setattr(search_module, "DOMAIN", tuple(domain))
+    search_module._free_slot_witness.cache_clear()
+    try:
+        table = search_module._free_slot_witness()
+        assert len(table) == 215
+        for need, witness in table.items():
+            assert witness == free_slot_witness(*need, ranges), need
+    finally:
+        search_module._free_slot_witness.cache_clear()
 
 
 def _stage2_probe(row):

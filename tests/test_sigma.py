@@ -29,7 +29,6 @@ from gf2perfect.sigma import (
     _cyclotomic_factors,
     _cyclotomic_pieces,
     assemble,
-    chi,
     decompose_exponent,
     is_indecomposable_perfect,
     is_perfect,
@@ -38,11 +37,19 @@ from gf2perfect.sigma import (
     sigma_exponents,
     sigma_of_factor_map,
     sigma_prime_power,
+    slot_term,
     trivial_perfect,
     two_mersenne,
 )
-from gf2perfect.search import MAX_SCAN_H
-from oracles import cyclotomic_pieces, divisor_sum_bits, i_mul, sigma_sweep
+from gf2perfect.search import MAX_SCAN_H, REPRESENTABLE_EXPONENTS
+from oracles import (
+    chi,
+    closed_form_exponents,
+    cyclotomic_pieces,
+    divisor_sum_bits,
+    i_mul,
+    sigma_sweep,
+)
 
 # The package re-exports the function sigma under the submodule's name.
 sigma_module = importlib.import_module("gf2perfect.sigma")
@@ -252,6 +259,67 @@ def test_chi_is_singleton_indicator():
     assert chi(7, 1) == 0
 
 
+# The primes of the 15 slots, in exponent-vector order.
+_SLOTS = [X, X1, *map(mersenne, range(1, 6)), *map(two_mersenne, range(1, 9))]
+
+
+def _one_slot_tuple(k, t, s):
+    """The ExponentTuple with slot k at (t, s) and every other slot empty."""
+    ts, ss = [0] * 15, [1] * 15
+    ts[k], ss[k] = t, s
+    return ExponentTuple(ts[0], ss[0], ts[1], ss[1], tuple(ts[2:7]), tuple(ss[2:7]),
+                         tuple(ts[7:]), tuple(ss[7:]))
+
+
+def _flat(exps):
+    return (exps.alpha, exps.beta, *exps.gamma, *exps.delta)
+
+
+def _domain_entries():
+    """(slot, t, s) for every value DOMAIN gives a slot."""
+    return [(k, t, s) for k, (ts, ss) in enumerate(sigma_module.DOMAIN)
+            for t in ts for s in ss]
+
+
+def test_slot_term_matches_the_closed_forms():
+    # Each slot term is the paper's closed forms at a candidate with that
+    # slot alone: every (slot, t, s) of the domain, and every S1..S8
+    # exponent stage 2 can carry, where the rule keeps only (1 + Sj)^(2^t - 1).
+    entries = _domain_entries()
+    assert len(entries) == 145
+    entries += [(k, *decompose_exponent(e)) for k in range(7, 15)
+                for e in sorted(REPRESENTABLE_EXPONENTS)]
+    for k, t, s in entries:
+        expected = _flat(closed_form_exponents(_one_slot_tuple(k, t, s)))
+        assert slot_term(k, (s << t) - 1) == expected, (k, t, s)
+
+
+def test_slot_term_matches_a_fresh_factorization():
+    # On the domain the rule keeps all of sigma(q^e), and no prime
+    # outside the 15 slots divides it.
+    for k, t, s in _domain_entries():
+        e = (s << t) - 1
+        fm = factor_full(sigma_prime_power(_SLOTS[k], e))
+        assert all(p in _SLOTS for p, _e in fm), (k, e)
+        assert slot_term(k, e) == tuple(fm.exponent(q) for q in _SLOTS), (k, e)
+
+
+def test_slot_term_raises_on_a_prime_outside_the_slots(monkeypatch):
+    # sigma(S3^2) = Phi_3(S3) has a prime outside the slots; the domain
+    # gives S3 only s = 1, so the rule drops it until the domain is
+    # widened.  (S1 already has (1, 3): sigma(S1^2) = M4 M5.)
+    assert slot_term(9, 2) == (0,) * 15
+    domain = list(sigma_module.DOMAIN)
+    domain[9] = (range(2), (1, 3))
+    monkeypatch.setattr(sigma_module, "DOMAIN", tuple(domain))
+    slot_term.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=r"\^2\) has a prime outside the slots"):
+            slot_term(9, 2)
+    finally:
+        slot_term.cache_clear()
+
+
 def test_domain_validation():
     good = ExponentTuple.from_parts(n=4, u=15, m=4, v=15, ni=(4, 3, 3, 5, 5),
                                     ui=(15, 3, 3, 1, 1))
@@ -356,6 +424,7 @@ def test_exponent_formulas_match_actual_divisor_sums():
         t = _random_domain_tuple(rng)
         s = _sigma_of_tuple(t)
         exps = sigma_exponents(t)
+        assert exps == closed_form_exponents(t), t
         assert exps.gamma[1] == exps.gamma[2]
         alpha, beta = val_x(s), val_x1(s)
         assert (alpha, beta) == (exps.alpha, exps.beta)

@@ -94,6 +94,8 @@ GOLDEN = tuple(
     ("conjecture", "S14", "--hmax", "6"),
     ("admissible", "x"),
     ("admissible", "M1", "--budget", "0"),
+    # 2 * 128 * 3217 is over MAX_SIGMA_DEGREE: exit 2 before any scan.
+    ("admissible", "x^3217+x^67+1", "--budget", "128"),
     ("admissible", "M6"),
     ("sigma", "x^5000"),
     ("factor", "x^"),

@@ -1,0 +1,193 @@
+"""Mutation record: each mutant in MUTANTS must make its tests fail.
+
+    python3 tools/mutants.py
+
+A mutant is (name, file, old text, new text, test selector).  The
+repository's src/, tests/ and tools/ are copied once to a temporary
+directory, and the selectors run there unmutated first: they must all
+pass.  Then for each mutant the old text, which must occur exactly once
+in its file, is replaced by the new text, pytest runs the mutant's
+selector (node ids or options, split on spaces) with that copy's src/
+first on PYTHONPATH and no bytecode written, and the file is put back.
+
+A mutant is killed when pytest reports a failed test or a collection
+error, or runs past TIMEOUT_S.  The tool exits 1 when a mutant
+survives, when its old text is missing or not unique, or when a
+selector fails or selects nothing before any mutation.  It is kept out
+of Tier-1: each mutant costs one pytest launch, and the 22 below take
+about 17 s on a 2-vCPU Xeon.  A change that guards a kernel adds its
+mutants here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300
+
+S = "src/gf2perfect/"
+T = "tests/"
+
+MUTANTS = (
+    # The divisor-sum slot table and the sieve reading it.
+    ("slot-term-odd-part-always-kept", S + "sigma.py",
+     "odd = _slot_vector(_sigma_pp(q, s - 1) if s in DOMAIN[k][1] else 1)",
+     "odd = _slot_vector(_sigma_pp(q, s - 1))",
+     T + "test_sigma.py::test_slot_term_matches_the_closed_forms"),
+    ("slot-term-odd-part-always-dropped", S + "sigma.py",
+     "odd = _slot_vector(_sigma_pp(q, s - 1) if s in DOMAIN[k][1] else 1)",
+     "odd = _slot_vector(1)",
+     T + "test_sigma.py::test_slot_term_matches_the_closed_forms"),
+    ("stage3-head-reads-the-wrong-linear-component", S + "search.py",
+     "_term_sum(enumerate((1 << t) - 1 for t in head), (0, 1))",
+     "_term_sum(enumerate((1 << t) - 1 for t in head), (1, 0))",
+     T + "test_search.py::test_stage3_rows_match_the_per_row_oracle"),
+    ("witness-table-keeps-the-last-witness", S + "search.py",
+     "table.setdefault(need, w)",
+     "table[need] = w",
+     T + "test_search.py::test_free_slot_witness_is_the_first_in_loop_order"),
+    ("witness-table-built-at-import", S + "search.py",
+     "\ndef _stage3_rows(rows):",
+     "\n_free_slot_witness()\n\n\ndef _stage3_rows(rows):",
+     T + "test_layers.py::test_imports_build_no_slot_table"),
+    ("admissible-budget-cap-off-by-one", S + "catalog.py",
+     "2 * h_budget * p.degree > MAX_SIGMA_DEGREE:",
+     "2 * h_budget * p.degree >= MAX_SIGMA_DEGREE:",
+     T + "test_catalog.py::test_explicit_budget_is_checked_before_any_scan"),
+    # The distinct-degree walk's block loop.
+    ("ddf-product-starts-at-zero", S + "factorize.py",
+     "prod = 1  # this block: degrees first..k",
+     "prod = 0  # this block: degrees first..k",
+     T + "test_factorize.py::test_distinct_degree_matches_trial_division"),
+    ("ddf-block-multiple-off-by-one", S + "factorize.py",
+     "if j % step == 0:  # 1 * (h - x)",
+     "if (j + 1) % step == 0:  # 1 * (h - x)",
+     T + "test_factorize.py::test_distinct_degree_matches_trial_division"),
+    ("ddf-gcd-of-a-product-of-one", S + "factorize.py",
+     "        if prod == 1:\n            continue  # gcd(1, f) = 1\n",
+     "",
+     T + "test_factorize.py::test_distinct_degree_takes_no_gcd_of_one"),
+    ("ddf-reducer-kept-after-a-division", S + "factorize.py",
+     "        reduce = None\n        last = k - k % step",
+     "        last = k - k % step",
+     T + "test_factorize.py::test_distinct_degree_rebuilds_its_reducer_after_a_division"),
+    ("ddf-backtrack-first-multiple-off-by-one", S + "factorize.py",
+     "range(first + (-first) % step, last, step)",
+     "range(first - 1 + (1 - first) % step, last, step)",
+     T + "test_factorize.py::test_distinct_degree_matches_trial_division"),
+    # Perfect-polynomial decomposition.
+    ("indecomposable-mask-range-includes-everything", S + "sigma.py",
+     "for mask in range(1, (1 << (w - 1)) - 1):",
+     "for mask in range(1, 1 << (w - 1)):",
+     T + "test_sigma.py::test_catalog_fixed_points_are_indecomposable"),
+    ("indecomposable-never-reports-a-split", S + "sigma.py",
+     "        if left == sleft:\n            return False",
+     "        if left == sleft:\n            pass",
+     T + "test_sigma.py::test_split_into_two_perfects_is_reported"),
+    ("indecomposable-cap-checked-before-perfection", S + "sigma.py",
+     "    if reduce(_mul, sigmas, 1) != a.bits:\n"
+     "        raise ValueError(\"input is not perfect\")\n"
+     "    w = len(entries)\n",
+     "    w = len(entries)\n"
+     "    if w > MAX_OMEGA_FOR_DECOMPOSITION:\n"
+     "        raise ValueError(f\"too many distinct factors ({w}) for bipartition search\")\n"
+     "    if reduce(_mul, sigmas, 1) != a.bits:\n"
+     "        raise ValueError(\"input is not perfect\")\n",
+     T + "test_sigma.py::test_indecomposable_refuses_past_the_omega_cap"),
+    # The slot layout, the domain and the stage table.
+    ("slot-primes-s1-s2-swapped", S + "sigma.py",
+     "*(two_mersenne(j).bits for j in range(1, 9)))",
+     "*(two_mersenne(j).bits for j in (2, 1, 3, 4, 5, 6, 7, 8)))",
+     T + "test_catalog.py::test_slot_primes_are_the_catalog_primes_in_slot_order"),
+    ("assemble-drops-s8", S + "sigma.py",
+     "for q, e in zip(_SLOT_PRIMES[2:], (*c, *d)):",
+     "for q, e in zip(_SLOT_PRIMES[2:-1], (*c, *d)):",
+     T + "test_search.py::test_stage3_exponent_vectors_match_factor_full"),
+    ("sigma-of-vector-skips-x", S + "sigma.py",
+     "zip(_SLOT_PRIMES, exps) if e)",
+     "zip(_SLOT_PRIMES[1:], exps[1:]) if e)",
+     T + "test_search.py::test_stage3_exponent_vectors_match_factor_full"),
+    ("s1-t-range-widened", S + "sigma.py",
+     "(range(4), U23S), *((range(2), (1,)),) * 7,",
+     "(range(5), U23S), *((range(2), (1,)),) * 7,",
+     T + "test_sigma.py::test_domain_validation"),
+    ("stage2-pinned-to-uniform", S + "search.py",
+     '"2": _stage2_rows,',
+     '"2": lambda rows1, _rule: _stage2_rows(rows1, "uniform"),',
+     T + "test_search.py::test_strict_rule_prunes_harder"),
+    ("tables-h-max-one-short", S + "search.py",
+     "h_max = admissibility_budget(family, base)",
+     "h_max = admissibility_budget(family, base) - 1",
+     T + "test_search.py::test_table_h_max_is_degree_budget"),
+    # The catalog.
+    ("catalog-irreducibility-check-removed", S + "catalog.py",
+     "            if not is_irreducible(p):\n"
+     "                raise CatalogError(f\"{name} = {p.text()} is not irreducible\")\n",
+     "",
+     T + "test_catalog.py::test_catalog_self_check_raises"),
+    ("catalog-exports-an-import", S + "catalog.py",
+     '    "is_admissible",\n',
+     '    "is_admissible",\n    "is_perfect",\n',
+     T + "test_layers.py"),
+)
+
+
+def pytest_exit(tree, selector):
+    """pytest's exit code for selector run in tree, or None past TIMEOUT_S."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(tree / "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+               *selector.split()]
+    try:
+        return subprocess.run(command, cwd=tree, env=env, capture_output=True,
+                              timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def main():
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests", "tools"):
+            shutil.copytree(ROOT / part, tree / part, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", tree)
+        for selector in dict.fromkeys(m[4] for m in MUTANTS):
+            code = pytest_exit(tree, selector)
+            if code != 0:
+                print(f"BASELINE {selector}: pytest exit {code} before any mutation")
+                failures += 1
+        for name, file, old, new, selector in MUTANTS:
+            path = tree / file
+            text = path.read_text()
+            if text.count(old) != 1:
+                print(f"MISSING  {name}: old text found {text.count(old)} times in {file}")
+                failures += 1
+                continue
+            path.write_text(text.replace(old, new))
+            try:
+                code = pytest_exit(tree, selector)
+            finally:
+                path.write_text(text)
+            if code in (1, 2):
+                print(f"killed   {name}")
+            elif code is None:
+                print(f"killed   {name} (timeout after {TIMEOUT_S} s)")
+            else:
+                print(f"SURVIVED {name}: pytest exit {code} on {selector}")
+                failures += 1
+    print(f"{len(MUTANTS)} mutants, {failures} failures")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
