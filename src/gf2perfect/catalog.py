@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .factorize import factor_over_family, is_irreducible
-from .gf2poly import ONE, Poly, X, X1, _linear, _mul, _split_linear, bar, is_odd, star
+from .gf2poly import ONE, Poly, X, X1, _product, _split_linear, bar, is_odd, star
 from .sigma import (
     MAX_SIGMA_DEGREE,
     MERSENNE_AB,
@@ -95,10 +95,8 @@ class CatalogEntry(NamedTuple):
 def _perfect_poly(k: int, primes: dict[str, Poly]) -> Poly:
     if k in PERFECT_SHAPES:
         a, b, powers = PERFECT_SHAPES[k]
-        bits = _linear(a, b)
-        for name, exp in powers:
-            bits = _mul(bits, (primes[name] ** exp).bits)
-        return Poly(bits)
+        pairs = ((primes[name].bits, exp) for name, exp in powers)
+        return Poly(_product(((X.bits, a), (X1.bits, b), *pairs)))
     return bar(_perfect_poly(BAR_PERFECT[k], primes))
 
 
@@ -321,7 +319,7 @@ def admissibility_budget(family: tuple[Poly, ...], s: Poly) -> int:
     """Scan bound for divisor sums of s: degrees of family and catalog
     primes combined, divided by the degree of s^2."""
     seen = {q.bits for q in prime_family()} | {q.bits for q in family}
-    total = sum(Poly(b).degree for b in seen)
+    total = sum(b.bit_length() - 1 for b in seen)
     return max(1, total // (2 * s.degree))
 
 

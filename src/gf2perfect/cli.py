@@ -10,16 +10,17 @@ Each verb is a function args -> Result: renderers of the --json
 payload and of the plain text, whether its check passed, and
 diagnostic lines.  main alone prints the rendering asked for to
 stdout, writes the diagnostics to stderr in both modes, and picks the
-exit status: 0 on success, 1 when
-a verification came out negative (a count off its reference, a scan
-row without a witness, an inadmissible family, a mismatched identity)
-or a CatalogError says the catalog self-check failed, and 2, through
-argparse, for a malformed invocation or any ValueError a verb raises.
+exit status: 0 on success, 1 when a verification came out negative (a
+count off its reference, a scan row without a witness, an inadmissible
+family, a mismatched identity) or a CatalogError says the catalog
+self-check failed, and 2, through argparse, for a malformed invocation
+or any ValueError a verb raises.
 
-The argument parser is built on the first main call and reused by
-every later one in the process.  Its set_defaults(func=...) binds the
-_cmd_* functions at that build, so a test that patches behaviour
-targets the names those functions call, not the functions themselves.
+Each verb is one row of _VERBS: name, handler, help text and
+arguments.  The parser is one loop over that table, built on the first
+main call and reused by every later one in the process.  _VERBS binds
+the _cmd_* handlers at import, not at parser build, so a test that
+patches behaviour targets the names the handlers call.
 """
 
 from __future__ import annotations
@@ -179,6 +180,41 @@ def _cmd_admissible(args):
     return Result(report.to_json, report.text, ok)
 
 
+# One row per verb: name, handler, help, then each argument as (name or
+# flag, add_argument keywords); every verb also takes --json.  --stage and
+# --rule spell out their choices, so that building the parser imports no search.
+_POLY_ARG = ("poly", dict(help=_POLY_HELP))
+_VERBS = (
+    ("sigma", _cmd_sigma, "divisor sum of a polynomial", _POLY_ARG),
+    ("factor", _cmd_factor, "full irreducible factorization", _POLY_ARG),
+    ("repr", _cmd_repr, "valuation chain of an odd polynomial", _POLY_ARG),
+    ("classify", _cmd_classify, "chain length and shape parameters", _POLY_ARG),
+    ("verify-catalog", _cmd_verify_catalog,
+     "rebuild the fixed catalog and run its self-checks"),
+    ("tables", _cmd_tables, "divisor-sum factor tables over the fixed prime family",
+     ("base_set", dict(nargs="*", metavar="base_set",
+                       help="linear, mersenne or two-mersenne (default: all three)"))),
+    ("search", _cmd_search, "run the staged sieve for fixed points",
+     ("--stage", dict(choices=["1", "2", "3", "final"], default="final",
+                      help="stop after this stage (default final)")),
+     ("--rule", dict(choices=["uniform", "strict"], default="uniform",
+                     help="stage-2 slot rule (default uniform)"))),
+    ("reciprocal", _cmd_reciprocal, "classify reciprocals of shaped primes",
+     ("--max-abc", dict(type=int, default=6, help="exponent bound (default 6)"))),
+    ("identities", _cmd_identities, "verify the split identity families",
+     ("--max-exp", dict(type=int, default=32,
+                        help="exponent sweep bound (default 32)"))),
+    ("conjecture", _cmd_conjecture, "hunt long-chain factors in divisor sums",
+     ("base", dict(nargs="*",
+                   help="odd irreducible bases (default: the whole one-step family)")),
+     ("--hmax", dict(type=int, default=20, help="largest h (default 20)"))),
+    ("admissible", _cmd_admissible, "closure test for a family of odd primes",
+     ("poly", dict(nargs="+", help=_POLY_HELP)),
+     ("--budget", dict(type=int, default=None,
+                       help="override the degree-based scan budget"))),
+)
+
+
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -189,82 +225,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, fn, help_text):
+    for name, handler, help_text, *arguments in _VERBS:
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.set_defaults(func=fn)
-        return p
-
-    p = add("sigma", _cmd_sigma, "divisor sum of a polynomial")
-    p.add_argument("poly", help=_POLY_HELP)
-
-    p = add("factor", _cmd_factor, "full irreducible factorization")
-    p.add_argument("poly", help=_POLY_HELP)
-
-    p = add("repr", _cmd_repr, "valuation chain of an odd polynomial")
-    p.add_argument("poly", help=_POLY_HELP)
-
-    p = add("classify", _cmd_classify, "chain length and shape parameters")
-    p.add_argument("poly", help=_POLY_HELP)
-
-    add(
-        "verify-catalog",
-        _cmd_verify_catalog,
-        "rebuild the fixed catalog and run its self-checks",
-    )
-
-    p = add(
-        "tables",
-        _cmd_tables,
-        "divisor-sum factor tables over the fixed prime family",
-    )
-    p.add_argument(
-        "base_set",
-        nargs="*",
-        metavar="base_set",
-        help="linear, mersenne or two-mersenne (default: all three)",
-    )
-
-    p = add("search", _cmd_search, "run the staged sieve for fixed points")
-    p.add_argument(
-        "--stage",
-        choices=["1", "2", "3", "final"],
-        default="final",
-        help="stop after this stage (default final)",
-    )
-    p.add_argument(
-        "--rule",
-        choices=["uniform", "strict"],
-        default="uniform",
-        help="stage-2 slot rule (default uniform)",
-    )
-
-    p = add("reciprocal", _cmd_reciprocal, "classify reciprocals of shaped primes")
-    p.add_argument("--max-abc", type=int, default=6, help="exponent bound (default 6)")
-
-    p = add("identities", _cmd_identities, "verify the split identity families")
-    p.add_argument(
-        "--max-exp", type=int, default=32, help="exponent sweep bound (default 32)"
-    )
-
-    p = add("conjecture", _cmd_conjecture, "hunt long-chain factors in divisor sums")
-    p.add_argument(
-        "base",
-        nargs="*",
-        help="odd irreducible bases (default: the whole one-step family)",
-    )
-    p.add_argument("--hmax", type=int, default=20, help="largest h (default 20)")
-
-    p = add("admissible", _cmd_admissible, "closure test for a family of odd primes")
-    p.add_argument("poly", nargs="+", help=_POLY_HELP)
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="override the degree-based scan budget",
-    )
-
+        p.set_defaults(func=handler)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
     return parser
 
 

@@ -43,9 +43,11 @@ from .gf2poly import (
     _divmod,
     _gcd,
     _mul,
+    _product,
     _reducer,
     _sqrt,
     _square,
+    _strip,
 )
 
 __all__ = [
@@ -153,10 +155,7 @@ class FactorMap:
         return 0
 
     def product(self) -> Poly:
-        bits = 1
-        for p, e in self.entries:
-            bits = _mul(bits, (p**e).bits)
-        return Poly(bits)
+        return Poly(_product((p.bits, e) for p, e in self.entries))
 
     def factors_json(self) -> list:
         return [{"prime": p.text(), "exp": e} for p, e in self.entries]
@@ -353,10 +352,7 @@ def _family(bits):
             raise ValueError(f"family member {Poly(q).text()} listed twice")
         seen.add(q)
     members = tuple(sorted(bits))
-    product = 1
-    for q in members:
-        product = _mul(product, q)
-    return members, product
+    return members, _product((q, 1) for q in members)
 
 
 def factor_over_family(p: Poly, family) -> FactorMap | None:
@@ -384,13 +380,7 @@ def factor_over_family(p: Poly, family) -> FactorMap | None:
         r = _divmod(r, g)[0]
     pairs = []
     for q in members:
-        e = 0
-        while True:
-            quo, rem = _divmod(a, q)
-            if rem != 0:
-                break
-            a = quo
-            e += 1
+        a, e = _strip(a, q)
         if e:
             pairs.append((Poly(q), e))
     return FactorMap(pairs)

@@ -16,7 +16,8 @@ Python loops over bits (after Brent, Gaudry, Thome and Zimmermann,
 bit reversal go through 256-entry byte tables (bytes.translate), and
 _gcd is Euclid with each remainder taken by inline shift-XOR steps.
 _reducer serves repeated reduction by one modulus, _mod the one-off
-remainder.
+remainder.  _pow and _product build powers and products of prime
+powers, and _strip divides a prime out as often as it goes.
 
 Two structural maps beyond ring arithmetic appear throughout the
 package: ``bar`` substitutes x by x+1 (an involutive automorphism) and
@@ -238,6 +239,37 @@ def _derivative(a):
     return (a >> 1) & mask
 
 
+def _pow(a, e):
+    # a^e by square-and-multiply over the bits of e, low bit first.
+    result = 1
+    while e:
+        if e & 1:
+            result = _mul(result, a)
+        e >>= 1
+        if e:
+            a = _square(a)
+    return result
+
+
+def _product(pairs):
+    """The product of q^e over the (q, e) pairs, on bits."""
+    bits = 1
+    for q, e in pairs:
+        bits = _mul(bits, _pow(q, e))
+    return bits
+
+
+def _strip(a, q):
+    """(cofactor, count): a != 0 with q divided out as often as it goes."""
+    count = 0
+    while True:
+        quo, rem = _divmod(a, q)
+        if rem:
+            return a, count
+        a = quo
+        count += 1
+
+
 # A handful of widths covers every call; each entry holds log2(width)
 # masks of 2**log2(width) bits, at most twice the width asked for.
 @lru_cache(maxsize=16)
@@ -454,19 +486,9 @@ class Poly:
             return NotImplemented
         if e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        if e == 0:
-            if self.bits == 0:
-                raise ValueError("0**0 is undefined here")
-            return ONE
-        result = 1
-        base = self.bits
-        while e:
-            if e & 1:
-                result = _mul(result, base)
-            e >>= 1
-            if e:
-                base = _square(base)
-        return Poly(result)
+        if e == 0 and self.bits == 0:
+            raise ValueError("0**0 is undefined here")
+        return Poly(_pow(self.bits, e))
 
 
 # ---------------------------------------------------------------------------

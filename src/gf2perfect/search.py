@@ -45,7 +45,7 @@ from .catalog import (
     two_mersenne_family,
 )
 from .factorize import FactorMap, factor_full, is_irreducible
-from .gf2poly import Poly, X, X1, _divmod, _mul, _split_linear, star
+from .gf2poly import Poly, X, X1, _mul, _split_linear, _strip, star
 from .sigma import (
     DOMAIN,
     _M1_BITS,
@@ -97,17 +97,6 @@ MAX_SCAN_H = 40
 # and 16: 0.11-0.14 and 1.3-1.4 s).  The Mersenne family stays at 720
 # or below up to MAX_SCAN_H.
 MAX_SCAN_DEGREE = 2048
-
-def _strip_m1(bits):
-    """Divide out x^2+x+1 as often as it goes; (cofactor, count)."""
-    count = 0
-    while True:
-        q, r = _divmod(bits, _M1_BITS)
-        if r:
-            return bits, count
-        bits = q
-        count += 1
-
 
 # ---------------------------------------------------------------------------
 # Sieve stages.  Each returns its rows in domain order.
@@ -508,7 +497,7 @@ def explore_reciprocal(max_abc=6):
             kind = "self"
         elif body == 1:
             kind = "mersenne"
-        elif _strip_m1(body)[0] == 1:
+        elif _strip(body, _M1_BITS)[0] == 1:
             kind = "two_mersenne"
         else:
             kind = "outside"
@@ -593,7 +582,7 @@ def _solve_x_power(bits):
 def _solve_x_m1(bits):
     """x^b (x^2+x+1)^c."""
     b = (bits & -bits).bit_length() - 1
-    cofactor, c = _strip_m1(bits >> b)
+    cofactor, c = _strip(bits >> b, _M1_BITS)
     return (b, c) if cofactor == 1 else None
 
 

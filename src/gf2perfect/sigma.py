@@ -33,7 +33,7 @@ from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from .factorize import FactorMap, factor_full, is_irreducible
-from .gf2poly import Poly, X, X1, _divmod, _gcd, _linear, _mul, _square
+from .gf2poly import Poly, X, X1, _divmod, _gcd, _linear, _mul, _pow, _product, _square
 
 __all__ = [
     "ExponentTuple",
@@ -198,7 +198,7 @@ def is_indecomposable_perfect(a: Poly) -> bool:
         raise ValueError(f"too many distinct factors ({w}) for bipartition search")
     if w < 2:
         return True
-    powers = [(p ** e).bits for p, e in entries]
+    powers = [_pow(p.bits, e) for p, e in entries]
     # Fix factor 0 on the left side so each unordered bipartition is
     # visited once; the last mask would leave the right side empty, and
     # mask 0 would put factor 0 alone on the left, where it is never
@@ -262,7 +262,7 @@ _M1_BITS = 0b111
 
 def _shape(a: int, b: int, c: int = 0) -> Poly:
     """1 + x^a (x+1)^b M1^c."""
-    return Poly(1 ^ _mul(_linear(a, b), (Poly(_M1_BITS) ** c).bits))
+    return Poly(1 ^ _mul(_linear(a, b), _pow(_M1_BITS, c)))
 
 
 def mersenne(i: int) -> Poly:
@@ -407,11 +407,7 @@ def sigma_exponents(t: ExponentTuple) -> SigmaExponents:
 def assemble(a: int, b: int, c: tuple, d: tuple) -> Poly:
     """Materialize the candidate x^a (x+1)^b prod Mi^ci prod Sj^dj from
     the exponents a, b, c = (c1..c5) and d = (d1..d8)."""
-    bits = _linear(a, b)
-    for q, e in zip(_SLOT_PRIMES[2:], (*c, *d)):
-        if e:
-            bits = _mul(bits, (Poly(q) ** e).bits)
-    return Poly(bits)
+    return Poly(_mul(_linear(a, b), _product(zip(_SLOT_PRIMES[2:], (*c, *d)))))
 
 
 def _sigma_of_vector(exps):

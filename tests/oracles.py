@@ -311,7 +311,7 @@ def cyclotomic_pieces(p_bits, n):
 _X, _X1, _M1 = [0, 1], [1, 1], [1, 1, 1]
 
 
-def _multiplicity(a, d):
+def o_multiplicity(a, d):
     """(cofactor, k) with a = d^k cofactor and d not dividing the cofactor."""
     k = 0
     while True:
@@ -328,7 +328,7 @@ def _exponents_over(s, primes):
         return None
     exps = []
     for p in primes:
-        s, k = _multiplicity(s, p)
+        s, k = o_multiplicity(s, p)
         exps.append(k)
     return tuple(exps) if s == [1] else None
 

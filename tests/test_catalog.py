@@ -1,6 +1,8 @@
 """Catalog integrity, valuation chains, classification, admissibility."""
 
 import random
+from functools import reduce
+from itertools import product
 
 import pytest
 
@@ -29,6 +31,7 @@ from gf2perfect.catalog import (
 from gf2perfect.factorize import is_irreducible
 from gf2perfect.gf2poly import ONE, Poly, X, X1, bar, star
 from gf2perfect.sigma import _SLOT_PRIMES, is_perfect, mersenne, two_mersenne
+from oracles import i_is_prime, i_mul
 
 
 # -- table integrity ----------------------------------------------------------
@@ -164,6 +167,47 @@ def test_star_closure_exceptions():
         if star(p).bits not in fam:
             outside.add(name_of(p))
     assert outside == {"M9", "M10", "M11", "S7", "S8", "S11", "S12", "S13"}
+
+
+# -- coverage of the shapes ---------------------------------------------------------
+
+
+def _shape_bits(a, b, c=0):
+    """1 + x^a (x+1)^b M1^c, multiplied out by the oracle."""
+    return 1 ^ reduce(i_mul, [0b10] * a + [0b11] * b + [0b111] * c, 1)
+
+
+def _catalog_params(kind):
+    return {e.params for e in catalog_constants() if e.kind == kind}
+
+
+def test_mersenne_family_holds_13_of_the_17_shapes_up_to_degree_9():
+    """The primes 1 + x^a (x+1)^b with a, b >= 1 and degree a + b <= 9,
+    decided by trial division: M1..M13 and four the catalog leaves out."""
+    found = {
+        (a, b) for a, b in product(range(1, 9), repeat=2)
+        if a + b <= 9 and i_is_prime(_shape_bits(a, b))
+    }
+    listed = _catalog_params("mersenne")
+    assert len(found) == 17 and len(listed) == 13
+    assert listed <= found
+    assert found - listed == {(1, 5), (5, 1), (4, 5), (5, 4)}
+
+
+def test_two_mersenne_family_holds_12_of_the_16_shapes_up_to_degree_8():
+    """The primes 1 + x^a (x+1)^b M1^c with a, b, c >= 1 and degree
+    a + b + 2c <= 8, decided by trial division: twelve of S1..S15 and
+    four the catalog leaves out.  S3, S6 and S9 have degree 12."""
+    found = {
+        (a, b, c) for a, b, c in product(range(1, 7), range(1, 7), range(1, 4))
+        if a + b + 2 * c <= 8 and i_is_prime(_shape_bits(a, b, c))
+    }
+    listed = _catalog_params("two_mersenne")
+    small = {(a, b, c) for a, b, c in listed if a + b + 2 * c <= 8}
+    assert len(found) == 16 and len(small) == 12
+    assert small <= found
+    assert found - small == {(1, 3, 2), (2, 4, 1), (3, 1, 2), (4, 2, 1)}
+    assert listed - small == {(1, 3, 4), (3, 1, 4), (1, 1, 5)}
 
 
 # -- valuation chains ----------------------------------------------------------

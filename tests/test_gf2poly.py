@@ -2,6 +2,7 @@
 
 import operator
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +20,13 @@ from gf2perfect.gf2poly import (
     _linear,
     _mod,
     _mul,
+    _pow,
+    _product,
     _reducer,
     _split_linear,
     _sqrt,
     _square,
+    _strip,
     bar,
     derivative,
     gcd,
@@ -41,6 +45,7 @@ from oracles import (
     o_divmod,
     o_gcd,
     o_mul,
+    o_multiplicity,
     o_pow,
     o_star,
     to_bits,
@@ -262,6 +267,26 @@ def test_power_is_repeated_mul(a, e):
     for _ in range(e):
         acc = acc * Poly(a)
     assert Poly(a) ** e == acc
+
+
+@given(small_nonzero | wide, st.integers(min_value=0, max_value=12))
+def test_pow_matches_oracle(a, e):
+    assert _pow(a, e) == reduce(i_mul, [a] * e, 1)
+
+
+@given(st.lists(st.tuples(small_nonzero | wide, st.integers(0, 5)), max_size=4))
+def test_product_matches_oracle(pairs):
+    assert _product(pairs) == reduce(i_mul, [q for q, e in pairs for _ in range(e)], 1)
+
+
+@given(small_nonzero | wide, st.integers(min_value=2, max_value=(1 << 20) - 1),
+       st.integers(0, 6))
+def test_strip_matches_oracle(w, q, k):
+    # q^k w: at least k divisions go, more when q divides w.
+    a = reduce(i_mul, [q] * k, w)
+    cofactor, count = o_multiplicity(to_list(a), to_list(q))
+    assert count >= k
+    assert _strip(a, q) == (to_bits(cofactor), count)
 
 
 def test_division_by_zero_raises():

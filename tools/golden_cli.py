@@ -103,6 +103,12 @@ GOLDEN = tuple(
     ("--help",),
     ("conjecture", "--help"),
     (),
+) + tuple(
+    (verb, "--help")
+    for verb in (
+        "sigma", "factor", "repr", "classify", "verify-catalog", "tables",
+        "search", "reciprocal", "identities", "admissible",
+    )
 )
 
 

@@ -14,8 +14,8 @@ A mutant is killed when pytest reports a failed test or a collection
 error, or runs past TIMEOUT_S.  The tool exits 1 when a mutant
 survives, when its old text is missing or not unique, or when a
 selector fails or selects nothing before any mutation.  It is kept out
-of Tier-1: each mutant costs one pytest launch, and the 22 below take
-about 17 s on a 2-vCPU Xeon.  A change that guards a kernel adds its
+of Tier-1: each mutant costs one pytest launch, and the 26 below take
+about 28 s on a 2-vCPU Xeon.  A change that guards a kernel adds its
 mutants here.
 """
 
@@ -35,6 +35,24 @@ S = "src/gf2perfect/"
 T = "tests/"
 
 MUTANTS = (
+    # The prime-power and divide-out kernels.
+    ("pow-skips-its-last-multiply", S + "gf2poly.py",
+     "        if e & 1:\n            result = _mul(result, a)",
+     "        if e & 1 and e > 1:\n            result = _mul(result, a)",
+     T + "test_gf2poly.py::test_pow_matches_oracle"),
+    ("product-ignores-the-exponent", S + "gf2poly.py",
+     "bits = _mul(bits, _pow(q, e))",
+     "bits = _mul(bits, q)",
+     T + "test_gf2poly.py::test_product_matches_oracle"),
+    ("strip-counts-one-division-too-many", S + "gf2poly.py",
+     "            return a, count\n",
+     "            return a, count + 1\n",
+     T + "test_gf2poly.py::test_strip_matches_oracle"),
+    # The verb table.
+    ("verbs-max-abc-default-moved", S + "cli.py",
+     "dict(type=int, default=6,",
+     "dict(type=int, default=7,",
+     T + "test_cli.py::test_cli_outputs_are_pinned"),
     # The divisor-sum slot table and the sieve reading it.
     ("slot-term-odd-part-always-kept", S + "sigma.py",
      "odd = _slot_vector(_sigma_pp(q, s - 1) if s in DOMAIN[k][1] else 1)",
@@ -106,8 +124,8 @@ MUTANTS = (
      "*(two_mersenne(j).bits for j in (2, 1, 3, 4, 5, 6, 7, 8)))",
      T + "test_catalog.py::test_slot_primes_are_the_catalog_primes_in_slot_order"),
     ("assemble-drops-s8", S + "sigma.py",
-     "for q, e in zip(_SLOT_PRIMES[2:], (*c, *d)):",
-     "for q, e in zip(_SLOT_PRIMES[2:-1], (*c, *d)):",
+     "_product(zip(_SLOT_PRIMES[2:], (*c, *d)))",
+     "_product(zip(_SLOT_PRIMES[2:-1], (*c, *d)))",
      T + "test_search.py::test_stage3_exponent_vectors_match_factor_full"),
     ("sigma-of-vector-skips-x", S + "sigma.py",
      "zip(_SLOT_PRIMES, exps) if e)",
