@@ -11,15 +11,15 @@ The time goes into squaring modulo a fixed polynomial, in the
 distinct-degree walk and the trace map; each of those loops reduces
 through one gf2poly._reducer table built for its modulus.  The
 distinct-degree gcds are blocked: one gcd decides a run of degrees, and
-only a run that holds a factor is split degree by degree.  The same
-walk tests irreducibility: a degree-d input is prime exactly when it
-has no prime factor of degree at most d/2, repeated or not, so its
-first find is the whole input.  Most reducible inputs are rejected by
-the first block, after at most 16 squarings; a prime costs d/2 of them.
-A caller that knows a step s dividing every prime factor's degree (the
-cyclotomic pieces of the conjecture scans' divisor sums) saves gcds:
-the walk squares through every degree as before but multiplies in,
-tests and backtracks over the multiples of s only, and a block without
+a run that holds a factor is split by the same walk, one degree at a
+time.  The walk also tests irreducibility: a degree-d input is prime
+exactly when it has no prime factor of degree at most d/2, repeated or
+not, so its first find is the whole input.  Most reducible inputs are
+rejected by the first block, after at most 16 squarings; a prime costs
+d/2 of them.  A caller that knows a step s dividing every prime
+factor's degree (the cyclotomic pieces of the conjecture scans' divisor
+sums) saves gcds: the walk squares through every degree as before but
+multiplies in and tests the multiples of s only, and a block without
 one takes no gcd.  The plain walk is the same loop with s = 1.
 
 `factor_over_family` is deliberately weaker than `factor_full`: it only
@@ -201,7 +201,7 @@ def _squarefree_parts(a):
     return out
 
 
-def _distinct_degree(f, step=1):
+def _distinct_degree(f, step=1, h=2, k=0, last=None):
     """Yield (product of the degree-k primes of square-free f, k), k up.
 
     h_k = x^(2^k) mod f, and gcd(h_k - x, f) is the product of the
@@ -214,35 +214,41 @@ def _distinct_degree(f, step=1):
     gcds are blocked (von zur Gathen and Shoup): the values h_k - x of
     _DDF_BLOCK consecutive k are multiplied together modulo f, and one
     gcd of that product with f, found, decides the block.  When found
-    is 1, no prime of f has its degree in the block.  Otherwise found
-    is divided out of f and the block backtracks: it recomputes the
-    block's h_k modulo found and takes the gcd of found with each
-    h_k - x in order of k, dividing out every nonconstant one, until
-    what is left of found is 1 or a single prime.  The block's last
-    degree needs no gcd: what is left by then has only primes of that
-    degree.  While deg f is below _DDF_BLOCK_MIN_DEGREE a block is one
-    k, and the walk is the plain one-gcd-per-degree loop.  Each block
+    is 1, no prime of f has its degree in the block.  Otherwise the
+    walk splits found by running itself on it, then divides it out of
+    f.  While deg f is below _DDF_BLOCK_MIN_DEGREE a block is one k,
+    and the walk is the plain one-gcd-per-degree loop.  Each block
     reads its size and the walk's stop from what is left of f then.
 
     The caller may promise that every prime of f has a degree divisible
     by step.  The walk still squares through every k, but only the
-    multiples of step enter a block's product and its backtrack, and
-    the walk stops once twice the next multiple exceeds deg f.  A
-    block's product starts at 1, and one still 1 at the block's end,
-    as in a block without a multiple of step, takes no gcd, for
-    gcd(1, f) = 1.  Step 1, the default, makes every k a multiple.
+    multiples of step enter a block's product, and the walk stops once
+    twice the next multiple exceeds deg f.  A block's product starts at
+    1, and one still 1 at the block's end, as in a block without a
+    multiple of step, takes no gcd, for gcd(1, f) = 1.  Step 1, the
+    default, makes every k a multiple.
+
+    Only the walk passes h, k and last, to start a split: the block's
+    first h_k modulo the walk's f, which found divides; the degree k
+    before the block; and the block's last degree a prime may have.  A
+    split takes one degree per block and stops by last - step, as what
+    is left then has only primes of degree last; so the split of a
+    one-degree block's find yields it at once, with no gcd.
     """
-    h, k, reduce = 2, 0, None  # h = x; reduce is built at the first block
+    reduce = None  # built at the first block, and after each division
     while True:
         d = _degree(f)
         top = d // 2 // step * step  # past it, f is 1 or one prime
+        if last is not None:
+            top = min(top, last - step)
         if k >= top:
             break
-        if reduce is None:  # the first block, or f was divided
+        if reduce is None:
             reduce = _reducer(f)
             h = reduce(h)
         first, h_first = k + 1, h
-        k = min(k + (_DDF_BLOCK if d >= _DDF_BLOCK_MIN_DEGREE else 1), top)
+        wide = last is None and d >= _DDF_BLOCK_MIN_DEGREE
+        k = min(k + (_DDF_BLOCK if wide else 1), top)
         prod = 1  # this block: degrees first..k
         for j in range(first, k + 1):
             h = reduce(_square(h))
@@ -253,32 +259,11 @@ def _distinct_degree(f, step=1):
         found = _gcd(prod, f)
         if found == 1:
             continue
+        yield from _distinct_degree(found, step, h_first, first - 1, k - k % step)
         f = _divmod(f, found)[0]
         reduce = None
-        last = k - k % step  # the block's last degree a prime may have
-        if first < last:
-            # The primes of found have their degrees in first..last.
-            # Split off those of degree below last modulo found, which
-            # is small, redoing the block's squarings there; residues
-            # modulo f stay valid modulo found, which divided it.
-            reduce_found = _reducer(found)
-            hj, i = h_first, first - 1
-            for j in range(first + (-first) % step, last, step):
-                if 2 * j > _degree(found):
-                    break  # found is 1 or one prime, of degree j..last
-                for _ in range(j - i):
-                    hj = reduce_found(_square(hj))
-                i = j
-                g = _gcd(found, hj ^ 2)
-                if g != 1:
-                    yield g, j
-                    found = _divmod(found, g)[0]
-        if found != 1:
-            # Only degree-last primes are left, or (after the break) one
-            # prime of degree at most last: min gives the degree either way.
-            yield found, min(last, _degree(found))
     if f != 1:
-        yield f, d
+        yield f, d if last is None else min(d, last)
 
 
 # Random splits _equal_degree tries on one product.  A product of two or

@@ -223,6 +223,27 @@ def sieve_primes(max_degree):
     return primes
 
 
+def gauss_prime_count(n):
+    """Number of irreducibles of degree n >= 1 by Gauss's formula,
+    (1/n) * sum over d | n of mu(d) 2^(n/d), with mu by trial division
+    (Lidl and Niederreiter, Finite Fields, Thm 3.25)."""
+
+    def mu(m):
+        sign, p = 1, 2
+        while m > 1:
+            if m % p == 0:
+                m //= p
+                if m % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return sign
+
+    total = sum(mu(d) * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0)
+    assert total % n == 0
+    return total // n
+
+
 def divisor_sum_bits(factors):
     """XOR of every divisor, each divisor built as an explicit product."""
     divisors = [1]

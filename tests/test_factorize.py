@@ -35,6 +35,7 @@ from gf2perfect.sigma import _cyclotomic_pieces, mersenne, sigma_prime_power, tw
 from expected import FACTOR_JSON_SHA256
 from oracles import (
     cyclotomic_pieces,
+    gauss_prime_count,
     i_divmod,
     i_factor,
     i_factor_over,
@@ -55,6 +56,17 @@ def test_irreducibility_exhaustive_through_degree_14():
     for bits in range(2, 1 << 15):
         assert is_irreducible(Poly(bits)) == (bits in primes), bin(bits)
         assert bits >> 11 or i_is_prime(bits) == (bits in primes), bin(bits)
+
+
+def test_irreducibility_matches_gauss_count_through_degree_16():
+    # Every prime of degree n >= 2 has constant term 1, so the odd
+    # candidates of degree n hold all of Gauss's count.  The walk is
+    # called past the cache, which neither fills nor moves.
+    walk, before = _is_irreducible_bits.__wrapped__, _is_irreducible_bits.cache_info()
+    for n in range(2, 17):
+        got = sum(map(walk, range((1 << n) + 1, 1 << (n + 1), 2)))
+        assert got == gauss_prime_count(n), n
+    assert _is_irreducible_bits.cache_info() == before
 
 
 def test_irreducibility_of_constants():
@@ -123,7 +135,7 @@ deg18_parts = st.lists(
 # A step s > 1 keeps only the primes whose degree s divides, which is
 # the promise the stepped walk is given.  Few such products reach
 # _DDF_BLOCK_MIN_DEGREE, so the stepped cases block from degree 1 on:
-# blocks without a multiple of s, backtracks and the walk's stop all
+# blocks without a multiple of s, splits and the walk's stop all
 # occur at these sizes.  The unblocked stepped walk is checked on the
 # 71 conjecture inputs below of degree under 44.
 @pytest.mark.parametrize(
@@ -150,7 +162,7 @@ def test_distinct_degree_matches_trial_division(block, step, parts):
     with mock.patch.object(factorize, "_DDF_BLOCK", block), \
             mock.patch.object(factorize, "_DDF_BLOCK_MIN_DEGREE", min_degree):
         got = list(_distinct_degree(f, step))
-    assert sorted(got) == sorted((g, k) for k, g in by_degree.items())
+    assert got == [(by_degree[k], k) for k in sorted(by_degree)]
 
 
 def test_distinct_degree_takes_no_gcd_of_one():
@@ -172,15 +184,45 @@ def test_distinct_degree_takes_no_gcd_of_one():
     assert len(gcds) == 1 and 1 not in gcds[0]
 
 
+def test_distinct_degree_splits_a_wide_find_by_walking_it():
+    # f = p17 p20 p32a p32b p71 has degree 172, so the walk takes blocks
+    # of 16 and stops at degree 172 // 2 = 86 at the latest.  Its gcds:
+    # - degrees 1-16 find nothing: 1 gcd;
+    # - degrees 17-32 find the degree-101 product of all but p71: 1 gcd;
+    # - the split walks that find one degree per block, from 17 up to
+    #   31 = 32 - 1, its cap: 15 gcds, which take off p17 and p20; the
+    #   degree-64 rest has only primes of degree 32 and takes no gcd;
+    # - p71 is left, so the walk stops at 35: degrees 33-35, 1 gcd.
+    # 1 + 1 + 15 + 1 = 18.
+    assert (factorize._DDF_BLOCK, factorize._DDF_BLOCK_MIN_DEGREE) == (16, 44)
+    p17, p20, p32a, p32b, p71 = (Poly.parse(t).bits for t in (
+        "x^17+x^3+1", "x^20+x^3+1", "x^32+x^7+x^3+x^2+1", "x^32+x^22+x^2+x+1",
+        "x^71+x^6+1",
+    ))
+    p32 = i_mul(p32a, p32b)
+    f = i_mul(i_mul(i_mul(p17, p20), p32), p71)
+    gcds = []
+
+    def spy(a, b):
+        gcds.append((a, b))
+        return gf2poly._gcd(a, b)
+
+    with mock.patch.object(factorize, "_gcd", spy):
+        got = list(_distinct_degree(f))
+    assert got == [(p17, 17), (p20, 20), (p32, 32), (p71, 71)]
+    assert len(gcds) == 18
+
+
 @pytest.mark.parametrize(
     "primes, moduli",
     [
         # Degrees 1-16 find x^2+x+1 and the walk goes on to degree 23:
-        # the walk reduces modulo f, the backtrack modulo x^2+x+1, and
-        # the walk modulo the degree-47 prime that is left.
+        # the walk reduces modulo f, its split of the find modulo
+        # x^2+x+1, and the walk modulo the degree-47 prime that is left.
         (("x^2+x+1", "x^47+x^5+1"), [0, 1, 2]),
-        # Degree 2 finds x^2+x+1 and leaves a degree-3 prime, whose
-        # walk would stop at degree 1: no reducer is built for it.
+        # Degree 2 finds x^2+x+1 and leaves a degree-3 prime.  The
+        # split of x^2+x+1 and the walk on the prime would both stop
+        # at degree 1: no reducer is built for either.
         (("x^2+x+1", "x^3+x+1"), [0]),
     ],
 )

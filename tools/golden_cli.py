@@ -52,6 +52,8 @@ GOLDEN = tuple(
     ("identities", "--max-exp", "64"),
     # The lowest bound accepted.
     ("identities", "--max-exp", "4"),
+    # The default --hmax, 20.
+    ("conjecture", "M1"),
     ("conjecture", "M1", "--hmax", "8"),
     ("conjecture", "M1", "M4", "--hmax", "12"),
     ("admissible", "M1", "M2", "M3"),

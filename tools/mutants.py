@@ -14,7 +14,7 @@ A mutant is killed when pytest reports a failed test or a collection
 error, or runs past TIMEOUT_S.  The tool exits 1 when a mutant
 survives, when its old text is missing or not unique, or when a
 selector fails or selects nothing before any mutation.  It is kept out
-of Tier-1: each mutant costs one pytest launch, and the 26 below take
+of Tier-1: each mutant costs one pytest launch, and the 28 below take
 about 28 s on a 2-vCPU Xeon.  A change that guards a kernel adds its
 mutants here.
 """
@@ -52,6 +52,10 @@ MUTANTS = (
     ("verbs-max-abc-default-moved", S + "cli.py",
      "dict(type=int, default=6,",
      "dict(type=int, default=7,",
+     T + "test_cli.py::test_cli_outputs_are_pinned"),
+    ("verbs-hmax-default-moved", S + "cli.py",
+     "dict(type=int, default=20,",
+     "dict(type=int, default=21,",
      T + "test_cli.py::test_cli_outputs_are_pinned"),
     # The divisor-sum slot table and the sieve reading it.
     ("slot-term-odd-part-always-kept", S + "sigma.py",
@@ -92,13 +96,17 @@ MUTANTS = (
      "",
      T + "test_factorize.py::test_distinct_degree_takes_no_gcd_of_one"),
     ("ddf-reducer-kept-after-a-division", S + "factorize.py",
-     "        reduce = None\n        last = k - k % step",
-     "        last = k - k % step",
+     "f = _divmod(f, found)[0]\n        reduce = None\n",
+     "f = _divmod(f, found)[0]\n",
      T + "test_factorize.py::test_distinct_degree_rebuilds_its_reducer_after_a_division"),
-    ("ddf-backtrack-first-multiple-off-by-one", S + "factorize.py",
-     "range(first + (-first) % step, last, step)",
-     "range(first - 1 + (1 - first) % step, last, step)",
-     T + "test_factorize.py::test_distinct_degree_matches_trial_division"),
+    ("ddf-split-starts-a-degree-late", S + "factorize.py",
+     "h_first, first - 1, k - k % step)",
+     "h_first, first, k - k % step)",
+     T + "test_factorize.py::test_distinct_degree_splits_a_wide_find_by_walking_it"),
+    ("ddf-split-without-its-cap", S + "factorize.py",
+     "        if last is not None:\n            top = min(top, last - step)\n",
+     "",
+     T + "test_factorize.py::test_distinct_degree_splits_a_wide_find_by_walking_it"),
     # Perfect-polynomial decomposition.
     ("indecomposable-mask-range-includes-everything", S + "sigma.py",
      "for mask in range(1, (1 << (w - 1)) - 1):",
