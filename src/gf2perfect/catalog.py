@@ -11,7 +11,10 @@ exactly the way the partner tables say.
 
 On top of the catalog sit the representation chain of an odd
 polynomial, the k-step classification it induces, and the
-admissibility test for families of odd primes.
+admissibility test for families of odd primes.  Its scans ask, h by h,
+whether sigma(S^2h) splits over a family.  Every prime of its factor
+Phi_(2h+1)(S) has a degree divisible by ord_(2h+1)(2), so a row where no
+member's degree is cannot split, and it is skipped before any gcd.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .sigma import (
     MAX_SIGMA_DEGREE,
     MERSENNE_AB,
     TWO_MERSENNE_ABN,
+    _order2,
     _shape,
     is_perfect,
     sigma_prime_power,
@@ -325,8 +329,19 @@ def admissibility_budget(family: tuple[Poly, ...], s: Poly) -> int:
 
 def split_divisor_sums(s: Poly, h_max: int, family):
     """Yield (h, FactorMap) for each h <= h_max, h up, where sigma(s^2h)
-    factors completely over family."""
+    factors completely over family.
+
+    A row that cannot split takes no gcd: with n = 2h + 1, the
+    nonconstant Phi_n(s) divides sigma(s^2h), and each of its primes has
+    a degree divisible by ord_n(2) (sigma._cyclotomic_pieces).  When no
+    member's degree is, a prime outside the family divides the row.  The
+    other Phi_d(s), d | n, rule out no more: ord_d(2) divides ord_n(2).
+    """
+    degrees = {p.degree for p in family}
     for h in range(1, h_max + 1):
+        order = _order2(2 * h + 1)
+        if all(k % order for k in degrees):
+            continue
         fm = factor_over_family(sigma_prime_power(s, 2 * h), family)
         if fm is not None:
             yield h, fm

@@ -107,6 +107,17 @@ def sigma_prime_power(p: Poly, e: int) -> Poly:
     return Poly(_sigma_pp(p.bits, e))
 
 
+# Holds every d = 2h + 1 of an explicit budget, h <= catalog.MAX_H_BUDGET =
+# 128; the catalog's degree rule reaches d = 185, past the 40 entries below.
+@lru_cache(maxsize=128)
+def _order2(d):
+    """ord_d(2), the least k with d | 2^k - 1, for odd d > 1."""
+    order, r = 1, 2 % d
+    while r != 1:
+        order, r = order + 1, 2 * r % d
+    return order
+
+
 # The d the conjecture scans ask for: the odd d in 3..81 that divide
 # 2h + 1 for some h <= search.MAX_SCAN_H = 40, 40 values in all.
 @lru_cache(maxsize=40)
@@ -115,14 +126,11 @@ def _cyclotomic_factors(d):
     odd d > 1.  Y^d - 1 is square-free and the product of Phi_e(Y) over
     e | d, so dividing out its gcd with Y^e - 1 for each proper divisor
     e leaves Phi_d(Y); each of its primes has degree ord_d(2)."""
-    order, r = 1, 2 % d
-    while r != 1:
-        order, r = order + 1, 2 * r % d
     phi = (1 << d) | 1
     for e in range(1, d):
         if d % e == 0:
             phi = _divmod(phi, _gcd(phi, (1 << e) | 1))[0]
-    return order, tuple(q.bits for q, _ in factor_full(Poly(phi), order))
+    return _order2(d), tuple(q.bits for q, _ in factor_full(Poly(phi), _order2(d)))
 
 
 def _cyclotomic_pieces(p: int, d: int) -> tuple[int, tuple[int, ...]]:
@@ -374,16 +382,8 @@ class ExponentTuple(NamedTuple):
 
     @classmethod
     def from_parts(cls, n=0, u=1, m=0, v=1, ni=None, ui=None, mj=None, vj=None):
-        return cls(
-            n=n,
-            u=u,
-            m=m,
-            v=v,
-            ni=tuple(ni) if ni else (0,) * 5,
-            ui=tuple(ui) if ui else (1,) * 5,
-            mj=tuple(mj) if mj else (0,) * 8,
-            vj=tuple(vj) if vj else (1,) * 8,
-        )
+        return cls(n, u, m, v, tuple(ni or (0,) * 5), tuple(ui or (1,) * 5),
+                   tuple(mj or (0,) * 8), tuple(vj or (1,) * 8))
 
 
 class SigmaExponents(NamedTuple):

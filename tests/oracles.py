@@ -327,6 +327,15 @@ def cyclotomic_pieces(p_bits, n):
     return out
 
 
+def o_order2(d):
+    """ord_d(2) for odd d > 1: the least k with d | 2^k - 1, by trying
+    k = 1, 2, ... on the full powers of two."""
+    k = 1
+    while (2 ** k - 1) % d:
+        k += 1
+    return k
+
+
 # -- split identities ----------------------------------------------------------
 
 _X, _X1, _M1 = [0, 1], [1, 1], [1, 1, 1]

@@ -1,10 +1,12 @@
 """Catalog integrity, valuation chains, classification, admissibility."""
 
 import random
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gf2perfect import catalog
 from gf2perfect.catalog import (
@@ -26,12 +28,26 @@ from gf2perfect.catalog import (
     perfect_family,
     prime_family,
     representation,
+    split_divisor_sums,
     two_mersenne_family,
 )
-from gf2perfect.factorize import is_irreducible
+from gf2perfect.factorize import factor_over_family, is_irreducible
 from gf2perfect.gf2poly import ONE, Poly, X, X1, bar, star
-from gf2perfect.sigma import _SLOT_PRIMES, is_perfect, mersenne, two_mersenne
-from oracles import i_is_prime, i_mul
+from gf2perfect.sigma import (
+    _SLOT_PRIMES,
+    is_perfect,
+    mersenne,
+    sigma_prime_power,
+    two_mersenne,
+)
+from oracles import (
+    divisor_sum_bits,
+    i_factor_over,
+    i_is_prime,
+    i_mul,
+    o_order2,
+    sieve_primes,
+)
 
 
 # -- table integrity ----------------------------------------------------------
@@ -386,3 +402,98 @@ def test_admissibility_report_json():
         "linear_tables",
         "member_feedback",
     }
+
+
+# -- the degree screen of split_divisor_sums ------------------------------------
+
+
+def assert_screen_drops_no_split(monkeypatch, base, h_max, family):
+    """The rows split_divisor_sums skips, seen as those whose divisor sum
+    it never builds, are exactly those where ord_(2h+1)(2) divides no
+    member degree, and factor_over_family rejects every one; returns
+    how many there are."""
+    built = set()
+
+    def recording(p, e):
+        built.add(e // 2)
+        return sigma_prime_power(p, e)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(catalog, "sigma_prime_power", recording)
+        for _ in split_divisor_sums(base, h_max, family):
+            pass
+    skipped = set(range(1, h_max + 1)) - built
+    degrees = {p.degree for p in family}
+    ruled_out = {
+        h for h in range(1, h_max + 1)
+        if all(k % o_order2(2 * h + 1) for k in degrees)
+    }
+    assert skipped == ruled_out, base.text()
+    for h in skipped:
+        assert factor_over_family(sigma_prime_power(base, 2 * h), family) is None
+    return len(skipped)
+
+
+def test_degree_screen_skips_only_rows_that_cannot_split(monkeypatch):
+    # The three base sets of the tables at the catalog's budget: 340 of
+    # the 643 rows are skipped.
+    family = prime_family()
+    bases = (X, X1, *mersenne_family(), *two_mersenne_family())
+    skipped = rows = 0
+    for base in bases:
+        h_max = admissibility_budget(family, base)
+        skipped += assert_screen_drops_no_split(monkeypatch, base, h_max, family)
+        rows += h_max
+    assert (skipped, rows) == (340, 643)
+    # The linear bases and each member, over the family extended by the
+    # linear primes, as is_admissible scans them.
+    for fam in (tuple(mersenne(i) for i in (1, 2, 3)), (by_name("S11").poly,)):
+        extended = fam + (X, X1)
+        for base in (X, X1, *fam):
+            h_max = admissibility_budget(fam, base)
+            assert_screen_drops_no_split(monkeypatch, base, h_max, extended)
+
+
+SMALL_PRIMES = sieve_primes(7)
+
+
+@lru_cache(maxsize=None)
+def small_splits(base):
+    """The (h, split) of base's rows h <= 30 that split over every prime
+    of degree <= 7, by trial division."""
+    rows = ((h, i_factor_over(divisor_sum_bits([(base, 2 * h)]), SMALL_PRIMES))
+            for h in range(1, 31))
+    return tuple((h, split) for h, split in rows if split is not None)
+
+
+@st.composite
+def small_scans(draw):
+    """(base, family, h_max) over the primes of degree <= 7.  The family
+    holds the primes of one of the base's rows that split over all of
+    them, when there is one in range, so that some rows do split, and up
+    to three more drawn primes."""
+    base = draw(st.sampled_from(SMALL_PRIMES))
+    h_max = draw(st.integers(min_value=1, max_value=30))
+    splits = [split for h, split in small_splits(base) if h <= h_max]
+    seeded = [p for p, _ in draw(st.sampled_from(splits))] if splits else []
+    extra = draw(st.lists(st.sampled_from(SMALL_PRIMES), min_size=0 if seeded else 1,
+                          max_size=3, unique=True))
+    return base, tuple(dict.fromkeys(seeded + extra)), h_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_scans())
+def test_split_divisor_sums_matches_an_unscreened_scan(scan):
+    # Trial division by the members, every row: the screen must change
+    # nothing that is yielded.
+    base, family, h_max = scan
+    expected = []
+    for h in range(1, h_max + 1):
+        split = i_factor_over(divisor_sum_bits([(base, 2 * h)]), family)
+        if split is not None:
+            expected.append((h, split))
+    got = [
+        (h, sorted((p.bits, e) for p, e in fm))
+        for h, fm in split_divisor_sums(Poly(base), h_max, tuple(map(Poly, family)))
+    ]
+    assert got == expected

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gf2perfect.catalog import by_name, perfect_family, prime_family
+from gf2perfect.catalog import MAX_H_BUDGET, by_name, perfect_family, prime_family
 from gf2perfect.factorize import (
     FactorMap,
     factor_full,
@@ -28,6 +28,7 @@ from gf2perfect.sigma import (
     ExponentTuple,
     _cyclotomic_factors,
     _cyclotomic_pieces,
+    _order2,
     assemble,
     decompose_exponent,
     is_indecomposable_perfect,
@@ -48,6 +49,7 @@ from oracles import (
     cyclotomic_pieces,
     divisor_sum_bits,
     i_mul,
+    o_order2,
     sigma_sweep,
 )
 
@@ -144,6 +146,23 @@ def test_cyclotomic_factor_table_matches_list_division():
             assert r.bit_length() - 1 == order and is_irreducible(Poly(r)), d
             product = i_mul(product, r)
         assert product == phi, d
+
+
+def test_order_of_two_matches_brute_force():
+    # Every d = 2h + 1 of an explicit admissibility budget fits in the
+    # cache at once.
+    ds = range(3, 2 * MAX_H_BUDGET + 2, 2)
+    assert ds[-1] == 257
+    assert _order2.cache_info().maxsize >= len(ds)
+    for d in ds:
+        assert _order2(d) == o_order2(d), d
+
+
+def test_cyclotomic_primes_have_the_order_of_two_as_degree():
+    for d in range(3, 2 * MAX_SCAN_H + 2, 2):
+        step, factors = _cyclotomic_factors(d)
+        assert step == o_order2(d), d
+        assert {r.bit_length() - 1 for r in factors} == {o_order2(d)}, d
 
 
 @given(st.integers(min_value=0, max_value=(1 << 30) - 1))

@@ -64,6 +64,9 @@ GOLDEN = tuple(
     ("admissible", "M4"),
     # sigma(S1^2) = M4 M5, which splits over the extended family.
     ("admissible", "S1", "M4", "M5"),
+    # One large member: the degree rule scans x and x+1 to h = 731, and
+    # the degree screen skips most of those rows before any gcd.
+    ("admissible", "x^1279+x^216+1"),
     ("factor", WIDE_HEX),
     ("sigma", WIDE_HEX),
     ("conjecture", "M1", "M4", "M13", "--hmax", "20"),

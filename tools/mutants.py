@@ -12,11 +12,12 @@ first on PYTHONPATH and no bytecode written, and the file is put back.
 
 A mutant is killed when pytest reports a failed test or a collection
 error, or runs past TIMEOUT_S.  The tool exits 1 when a mutant
-survives, when its old text is missing or not unique, or when a
-selector fails or selects nothing before any mutation.  It is kept out
-of Tier-1: each mutant costs one pytest launch, and the 28 below take
-about 28 s on a 2-vCPU Xeon.  A change that guards a kernel adds its
-mutants here.
+survives, when its mutated file does not compile (reported as BROKEN,
+since such an entry tests nothing), when its old text is missing or
+not unique, or when a selector fails or selects nothing before any
+mutation.  It is kept out of Tier-1: each mutant costs one pytest
+launch, and the 33 below take about 33 s on a 2-vCPU Xeon.  A change
+that guards a kernel adds its mutants here.
 """
 
 from __future__ import annotations
@@ -151,6 +152,28 @@ MUTANTS = (
      "h_max = admissibility_budget(family, base)",
      "h_max = admissibility_budget(family, base) - 1",
      T + "test_search.py::test_table_h_max_is_degree_budget"),
+    # The degree screen of the admissibility scans and its order of 2.
+    ("degree-screen-inverted", S + "catalog.py",
+     "        if all(k % order for k in degrees):\n",
+     "        if not all(k % order for k in degrees):\n",
+     T + "test_catalog.py::test_degree_screen_skips_only_rows_that_cannot_split "
+     + T + "test_catalog.py::test_split_divisor_sums_matches_an_unscreened_scan"),
+    ("degree-screen-needs-every-member", S + "catalog.py",
+     "        if all(k % order for k in degrees):\n",
+     "        if any(k % order for k in degrees):\n",
+     T + "test_catalog.py::test_degree_screen_skips_only_rows_that_cannot_split"),
+    ("degree-screen-from-the-first-member", S + "catalog.py",
+     "degrees = {p.degree for p in family}",
+     "degrees = {family[0].degree}",
+     T + "test_catalog.py::test_degree_screen_skips_only_rows_that_cannot_split"),
+    ("degree-screen-reads-the-next-row", S + "catalog.py",
+     "order = _order2(2 * h + 1)",
+     "order = _order2(2 * h + 3)",
+     T + "test_catalog.py::test_degree_screen_skips_only_rows_that_cannot_split"),
+    ("order-of-two-one-short", S + "sigma.py",
+     "order, r = 1, 2 % d",
+     "order, r = 0, 2 % d",
+     T + "test_sigma.py::test_order_of_two_matches_brute_force"),
     # The catalog.
     ("catalog-irreducibility-check-removed", S + "catalog.py",
      "            if not is_irreducible(p):\n"
@@ -199,7 +222,14 @@ def main():
                 print(f"MISSING  {name}: old text found {text.count(old)} times in {file}")
                 failures += 1
                 continue
-            path.write_text(text.replace(old, new))
+            mutated = text.replace(old, new)
+            try:
+                compile(mutated, str(path), "exec")
+            except SyntaxError:
+                print(f"BROKEN   {name}: does not compile")
+                failures += 1
+                continue
+            path.write_text(mutated)
             try:
                 code = pytest_exit(tree, selector)
             finally:
