@@ -363,8 +363,7 @@ def is_admissible(
     """
     if h_budget is not None and not 1 <= h_budget <= MAX_H_BUDGET:
         raise ValueError(f"h_budget must be between 1 and {MAX_H_BUDGET}")
-    members: list[Poly] = []
-    seen: set[int] = set()
+    members: dict[int, Poly] = {}
     for p in family:
         # The scan's last divisor sum, sigma(p^(2 h_budget)), must stay
         # within the cap sigma_prime_power enforces; checked before any work.
@@ -377,63 +376,60 @@ def is_admissible(
             raise ValueError(f"family member {p.text()} is reducible")
         if not is_odd(p):
             raise ValueError(f"family member {p.text()} is even")
-        if p.bits not in seen:
-            seen.add(p.bits)
-            members.append(p)
+        members.setdefault(p.bits, p)
     if not members:
         raise ValueError("family is empty")
-    fam = tuple(members)
+    fam = tuple(members.values())
+    extended = fam + (X, X1)
 
     def budget(s: Poly) -> int:
         return h_budget if h_budget is not None else admissibility_budget(fam, s)
 
-    closure_detail = []
-    closure_ok = True
-    for t in fam:
-        if bar(t).bits in seen:
-            closure_detail.append(f"{label(t)}: conjugate stays in family")
-        elif star(t).bits in seen:
-            closure_detail.append(f"{label(t)}: reciprocal stays in family")
-        else:
-            closure_detail.append(f"{label(t)}: neither conjugate nor reciprocal")
-            closure_ok = False
+    def each_member(check) -> ConditionReport:
+        """Holds when check(t), a pair (holds, detail), holds for each t."""
+        results = [check(t) for t in fam]
+        return ConditionReport(
+            all(holds for holds, _ in results),
+            tuple(f"{label(t)}: {detail}" for t, (_, detail) in zip(fam, results)),
+        )
 
+    def keeps_partner(t: Poly) -> tuple[bool, str]:
+        if bar(t).bits in members:
+            return True, "conjugate stays in family"
+        if star(t).bits in members:
+            return True, "reciprocal stays in family"
+        return False, "neither conjugate nor reciprocal"
+
+    def feeds_back(t: Poly) -> tuple[bool, str]:
+        if factor_over_family(t + ONE, extended) is not None:
+            return True, "1+T factors over extended family"
+        hit = next(split_divisor_sums(t, budget(t), extended), None)
+        if hit is None:
+            return False, "no feedback within budget"
+        return True, f"sigma(T^{2 * hit[0]}) factors over extended family"
+
+    closure = each_member(keeps_partner)
     linear_hit = next(
         ((s, h) for s in (X, X1) for h, _ in split_divisor_sums(s, budget(s), fam)),
         None,
     )
-    linear_ok = linear_hit is not None
-    if linear_ok:
+    linear_detail = "no divisor sum of x or x+1 factors within budget"
+    if linear_hit is not None:
         s, h = linear_hit
-        linear_detail = [f"sigma({s.text()}^{2 * h}) factors over the family"]
-    else:
-        linear_detail = ["no divisor sum of x or x+1 factors within budget"]
-
-    extended = fam + (X, X1)
-    feedback_detail = []
-    feedback_ok = True
-    for t in fam:
-        if factor_over_family(t + ONE, extended) is not None:
-            feedback_detail.append(f"{label(t)}: 1+T factors over extended family")
-            continue
-        hit = next(split_divisor_sums(t, budget(t), extended), None)
-        if hit is not None:
-            feedback_detail.append(
-                f"{label(t)}: sigma(T^{2 * hit[0]}) factors over extended family"
-            )
-        else:
-            feedback_detail.append(f"{label(t)}: no feedback within budget")
-            feedback_ok = False
+        base = s.text() if s == X else f"({s.text()})"
+        linear_detail = f"sigma({base}^{2 * h}) factors over the family"
+    linear = ConditionReport(linear_hit is not None, (linear_detail,))
+    feedback = each_member(feeds_back)
 
     if h_budget is not None:
         note = f"budget: fixed h <= {h_budget}"
     else:
         note = "budget: degree rule, h <= (combined degree)/(2 deg S) per base S"
     report = AdmissibilityReport(
-        admissible=closure_ok or linear_ok or feedback_ok,
-        closure=ConditionReport(closure_ok, tuple(closure_detail)),
-        linear_tables=ConditionReport(linear_ok, tuple(linear_detail)),
-        member_feedback=ConditionReport(feedback_ok, tuple(feedback_detail)),
+        admissible=closure.holds or linear.holds or feedback.holds,
+        closure=closure,
+        linear_tables=linear,
+        member_feedback=feedback,
         budget_note=note,
     )
     return report.admissible, report

@@ -5,7 +5,8 @@ while the derivative vanishes, split into square-free parts, separate
 those by factor degree with gcd(x^(2^k) - x, f), then break same-degree
 products with random trace polynomials.  The randomness is drawn from a
 generator seeded by the input bits, so every run factors a given
-polynomial identically.
+polynomial identically.  A factorization is a FactorMap, the sorted
+tuple of its (prime, exponent) pairs.
 
 The time goes into squaring modulo a fixed polynomial, in the
 distinct-degree walk and the trace map; each of those loops reduces
@@ -105,71 +106,64 @@ def is_squarefree(p: Poly) -> bool:
     return _gcd(a, d) == 1
 
 
-class FactorMap:
-    """Ordered multiset of (irreducible, exponent) pairs.
+class FactorMap(tuple):
+    """A factorization as the tuple of its (irreducible, exponent) pairs.
 
-    Entries are kept sorted by (degree, little-endian coefficient
+    Pairs are kept sorted by (degree, little-endian coefficient
     value), which for the integer packing is plain integer order.  The
-    product over entries reconstructs the factored polynomial.
+    product over pairs reconstructs the factored polynomial.  Like the
+    NamedTuple records, a FactorMap equals the plain tuple of its pairs
+    and hashes like it.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, pairs):
+    def __new__(cls, pairs):
         merged = {}
         for prime, exp in pairs:
             if not isinstance(prime, Poly):
                 prime = Poly(prime)
             if exp < 1:
                 raise ValueError("factor exponents must be positive")
-            merged[prime.bits] = merged.get(prime.bits, 0) + exp
-        self_entries = tuple(
-            (Poly(bits), merged[bits]) for bits in sorted(merged)
-        )
-        object.__setattr__(self, "entries", self_entries)
+            _, total = merged.get(prime.bits, (prime, 0))
+            merged[prime.bits] = prime, total + exp
+        return super().__new__(cls, (merged[bits] for bits in sorted(merged)))
 
     def __setattr__(self, name, value):
         raise AttributeError("FactorMap is immutable")
 
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, FactorMap) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(tuple((p.bits, e) for p, e in self.entries))
+    @property
+    def entries(self):
+        """The pairs as a plain tuple."""
+        return tuple(self)
 
     def __repr__(self):
-        inner = ", ".join(f"{p.text()}:{e}" for p, e in self.entries)
+        inner = ", ".join(f"{p.text()}:{e}" for p, e in self)
         return f"FactorMap({{{inner}}})"
 
     def exponent(self, prime: Poly) -> int:
         """Exponent of a given prime, 0 when absent."""
-        for p, e in self.entries:
+        for p, e in self:
             if p.bits == prime.bits:
                 return e
         return 0
 
     def product(self) -> Poly:
-        return Poly(_product((p.bits, e) for p, e in self.entries))
+        return Poly(_product((p.bits, e) for p, e in self))
 
     def factors_json(self) -> list:
-        return [{"prime": p.text(), "exp": e} for p, e in self.entries]
+        return [{"prime": p.text(), "exp": e} for p, e in self]
 
     def to_json(self) -> dict:
         return {"poly": self.product().text(), "factors": self.factors_json()}
 
     def text(self) -> str:
-        if not self.entries:
+        if not self:
             return "1"
         parts = []
-        for p, e in self.entries:
+        for p, e in self:
             body = p.text()
-            if len(self.entries) > 1 or e > 1:
+            if len(self) > 1 or e > 1:
                 body = f"({body})"
             parts.append(body if e == 1 else f"{body}^{e}")
         return " * ".join(parts)
@@ -319,7 +313,7 @@ def factor_full(p: Poly, degree_step=1) -> FactorMap:
     for part, mult in _squarefree_parts(a).items():
         for prod, k in _distinct_degree(part, degree_step):
             for prime in _equal_degree(prod, k, rng):
-                pairs.append((Poly(prime), mult))
+                pairs.append((prime, mult))
     return FactorMap(pairs)
 
 
@@ -367,5 +361,5 @@ def factor_over_family(p: Poly, family) -> FactorMap | None:
     for q in members:
         a, e = _strip(a, q)
         if e:
-            pairs.append((Poly(q), e))
+            pairs.append((q, e))
     return FactorMap(pairs)

@@ -348,6 +348,16 @@ def test_singleton_family_without_closure_fails():
     assert report.text().count("[fail]") == 3
 
 
+def test_linear_hit_writes_a_two_term_base_in_parentheses():
+    # sigma((x+1)^12) splits over S6 alone; sigma(x^2) over M1 alone.
+    _, report = is_admissible((by_name("S6").poly,))
+    assert report.linear_tables.detail == ("sigma((x+1)^12) factors over the family",)
+    _, report = is_admissible((mersenne(1),))
+    assert report.linear_tables.detail == ("sigma(x^2) factors over the family",)
+
+
+
+
 def test_budget_override_shrinks_the_scan():
     fam = tuple(mersenne(i) for i in range(1, 6))
     default = admissibility_budget(fam, X)

@@ -345,6 +345,22 @@ def test_factor_map_edges():
         fm.entries = ()
 
 
+def test_factor_map_is_the_tuple_of_its_pairs():
+    m1 = Poly(0b111)
+    fm = FactorMap([(m1, 1), (0b11, 2), (X, 1), (m1, 3)])
+    assert isinstance(fm, tuple)
+    assert tuple(fm) == ((X, 1), (X1, 2), (m1, 4))
+    assert fm == tuple(fm) and hash(fm) == hash(tuple(fm))
+    assert fm.entries == tuple(fm) and type(fm.entries) is tuple
+    # A prime given as bits or as a Poly gives equal maps.
+    assert FactorMap([(0b11, 2), (7, 4), (2, 1)]) == fm
+    for bad in (-1, 1.5, "x"):
+        with pytest.raises(TypeError):
+            FactorMap([(bad, 1)])
+
+
+
+
 def test_factor_over_family_exact():
     fam = prime_family()
     fm = factor_over_family(sigma_prime_power(X, 14), fam)

@@ -67,6 +67,13 @@ GOLDEN = tuple(
     # One large member: the degree rule scans x and x+1 to h = 731, and
     # the degree screen skips most of those rows before any gcd.
     ("admissible", "x^1279+x^216+1"),
+    # One family per mixed outcome: only (iii) holds, only (i) holds,
+    # only (ii) holds through x+1, and none holds, with passing and
+    # failing members under both (i) and (iii).
+    ("admissible", "M2"),
+    ("admissible", "S1"),
+    ("admissible", "S6"),
+    ("admissible", "M2", "S1"),
     ("factor", WIDE_HEX),
     ("sigma", WIDE_HEX),
     ("conjecture", "M1", "M4", "M13", "--hmax", "20"),

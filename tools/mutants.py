@@ -16,7 +16,7 @@ survives, when its mutated file does not compile (reported as BROKEN,
 since such an entry tests nothing), when its old text is missing or
 not unique, or when a selector fails or selects nothing before any
 mutation.  It is kept out of Tier-1: each mutant costs one pytest
-launch, and the 33 below take about 33 s on a 2-vCPU Xeon.  A change
+launch, and the 38 below take about 38 s on a 2-vCPU Xeon.  A change
 that guards a kernel adds its mutants here.
 """
 
@@ -174,6 +174,27 @@ MUTANTS = (
      "order, r = 1, 2 % d",
      "order, r = 0, 2 % d",
      T + "test_sigma.py::test_order_of_two_matches_brute_force"),
+    # The factorization record and the admissibility report.
+    ("factor-map-merge-keeps-the-last-exponent", S + "factorize.py",
+     "merged[prime.bits] = prime, total + exp",
+     "merged[prime.bits] = prime, exp",
+     T + "test_factorize.py::test_factor_map_merges_and_orders"),
+    ("factor-map-keeps-the-input-order", S + "factorize.py",
+     "(merged[bits] for bits in sorted(merged))",
+     "merged.values()",
+     T + "test_factorize.py::test_factor_map_is_the_tuple_of_its_pairs"),
+    ("admissible-member-check-needs-any-member", S + "catalog.py",
+     "all(holds for holds, _ in results)",
+     "any(holds for holds, _ in results)",
+     T + "test_cli.py::test_cli_outputs_are_pinned"),
+    ("admissible-verdict-drops-the-linear-condition", S + "catalog.py",
+     "admissible=closure.holds or linear.holds or feedback.holds,",
+     "admissible=closure.holds or feedback.holds,",
+     T + "test_cli.py::test_cli_outputs_are_pinned"),
+    ("admissible-linear-base-without-parentheses", S + "catalog.py",
+     'base = s.text() if s == X else f"({s.text()})"',
+     "base = s.text()",
+     T + "test_catalog.py::test_linear_hit_writes_a_two_term_base_in_parentheses"),
     # The catalog.
     ("catalog-irreducibility-check-removed", S + "catalog.py",
      "            if not is_irreducible(p):\n"
