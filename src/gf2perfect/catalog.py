@@ -251,7 +251,14 @@ class Classification(NamedTuple):
 
 
 def classify(p: Poly) -> Classification:
-    """Chain classification with recovered shape parameters."""
+    """Chain classification with recovered shape parameters.
+
+    1 + x^a (x+1)^b M^c, M = 1 + w, w = x^a0 (x+1)^b0, a, b, a0, b0 >= 1,
+    has length 2^popcount(c), M prime or not: step 1 strips x^a (x+1)^b,
+    as M(0) = M(1) = 1, and leaves M^c, by Lucas' theorem the sum of the
+    w^i whose i has its 1 bits among c's; each later step takes off the
+    least w^m, m > 0, as (sum - 1) / w^m is 1 at x = 0 and at x = 1.
+    """
     rep = representation(p)
     if rep.length == 1:
         return Classification(k=1, mersenne_params=rep.pairs[0])

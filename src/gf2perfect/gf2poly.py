@@ -340,6 +340,9 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        return Poly, (self.bits,)  # pickle and copy: __init__, not __setattr__
+
     # -- construction -----------------------------------------------------
 
     @classmethod

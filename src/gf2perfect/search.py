@@ -45,7 +45,7 @@ from .catalog import (
     two_mersenne_family,
 )
 from .factorize import FactorMap, factor_full, is_irreducible
-from .gf2poly import Poly, X, X1, _mul, _split_linear, _strip, star
+from .gf2poly import Poly, X, X1, _linear, _mul, _split_linear, _strip, star
 from .sigma import (
     DOMAIN,
     _M1_BITS,
@@ -334,10 +334,11 @@ def run_search(stage, stage2_rule="uniform", jobs=1) -> StageResult:
             diff[name] = {"reference": reference, "count": counts[name]}
             if name == "2":
                 diff[name]["rule"] = stage2_rule
+                # A rule no wider than stage2_rule keeps a subset of its rows.
+                within = STAGE2_RULES[stage2_rule].issuperset
                 diff[name]["variants"] = {
-                    rule: counts[name]
-                    if rule == stage2_rule
-                    else sum(1 for _ in _stage2_kept(previous, rule))
+                    rule: counts[name] if rule == stage2_rule else sum(1 for _ in _stage2_kept(
+                        rows if within(STAGE2_RULES[rule]) else previous, rule))
                     for rule in STAGE2_RULES
                 }
         if name == key:
@@ -569,9 +570,13 @@ def _powers_of_two(limit):
 
 
 def _solve_linear(bits):
-    """x^b (x+1)^c."""
-    b, c, rest = _split_linear(bits)
-    return (b, c) if rest == 1 else None
+    """x^b (x+1)^c, with b the trailing zeros of bits != 0 and b + c its degree:
+    (x+1)^c is odd with 2^popcount(c) terms (Lucas), so the term screen drops
+    no solution, and one comparison with x^b (x+1)^c decides the rest."""
+    b = (bits & -bits).bit_length() - 1
+    c = bits.bit_length() - 1 - b
+    screened = (bits >> b).bit_count() == 1 << c.bit_count()
+    return (b, c) if screened and bits == _linear(b, c) else None
 
 
 def _solve_x_power(bits):
@@ -612,8 +617,7 @@ def verify_split_identities(max_exp=32):
     if max_exp > MAX_IDENTITY_EXP:
         raise ValueError(f"max_exp must be at most {MAX_IDENTITY_EXP}")
     e = max_exp
-    x1_pow = [1]
-    m1_pow = [1]
+    x1_pow, m1_pow = [1], [1]
     for _ in range(e):
         x1_pow.append(_mul(x1_pow[-1], X1.bits))
         m1_pow.append(_mul(m1_pow[-1], _M1_BITS))
@@ -646,11 +650,7 @@ def verify_split_identities(max_exp=32):
     )
     families = []
     for name, sums, solve, expected in identities:
-        found = []
-        for params, bits in sums:
-            rhs = solve(bits)
-            if rhs is not None:
-                found.append(params + rhs)
+        found = [params + rhs for params, bits in sums if (rhs := solve(bits)) is not None]
         families.append(IdentityFamily(name, tuple(sorted(found)), tuple(sorted(expected))))
     return IdentityReport(e, tuple(families))
 

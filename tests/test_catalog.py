@@ -315,6 +315,17 @@ def test_classify_every_catalog_prime_round_trips():
             assert base == mersenne(1) and e == en
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 6), st.integers(1, 6),
+       st.integers(0, 63))
+def test_two_mersenne_shape_has_chain_length_two_to_the_popcount(a0, b0, a, b, c):
+    """1 + x^a (x+1)^b M^c with M = 1 + x^a0 (x+1)^b0, prime or not, has
+    chain length 2^popcount(c): the theorem in classify's docstring."""
+    m = _shape_bits(a0, b0)
+    p = 1 ^ reduce(i_mul, [0b10] * a + [0b11] * b + [m] * c, 1)
+    assert chain_length(Poly(p)) == 1 << c.bit_count()
+
+
 def test_classify_rejects_even():
     with pytest.raises(ValueError):
         classify(X)

@@ -8,13 +8,17 @@ payload, or of its repr where it has none, is the one recorded before
 the change.
 """
 
+import copy
 import hashlib
 import json
+import pickle
 
 import pytest
 
 from gf2perfect import catalog, search
 from gf2perfect.catalog import by_name
+from gf2perfect.factorize import factor_full
+from gf2perfect.gf2poly import Poly
 from gf2perfect.sigma import ExponentTuple, SigmaExponents, sigma_exponents
 
 
@@ -173,3 +177,29 @@ def test_record_defaults_are_kept():
     assert catalog.Classification(3) == catalog.Classification(3, None, None)
     t = ExponentTuple.from_parts()
     assert (t.a, t.b, t.c, t.d) == (0, 0, (0,) * 5, (0,) * 8)
+
+
+# (sample, the Poly it holds).
+POLY_HOLDERS = [
+    (lambda: Poly(7), lambda v: v),
+    (lambda: factor_full(Poly.parse("x^6+x^5+x^3+x^2")), lambda v: v[0][0]),
+    (lambda: search.run_search("final"), lambda v: v.tuples[0]),
+]
+
+
+@pytest.mark.parametrize("make, held", POLY_HOLDERS, ids=["Poly", "FactorMap", "StageResult"])
+@pytest.mark.parametrize("round_trip", [
+    lambda v: pickle.loads(pickle.dumps(v)),
+    copy.deepcopy,
+], ids=["pickle", "deepcopy"])
+def test_values_holding_a_poly_round_trip(make, held, round_trip):
+    """A Poly is rebuilt through its constructor, so it and every record
+    holding one survive pickle and deepcopy, and the copy stays immutable."""
+    value = make()
+    copied = round_trip(value)
+    assert type(copied) is type(value)
+    assert copied == value
+    poly = held(copied)
+    assert type(poly) is Poly and poly == held(value)
+    with pytest.raises(AttributeError):
+        poly.bits = 1

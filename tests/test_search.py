@@ -2,9 +2,12 @@
 
 import hashlib
 import json
+from functools import reduce
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gf2perfect.catalog import (
     by_name,
@@ -28,6 +31,7 @@ from gf2perfect.search import (
     run_search,
     sigma_factor_tables,
     _fixed_points,
+    _solve_linear,
     _stage1_rows,
     _stage2_rows,
     _stage3_candidates,
@@ -68,6 +72,7 @@ from oracles import (
     cyclotomic_pieces,
     free_slot_witness,
     i_divmod,
+    i_factor_over,
     i_mul,
     naive_stage1_rows,
     naive_stage2_rows,
@@ -450,6 +455,37 @@ def test_identity_spot_instances():
     m1_power = next(f for label, f in by_label.items() if label.startswith("1 + (x^2"))
     assert (1, 1, 1) in m1_power.found
     assert (2, 2, 2) in m1_power.found
+
+
+def _linear_oracle(bits):
+    """(b, c) with bits = x^b (x+1)^c by trial division, or None."""
+    pairs = i_factor_over(bits, (0b10, 0b11))
+    return None if pairs is None else (dict(pairs).get(0b10, 0), dict(pairs).get(0b11, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 16), st.integers(0, 16), st.integers(0, 1 << 10))
+def test_solve_linear_matches_trial_division(i, j, half):
+    """x^i (x+1)^j is solved; times an odd c it is solved only when c is
+    a power of x+1, and never when c(1) = 1 too, unless c = 1."""
+    bits = reduce(i_mul, [0b11] * j, 1 << i)
+    assert _solve_linear(bits) == _linear_oracle(bits) == (i, j)
+    c = 2 * half + 1
+    product_bits = i_mul(bits, c)
+    assert _solve_linear(product_bits) == _linear_oracle(product_bits)
+    if c != 1 and c.bit_count() % 2:
+        assert _solve_linear(product_bits) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8), st.integers(1, 24), st.randoms(use_true_random=False))
+def test_solve_linear_decides_sums_past_its_term_screen(i, n, rng):
+    """An odd part of degree n with the 2^popcount(n) terms of (x+1)^n
+    passes the term-count screen; only (x+1)^n itself is a solution."""
+    middle = rng.sample(range(1, n), (1 << n.bit_count()) - 2)
+    odd = reduce(lambda acc, m: acc | 1 << m, middle, 1 | 1 << n)
+    assert odd.bit_count() == 1 << n.bit_count()
+    assert _solve_linear(odd << i) == _linear_oracle(odd << i)
 
 
 def test_identities_reject_bad_bound():

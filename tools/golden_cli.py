@@ -50,6 +50,8 @@ GOLDEN = tuple(
     ("reciprocal", "--max-abc", "8"),
     ("identities",),
     ("identities", "--max-exp", "64"),
+    # The bound the sweeps benchmark runs.
+    ("identities", "--max-exp", "128"),
     # The lowest bound accepted.
     ("identities", "--max-exp", "4"),
     # The default --hmax, 20.

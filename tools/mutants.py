@@ -16,7 +16,7 @@ survives, when its mutated file does not compile (reported as BROKEN,
 since such an entry tests nothing), when its old text is missing or
 not unique, or when a selector fails or selects nothing before any
 mutation.  It is kept out of Tier-1: each mutant costs one pytest
-launch, and the 38 below take about 38 s on a 2-vCPU Xeon.  A change
+launch, and the 42 below take about 42 s on a 2-vCPU Xeon.  A change
 that guards a kernel adds its mutants here.
 """
 
@@ -148,6 +148,23 @@ MUTANTS = (
      '"2": _stage2_rows,',
      '"2": lambda rows1, _rule: _stage2_rows(rows1, "uniform"),',
      T + "test_search.py::test_strict_rule_prunes_harder"),
+    ("stage2-variant-always-counted-over-stage-2", S + "search.py",
+     "rows if within(STAGE2_RULES[rule]) else previous, rule",
+     "rows, rule",
+     T + "test_search.py::test_stage2_matches_the_slot_by_slot_rules"),
+    # The linear solver of the identity sweep.
+    ("solve-linear-screen-inverted", S + "search.py",
+     "screened = (bits >> b).bit_count() == 1 << c.bit_count()",
+     "screened = (bits >> b).bit_count() != 1 << c.bit_count()",
+     T + "test_search.py::test_solve_linear_matches_trial_division"),
+    ("solve-linear-screen-counts-bits-not-terms", S + "search.py",
+     "screened = (bits >> b).bit_count() == 1 << c.bit_count()",
+     "screened = (bits >> b).bit_count() == c.bit_count()",
+     T + "test_search.py::test_solve_linear_matches_trial_division"),
+    ("solve-linear-trusts-its-screen", S + "search.py",
+     "return (b, c) if screened and bits == _linear(b, c) else None",
+     "return (b, c) if screened else None",
+     T + "test_search.py::test_solve_linear_decides_sums_past_its_term_screen"),
     ("tables-h-max-one-short", S + "search.py",
      "h_max = admissibility_budget(family, base)",
      "h_max = admissibility_budget(family, base) - 1",
