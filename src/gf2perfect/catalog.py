@@ -325,6 +325,14 @@ class AdmissibilityReport(NamedTuple):
 # gives 92 for the linear bases and the catalog family.
 MAX_H_BUDGET = 128
 
+# Largest total degree of the distinct members is_admissible accepts.
+# The degree rule scans each member T up to h = (total degree) / (2 deg T),
+# so many small members cost most.  The worst case measured at the cap:
+# 170 of the 335 irreducibles of degree 12 (total 2,040) take 1.4 s, and
+# x^2044+x^45+1 alone 0.5 s (2-vCPU Xeon, CPython 3.11).  All 335, total
+# 4,020, take 7.0 s.
+MAX_FAMILY_DEGREE = 2048
+
 
 def admissibility_budget(family: tuple[Poly, ...], s: Poly) -> int:
     """Scan bound for divisor sums of s: degrees of family and catalog
@@ -366,26 +374,31 @@ def is_admissible(
     by the linear primes, through 1+T or through some divisor sum
     sigma(T^2h).  The existential h in (ii) and (iii) is scanned up to
     a degree-based budget unless an explicit h_budget, from 1 to
-    MAX_H_BUDGET, overrides it.
+    MAX_H_BUDGET, overrides it.  The members' degrees may sum to at
+    most MAX_FAMILY_DEGREE.
     """
     if h_budget is not None and not 1 <= h_budget <= MAX_H_BUDGET:
         raise ValueError(f"h_budget must be between 1 and {MAX_H_BUDGET}")
-    members: dict[int, Poly] = {}
-    for p in family:
-        # The scan's last divisor sum, sigma(p^(2 h_budget)), must stay
-        # within the cap sigma_prime_power enforces; checked before any work.
+    members = {p.bits: p for p in family}
+    if not members:
+        raise ValueError("family is empty")
+    # The caps come before any work: the scan's last divisor sum,
+    # sigma(p^(2 h_budget)), must stay within the cap sigma_prime_power
+    # enforces, and the family within MAX_FAMILY_DEGREE.
+    for p in members.values():
         if h_budget is not None and 2 * h_budget * p.degree > MAX_SIGMA_DEGREE:
             raise ValueError(
                 f"family member {p.text()}: 2 * budget * degree "
                 f"{2 * h_budget * p.degree} exceeds {MAX_SIGMA_DEGREE}"
             )
+    degree = sum(p.degree for p in members.values())
+    if degree > MAX_FAMILY_DEGREE:
+        raise ValueError(f"family degree {degree} exceeds {MAX_FAMILY_DEGREE}")
+    for p in members.values():
         if not is_irreducible(p):
             raise ValueError(f"family member {p.text()} is reducible")
         if not is_odd(p):
             raise ValueError(f"family member {p.text()} is even")
-        members.setdefault(p.bits, p)
-    if not members:
-        raise ValueError("family is empty")
     fam = tuple(members.values())
     extended = fam + (X, X1)
 

@@ -6,12 +6,13 @@ The centerpiece is a three-stage sieve over candidate shapes
 
 (the exponent vector's slot layout is sigma._SLOT_PRIMES, the domain
 of each slot sigma.DOMAIN) driven by integer arithmetic on the
-divisor-sum exponents of sigma.slot_term, factored once per (slot,
-exponent) on the first run, then a fixed-point test on the
-factorization each survivor was assembled from, confirmed by an
-independent sigma.  Stage 1 sums per-slot tables of slot terms;
-stage 2 tests the slot exponents stage 1 carries against sets; stage 3
-filters rows on ints by the degrees the free M3..M5 slots can balance.
+divisor-sum exponents sigma.sigma_exponents sums from slot terms,
+each factored once per (slot, exponent) on the first run, then a
+fixed-point test on the factorization each survivor was assembled
+from, confirmed by an independent sigma.  Stage 1 sums per-slot
+tables of slot terms; stage 2 tests the slot exponents stage 1
+carries against sets; stage 3 filters rows on ints by the degrees the
+free M3..M5 slots can balance.
 M3 takes its exponent from (n2, u2); a witness's n3 only balances
 degrees (n3 != n2 in 9 of the 44), the rule that reproduces the
 reference count and is kept.  run_search walks the stage table _STAGES
@@ -55,7 +56,7 @@ from .sigma import (
     assemble,
     decompose_exponent,
     sigma,
-    slot_term,
+    sigma_exponents,
 )
 
 # Counts the three sieve stages are calibrated against, and the names
@@ -102,17 +103,11 @@ MAX_SCAN_DEGREE = 2048
 # Sieve stages.  Each returns its rows in domain order.
 
 
-def _term_sum(pairs, components):
-    """The given components of the summed slot terms of the (slot, exponent) pairs."""
-    terms = [slot_term(k, e) for k, e in pairs]
-    return tuple(sum(term[i] for term in terms) for i in components)
-
-
 @lru_cache(maxsize=1)
 def _stage1_terms():
     """For each of the x, x+1 and M1 slots, (t, s) -> the M2 and S1..S8
     components of its slot term, in domain order; stage 1 sums them."""
-    return [{(t, s): _term_sum([(k, (s << t) - 1)], (3, *range(7, 15)))
+    return [{(t, s): sigma_exponents([(k, (s << t) - 1)], (3, *range(7, 15)))
              for t, s in product(*DOMAIN[k])} for k in range(3)]
 
 
@@ -155,7 +150,7 @@ def _free_slot_witness():
     3 can make: 144 witnesses, one lookup per row."""
     table = {}
     for w in product(*(t for t, _s in DOMAIN[4:7])):
-        need = _term_sum(zip((4, 5, 6), [(1 << n) - 1 for n in w]), (0, 1))
+        need = sigma_exponents(zip((4, 5, 6), [(1 << n) - 1 for n in w]), (0, 1))
         table.setdefault(need, w)
     return table
 
@@ -180,9 +175,9 @@ def _stage3_rows(rows):
         n, u, m, v, n1, u1, n2, u2 = row[:8]
         head, tail = row[:8:2], row[8:16]
         if head not in heads:
-            heads[head] = _term_sum(enumerate((1 << t) - 1 for t in head), (0, 1))
+            heads[head] = sigma_exponents(enumerate((1 << t) - 1 for t in head), (0, 1))
         if tail not in tails:
-            tails[tail] = _term_sum(zip(range(7, 15), tail), (0, 1, 2))
+            tails[tail] = sigma_exponents(zip(range(7, 15), tail), (0, 1, 2))
         (ha, hb), (ta, tb, tg) = heads[head], tails[tail]
         a, b = (u << n) - 1, (v << m) - 1
         witness = witnesses.get((a - ha - ta, b - hb - tb))
@@ -190,7 +185,7 @@ def _stage3_rows(rows):
             continue
         _n3, n4, n5 = witness
         c2 = (u2 << n2) - 1
-        gamma1 = tg + _term_sum(enumerate((a, b, (u1 << n1) - 1, c2)), (2,))[0]
+        gamma1 = tg + sigma_exponents(enumerate((a, b, (u1 << n1) - 1, c2)), (2,))[0]
         c = (gamma1, c2, c2, (1 << n4) - 1, (1 << n5) - 1)
         out.append((assemble(a, b, c, tail).bits, row, witness, c))
     return out

@@ -11,33 +11,28 @@ route: _sigma_pp runs Horner over the odd part s, then t steps of
 squaring and multiplying by 1 + P, so an even exponent is plain Horner.
 
 The second half of the module is the exponent calculus.  A candidate
-perfect polynomial is described by an ExponentTuple (the 2-adic shape
-of every exponent in its factorization over the fixed catalog
-families), and SigmaExponents gives the exponent of each catalog prime
-in sigma of that candidate.  sigma is multiplicative, so that is a sum
-of one slot term per prime power, and slot_term computes each term
-once from factor_full of the factored form above, under the paper's
-rule for odd parts outside the domain.  The sieve then works on bare
-ints: a few dozen small factorizations, cached, instead of one per
-candidate.  The shape parameters of the Mersenne and 2-Mersenne primes
-live here too, and with them _SLOT_PRIMES, the one slot layout of a
-candidate's exponent vector, and DOMAIN, the one table of the search
-domain: the (t range, s values) of each slot, which
-ExponentTuple.validate checks, slot_term's rule reads and the sieve in
-search iterates.  Nothing here needs the catalog layer above.
+perfect polynomial is an exponent vector over _SLOT_PRIMES, the one
+slot layout: x, x+1, M1..M5 and S1..S8.  sigma is multiplicative, so
+the exponent of each slot prime in sigma of a candidate is a sum of
+one slot term per prime power; slot_term computes each term once from
+factor_full of the factored form above, under the paper's rule for
+odd parts outside the domain, and sigma_exponents sums them.  The
+sieve then works on bare ints: a few dozen small factorizations,
+cached, instead of one per candidate.  The shape parameters of the
+Mersenne and 2-Mersenne primes live here too, and with them DOMAIN,
+the one table of the search domain: the (t range, s values) of each
+slot, which slot_term's rule reads and the sieve in search iterates.
+Nothing here needs the catalog layer above.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from typing import NamedTuple
 
 from .factorize import FactorMap, factor_full, is_irreducible
 from .gf2poly import Poly, X, X1, _divmod, _gcd, _linear, _mul, _pow, _product, _square
 
 __all__ = [
-    "ExponentTuple",
-    "SigmaExponents",
     "assemble",
     "is_indecomposable_perfect",
     "is_perfect",
@@ -290,9 +285,6 @@ DOMAIN = (
     (range(6), (1,)), (range(6), (1,)),
     (range(4), U23S), *((range(2), (1,)),) * 7,
 )
-# The names of each slot's (t, s) in an ExponentTuple, in DOMAIN order.
-_DOMAIN_NAMES = (("n", "u"), ("m", "v"), *((f"n{i}", f"u{i}") for i in range(1, 6)),
-                 *((f"m{j}", f"v{j}") for j in range(1, 9)))
 
 # The primes of a candidate's exponent vector (a, b, c1..c5, d1..d8), on
 # bits: x, x+1, M1..M5, S1..S8.
@@ -332,76 +324,12 @@ def slot_term(k: int, e: int) -> tuple[int, ...]:
     return tuple((2**t - 1) * a + (b << t) for a, b in zip(_slot_vector(q ^ 1), odd))
 
 
-class ExponentTuple(NamedTuple):
-    """2-adic shape of a candidate's exponents over the catalog.
-
-    The candidate is x^a (x+1)^b * prod Mi^ci * prod Sj^dj with
-    a = 2^n u - 1, b = 2^m v - 1, ci = 2^(ni) ui - 1 and
-    dj = 2^(mj) vj - 1, all the u's and v's odd.  Only the first five
-    Mersenne and first eight 2-Mersenne slots can carry a nonzero
-    exponent for a perfect candidate, so that is all this records.
-    """
-
-    n: int
-    u: int
-    m: int
-    v: int
-    ni: tuple[int, int, int, int, int]
-    ui: tuple[int, int, int, int, int]
-    mj: tuple[int, int, int, int, int, int, int, int]
-    vj: tuple[int, int, int, int, int, int, int, int]
-
-    @property
-    def a(self) -> int:
-        return 2**self.n * self.u - 1
-
-    @property
-    def b(self) -> int:
-        return 2**self.m * self.v - 1
-
-    @property
-    def c(self) -> tuple[int, ...]:
-        return tuple(2**n * u - 1 for n, u in zip(self.ni, self.ui))
-
-    @property
-    def d(self) -> tuple[int, ...]:
-        return tuple(2**m * v - 1 for m, v in zip(self.mj, self.vj))
-
-    def validate(self) -> None:
-        """Check the search domain bounds; name the violated one."""
-        values = zip((self.n, self.m, *self.ni, *self.mj),
-                     (self.u, self.v, *self.ui, *self.vj))
-        for names, pair, allowed in zip(_DOMAIN_NAMES, values, DOMAIN):
-            for name, value, domain in zip(names, pair, allowed):
-                if value not in domain:
-                    shown = (f"{domain.start}..{domain.stop - 1}"
-                             if isinstance(domain, range) else domain)
-                    raise ValueError(
-                        f"exponent tuple out of domain: {name} = {value} not in {shown}"
-                    )
-
-    @classmethod
-    def from_parts(cls, n=0, u=1, m=0, v=1, ni=None, ui=None, mj=None, vj=None):
-        return cls(n, u, m, v, tuple(ni or (0,) * 5), tuple(ui or (1,) * 5),
-                   tuple(mj or (0,) * 8), tuple(vj or (1,) * 8))
-
-
-class SigmaExponents(NamedTuple):
-    """Exponents of x, x+1 and each catalog prime in sigma(candidate)."""
-
-    alpha: int
-    beta: int
-    gamma: tuple[int, int, int, int, int]
-    delta: tuple[int, int, int, int, int, int, int, int]
-
-
-def sigma_exponents(t: ExponentTuple) -> SigmaExponents:
-    """Exponents of x, x+1 and each slot prime in sigma of the candidate t
-    describes: sigma is multiplicative, so the sum of its slot terms.  The
-    tests pin them against the paper's closed forms and a factorization."""
-    t.validate()
-    exps = [sum(col) for col in zip(*map(slot_term, range(15), (t.a, t.b, *t.c, *t.d)))]
-    return SigmaExponents(exps[0], exps[1], tuple(exps[2:7]), tuple(exps[7:]))
+def sigma_exponents(pairs, components) -> tuple[int, ...]:
+    """The given components of the summed slot terms of the (slot,
+    exponent) pairs, one pair per slot: those exponents in sigma of the
+    product of the pairs' prime powers.  The sieve's one sum of terms."""
+    terms = [slot_term(k, e) for k, e in pairs]
+    return tuple(sum(term[i] for term in terms) for i in components)
 
 
 def assemble(a: int, b: int, c: tuple, d: tuple) -> Poly:

@@ -14,8 +14,11 @@ cross-checked against each other in the test suite.
 
 The exponent calculus is here too, as the paper writes it: closed
 integer formulas, one indicator per divisor sum, for the exponent of
-each slot prime in sigma of a candidate.  The package computes the
-same exponents from factorizations (gf2perfect.sigma.slot_term), and
+each slot prime in sigma of a candidate.  The candidate is the paper's
+record, an ExponentTuple of 2-adic shapes, which validates itself
+against the package's sigma.DOMAIN, and the result a SigmaExponents.
+The package computes the same exponents, as one flat vector, from
+factorizations (gf2perfect.sigma.slot_term and sigma_exponents), and
 the tests check the two against each other over the whole search
 domain.  The naive sieve stages at the end evaluate these formulas
 afresh for every row; they take only the catalog's shape parameters
@@ -24,17 +27,21 @@ and assemble from the package.
 
 from __future__ import annotations
 
+import importlib
 from functools import reduce
 from itertools import product
+from typing import NamedTuple
 
 from gf2perfect.sigma import (
     MERSENNE_AB,
     TWO_MERSENNE_ABN,
     U1S,
     US,
-    SigmaExponents,
     assemble,
 )
+
+# The sigma layer itself: the package's name sigma is the function.
+_sigma_layer = importlib.import_module("gf2perfect.sigma")
 
 # -- conversions ------------------------------------------------------------
 
@@ -439,6 +446,76 @@ def prefix_exponents(n, u, m, v, n1, u1):
         (chi(5, u1) + chi(15, u1)) * 2**n1,
     )
     return gamma2, delta
+
+
+# The names of each slot's (t, s) in an ExponentTuple, in sigma.DOMAIN order.
+_DOMAIN_NAMES = (("n", "u"), ("m", "v"), *((f"n{i}", f"u{i}") for i in range(1, 6)),
+                 *((f"m{j}", f"v{j}") for j in range(1, 9)))
+
+
+class ExponentTuple(NamedTuple):
+    """2-adic shape of a candidate's exponents over the catalog.
+
+    The candidate is x^a (x+1)^b * prod Mi^ci * prod Sj^dj with
+    a = 2^n u - 1, b = 2^m v - 1, ci = 2^(ni) ui - 1 and
+    dj = 2^(mj) vj - 1, all the u's and v's odd: the paper's record of
+    a candidate, over the first five Mersenne and first eight
+    2-Mersenne slots.  The package keeps the flat exponent vector
+    (a, b, c1..c5, d1..d8) instead.
+    """
+
+    n: int
+    u: int
+    m: int
+    v: int
+    ni: tuple[int, int, int, int, int]
+    ui: tuple[int, int, int, int, int]
+    mj: tuple[int, int, int, int, int, int, int, int]
+    vj: tuple[int, int, int, int, int, int, int, int]
+
+    @property
+    def a(self) -> int:
+        return 2**self.n * self.u - 1
+
+    @property
+    def b(self) -> int:
+        return 2**self.m * self.v - 1
+
+    @property
+    def c(self) -> tuple[int, ...]:
+        return tuple(2**n * u - 1 for n, u in zip(self.ni, self.ui))
+
+    @property
+    def d(self) -> tuple[int, ...]:
+        return tuple(2**m * v - 1 for m, v in zip(self.mj, self.vj))
+
+    def validate(self) -> None:
+        """Check the search domain bounds, read from sigma.DOMAIN at call
+        time; name the violated one."""
+        values = zip((self.n, self.m, *self.ni, *self.mj),
+                     (self.u, self.v, *self.ui, *self.vj))
+        for names, pair, allowed in zip(_DOMAIN_NAMES, values, _sigma_layer.DOMAIN):
+            for name, value, domain in zip(names, pair, allowed):
+                if value not in domain:
+                    shown = (f"{domain.start}..{domain.stop - 1}"
+                             if isinstance(domain, range) else domain)
+                    raise ValueError(
+                        f"exponent tuple out of domain: {name} = {value} not in {shown}"
+                    )
+
+    @classmethod
+    def from_parts(cls, n=0, u=1, m=0, v=1, ni=None, ui=None, mj=None, vj=None):
+        return cls(n, u, m, v, tuple(ni or (0,) * 5), tuple(ui or (1,) * 5),
+                   tuple(mj or (0,) * 8), tuple(vj or (1,) * 8))
+
+
+class SigmaExponents(NamedTuple):
+    """Exponents of x, x+1 and each catalog prime in sigma(candidate)."""
+
+    alpha: int
+    beta: int
+    gamma: tuple[int, int, int, int, int]
+    delta: tuple[int, int, int, int, int, int, int, int]
 
 
 # Shape parameters (a, b) of M1..M5 and S1..S8, in ExponentTuple order.

@@ -13,6 +13,7 @@ from gf2perfect.catalog import (
     BAR_MERSENNE,
     BAR_PERFECT,
     BAR_TWO_MERSENNE,
+    MAX_FAMILY_DEGREE,
     MAX_H_BUDGET,
     CatalogError,
     admissibility_budget,
@@ -412,6 +413,22 @@ def test_explicit_budget_is_checked_before_any_scan(monkeypatch):
         is_admissible((Poly.parse("x^1024+x+1"),), h_budget=128)
     with pytest.raises(ValueError, match="degree 262400 exceeds 262144"):
         is_admissible((Poly.parse("x^1025+x+1"),), h_budget=128)
+
+
+def test_family_degree_cap_is_inclusive_and_counts_each_member_once(monkeypatch):
+    # The distinct members' degrees may sum to MAX_FAMILY_DEGREE; one
+    # degree more is refused before any irreducibility test.
+    def no_work(*_args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(catalog, "is_irreducible", no_work)
+    monkeypatch.setattr(catalog, "split_divisor_sums", no_work)
+    at_cap = Poly.parse(f"x^{MAX_FAMILY_DEGREE}+x+1")
+    with pytest.raises(AssertionError, match="work started"):
+        is_admissible((at_cap, at_cap))
+    message = f"family degree 2050 exceeds {MAX_FAMILY_DEGREE}"
+    with pytest.raises(ValueError, match=message):
+        is_admissible((at_cap, mersenne(1)))
 
 
 def test_admissibility_report_json():

@@ -234,6 +234,21 @@ def test_malformed_invocations_exit_2(capsys, argv):
     assert exc.value.code == 2
 
 
+def test_admissible_family_cap_exits_2_before_any_work(capsys, monkeypatch):
+    # Over MAX_FAMILY_DEGREE the verb exits 2 and names the cap before
+    # any irreducibility test or factorization over the family.
+    def no_work(*_args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(catalog, "factor_over_family", no_work)
+    monkeypatch.setattr(catalog, "is_irreducible", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["admissible", "x^2281+x^715+1"])
+    assert exc.value.code == 2
+    message = f"family degree 2281 exceeds {catalog.MAX_FAMILY_DEGREE}"
+    assert message in capsys.readouterr().err
+
+
 def test_input_degree_cap_is_inclusive():
     p = cli._parse_poly(f"x^{cli.MAX_INPUT_DEGREE}+1")
     assert p.degree == cli.MAX_INPUT_DEGREE

@@ -15,6 +15,10 @@ through a star import and in dir().
 Each eager layer declares the names the package exports from it in
 its own __all__, and only names it defines itself; those lists and
 search's names make up the package's __all__, each name once.
+
+The benchmark's span recorder names the functions it traces in
+bench/spans.py; each must exist, and the sieve must call the sum of
+slot terms it traces.
 """
 
 import ast
@@ -31,6 +35,7 @@ import gf2perfect
 LAYERS = ("gf2poly", "factorize", "sigma", "catalog", "search", "cli")
 EAGER = LAYERS[:4]
 PACKAGE = Path(gf2perfect.__file__).parent
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def _imported_modules(tree):
@@ -156,7 +161,6 @@ PUBLIC_NAMES = [
     "CatalogError",
     "Classification",
     "ConjectureScan",
-    "ExponentTuple",
     "FactorMap",
     "IdentityReport",
     "ONE",
@@ -164,7 +168,6 @@ PUBLIC_NAMES = [
     "PolyParseError",
     "ReciprocalReport",
     "Representation",
-    "SigmaExponents",
     "SigmaTable",
     "StageResult",
     "X",
@@ -245,3 +248,43 @@ def test_package_names_are_the_layer_lists_and_search_names():
 
 def test_package_sigma_is_the_function():
     assert gf2perfect.sigma is importlib.import_module("gf2perfect.sigma").sigma
+
+
+def _traced_names():
+    """bench/spans.py's TRACED, read from its source, not imported."""
+    tree = ast.parse((BENCH / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/spans.py defines no TRACED")
+
+
+def test_every_traced_name_resolves():
+    names = _traced_names()
+    assert "sigma.sigma_exponents" in names
+    for dotted in names:
+        module, attr = dotted.rsplit(".", 1)
+        layer = importlib.import_module(f"gf2perfect.{module}")
+        assert callable(getattr(layer, attr)), dotted
+
+
+def test_the_sieve_calls_the_traced_sum_of_slot_terms(monkeypatch):
+    # The recorder wraps each binding of the function, so the sieve's
+    # calls count whichever module it reads the name from.
+    from gf2perfect import search
+
+    sigma_layer = importlib.import_module("gf2perfect.sigma")
+    original, calls = sigma_layer.sigma_exponents, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (sigma_layer, search):
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, counted)
+    search.run_search("final")
+    assert calls

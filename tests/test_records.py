@@ -19,7 +19,7 @@ from gf2perfect import catalog, search
 from gf2perfect.catalog import by_name
 from gf2perfect.factorize import factor_full
 from gf2perfect.gf2poly import Poly
-from gf2perfect.sigma import ExponentTuple, SigmaExponents, sigma_exponents
+from oracles import ExponentTuple
 
 
 def _prime(name):
@@ -28,12 +28,6 @@ def _prime(name):
 
 def _admissibility():
     return catalog.is_admissible([_prime("M1"), _prime("M2"), _prime("M3")])[1]
-
-
-def _exponents():
-    return ExponentTuple.from_parts(
-        n=1, u=3, m=2, v=5, ni=(1, 2, 0, 0, 0), ui=(7, 3, 1, 1, 1), mj=(1,) + (0,) * 7
-    )
 
 
 # (record type, fields in order, sample factory, sha256 of the payload).
@@ -67,18 +61,6 @@ SAMPLES = [
         ("admissible", "closure", "linear_tables", "member_feedback", "budget_note"),
         _admissibility,
         "4cf5dfe9544b207178ca723c86024d9292126a54fa580626afcd7184071391ff",
-    ),
-    (
-        ExponentTuple,
-        ("n", "u", "m", "v", "ni", "ui", "mj", "vj"),
-        _exponents,
-        "37090039b6081a73d982b5361e652392b7a0f85bf9e9226ab94d6887f8fb3037",
-    ),
-    (
-        SigmaExponents,
-        ("alpha", "beta", "gamma", "delta"),
-        lambda: sigma_exponents(_exponents()),
-        "0f6f55d6324932100f5e36077460bb9808fb545df1d9ba08c3f4e46507d2f365",
     ),
     (
         search.StageResult,

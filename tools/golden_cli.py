@@ -110,6 +110,8 @@ GOLDEN = tuple(
     ("admissible", "M1", "--budget", "0"),
     # 2 * 128 * 3217 is over MAX_SIGMA_DEGREE: exit 2 before any scan.
     ("admissible", "x^3217+x^67+1", "--budget", "128"),
+    # 2281 is over MAX_FAMILY_DEGREE: exit 2 before any irreducibility test.
+    ("admissible", "x^2281+x^715+1"),
     ("admissible", "M6"),
     ("sigma", "x^5000"),
     ("factor", "x^"),

@@ -3,12 +3,13 @@
     python3 tools/mutants.py
 
 A mutant is (name, file, old text, new text, test selector).  The
-repository's src/, tests/ and tools/ are copied once to a temporary
-directory, and the selectors run there unmutated first: they must all
-pass.  Then for each mutant the old text, which must occur exactly once
-in its file, is replaced by the new text, pytest runs the mutant's
-selector (node ids or options, split on spaces) with that copy's src/
-first on PYTHONPATH and no bytecode written, and the file is put back.
+repository's src/, tests/, tools/ and bench/ (a layer test reads
+bench/spans.py) are copied once to a temporary directory, and the
+selectors run there unmutated first: they must all pass.  Then for
+each mutant the old text, which must occur exactly once in its file,
+is replaced by the new text, pytest runs the mutant's selector (node
+ids or options, split on spaces) with that copy's src/ first on
+PYTHONPATH and no bytecode written, and the file is put back.
 
 A mutant is killed when pytest reports a failed test or a collection
 error, or runs past TIMEOUT_S.  The tool exits 1 when a mutant
@@ -16,7 +17,7 @@ survives, when its mutated file does not compile (reported as BROKEN,
 since such an entry tests nothing), when its old text is missing or
 not unique, or when a selector fails or selects nothing before any
 mutation.  It is kept out of Tier-1: each mutant costs one pytest
-launch, and the 42 below take about 42 s on a 2-vCPU Xeon.  A change
+launch, and the 44 below take about 2.5 min on a 2-vCPU Xeon.  A change
 that guards a kernel adds its mutants here.
 """
 
@@ -67,9 +68,13 @@ MUTANTS = (
      "odd = _slot_vector(_sigma_pp(q, s - 1) if s in DOMAIN[k][1] else 1)",
      "odd = _slot_vector(1)",
      T + "test_sigma.py::test_slot_term_matches_the_closed_forms"),
+    ("sigma-exponents-drops-the-first-term", S + "sigma.py",
+     "terms = [slot_term(k, e) for k, e in pairs]",
+     "terms = [slot_term(k, e) for k, e in pairs][1:]",
+     T + "test_sigma.py::test_exponent_formulas_match_actual_divisor_sums"),
     ("stage3-head-reads-the-wrong-linear-component", S + "search.py",
-     "_term_sum(enumerate((1 << t) - 1 for t in head), (0, 1))",
-     "_term_sum(enumerate((1 << t) - 1 for t in head), (1, 0))",
+     "sigma_exponents(enumerate((1 << t) - 1 for t in head), (0, 1))",
+     "sigma_exponents(enumerate((1 << t) - 1 for t in head), (1, 0))",
      T + "test_search.py::test_stage3_rows_match_the_per_row_oracle"),
     ("witness-table-keeps-the-last-witness", S + "search.py",
      "table.setdefault(need, w)",
@@ -200,6 +205,10 @@ MUTANTS = (
      "(merged[bits] for bits in sorted(merged))",
      "merged.values()",
      T + "test_factorize.py::test_factor_map_is_the_tuple_of_its_pairs"),
+    ("admissible-family-cap-off-by-one", S + "catalog.py",
+     "if degree > MAX_FAMILY_DEGREE:",
+     "if degree >= MAX_FAMILY_DEGREE:",
+     T + "test_catalog.py::test_family_degree_cap_is_inclusive_and_counts_each_member_once"),
     ("admissible-member-check-needs-any-member", S + "catalog.py",
      "all(holds for holds, _ in results)",
      "any(holds for holds, _ in results)",
@@ -244,8 +253,9 @@ def main():
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
-        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for part in ("src", "tests", "tools"):
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache",
+                                        ".bench_out")
+        for part in ("src", "tests", "tools", "bench"):
             shutil.copytree(ROOT / part, tree / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", tree)
         for selector in dict.fromkeys(m[4] for m in MUTANTS):
