@@ -348,7 +348,7 @@ def split_divisor_sums(s: Poly, h_max: int, family):
 
     A row that cannot split takes no gcd: with n = 2h + 1, the
     nonconstant Phi_n(s) divides sigma(s^2h), and each of its primes has
-    a degree divisible by ord_n(2) (sigma._cyclotomic_pieces).  When no
+    a degree divisible by ord_n(2) (sigma._phi_factors' step).  When no
     member's degree is, a prime outside the family divides the row.  The
     other Phi_d(s), d | n, rule out no more: ord_d(2) divides ord_n(2).
     """

@@ -18,10 +18,10 @@ exactly when it has no prime factor of degree at most d/2, repeated or
 not, so its first find is the whole input.  Most reducible inputs are
 rejected by the first block, after at most 16 squarings; a prime costs
 d/2 of them.  A caller that knows a step s dividing every prime
-factor's degree (the cyclotomic pieces of the conjecture scans' divisor
-sums) saves gcds: the walk squares through every degree as before but
-multiplies in and tests the multiples of s only, and a block without
-one takes no gcd.  The plain walk is the same loop with s = 1.
+factor's degree (each cyclotomic piece sigma._divisor_sum_factors
+factors) saves gcds: the walk squares through every degree as before
+but multiplies in and tests the multiples of s only, and a block
+without one takes no gcd.  The plain walk is the same loop with s = 1.
 
 `factor_over_family` is deliberately weaker than `factor_full`: it only
 divides by members of a supplied family and reports failure instead of
@@ -296,9 +296,9 @@ def factor_full(p: Poly, degree_step=1) -> FactorMap:
     """Complete factorization of a nonzero polynomial.
 
     degree_step is the caller's promise that every prime factor of p
-    has a degree divisible by it (sigma._cyclotomic_pieces gives one
-    for each piece of a divisor sum); the distinct-degree walk then
-    looks only at those degrees.  A broken promise gives a wrong
+    has a degree divisible by it (sigma._phi_factors gives ord_d(2) for
+    each piece of Phi_d(q) in a divisor sum); the distinct-degree walk
+    then looks only at those degrees.  A broken promise gives a wrong
     factorization or raises ValueError.
     """
     a = p.bits

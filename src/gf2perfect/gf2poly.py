@@ -361,11 +361,12 @@ class Poly:
         if not stripped:
             raise PolyParseError("empty polynomial text", 0)
         if stripped.lower().startswith("0x"):
-            try:
-                return cls(int(stripped, 16))
-            except ValueError:
+            # ASCII hex digits only: int() also takes "_" and other digits.
+            digits = stripped[2:]
+            if not digits or digits.strip("0123456789abcdefABCDEF"):
                 offset = len(text) - len(text.lstrip())
-                raise PolyParseError("malformed hex polynomial", offset) from None
+                raise PolyParseError("malformed hex polynomial", offset)
+            return cls(int(digits, 16))
         if stripped == "0":
             return cls(0)
         bits = 0

@@ -45,12 +45,12 @@ from .catalog import (
     split_divisor_sums,
     two_mersenne_family,
 )
-from .factorize import FactorMap, factor_full, is_irreducible
+from .factorize import FactorMap, is_irreducible
 from .gf2poly import Poly, X, X1, _linear, _mul, _split_linear, _strip, star
 from .sigma import (
     DOMAIN,
     _M1_BITS,
-    _cyclotomic_pieces,
+    _divisor_sum_factors,
     _shape,
     _sigma_of_vector,
     assemble,
@@ -729,25 +729,9 @@ def conjecture_scan(base, h_max=20):
         raise ValueError("scan base must be an odd irreducible polynomial")
     own = chain_length(base)
     threshold = 2 if own == 1 else max(3, own + 1)
-    # sigma(base^(2h)) is the product of the coprime pieces of Phi_d(base)
-    # over d | 2h + 1, d > 1; each d's are factored once, for every h.
-    factored = {}
     rows = []
     for h in range(2, h_max + 1):
-        n = 2 * h + 1
-        for d in range(3, n + 1, 2):
-            if n % d == 0 and d not in factored:
-                step, pieces = _cyclotomic_pieces(base.bits, d)
-                factored[d] = [
-                    pair for piece in pieces for pair in factor_full(Poly(piece), step)
-                ]
-        fm = FactorMap(
-            pair for d, found in factored.items() if n % d == 0 for pair in found
-        )
-        witness = None
-        for prime, _exp in fm:
-            if prime.degree >= 2 and chain_length(prime) >= threshold:
-                witness = prime
-                break
-        rows.append(ConjectureRow(h, fm, witness))
+        fm = _divisor_sum_factors(base.bits, 2 * h)
+        hits = (p for p, _ in fm if p.degree >= 2 and chain_length(p) >= threshold)
+        rows.append(ConjectureRow(h, fm, next(hits, None)))
     return ConjectureScan(base, h_max, threshold, tuple(rows))

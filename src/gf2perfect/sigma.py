@@ -1,28 +1,30 @@
 """The divisor-sum function and the exponent calculus behind it.
 
 For an irreducible P, sigma(P^e) is the geometric sum 1 + P + ... + P^e.
-Writing e = 2^t * s - 1 with s odd gives the factored form
+Writing e = 2^t * s - 1 with s odd, and 1 + P = Phi_1(P) in
+characteristic 2, gives Canaday's factored form
 
-    sigma(P^e) = (1 + P)^(2^t - 1) * sigma(P^(s-1))^(2^t),
+    sigma(P^e) = (1 + P)^(2^t - 1) * prod_{d | s, d > 1} Phi_d(P)^(2^t),
 
 which the search layer leans on: it turns divisor sums of huge prime
-powers into data about small ones.  It is also the one evaluation
-route: _sigma_pp runs Horner over the odd part s, then t steps of
-squaring and multiplying by 1 + P, so an even exponent is plain Horner.
+powers into data about small ones.  It is the one evaluation route,
+_sigma_pp: Horner over the odd part s, then t steps of squaring and
+multiplying by 1 + P.  It is the one factoring route too,
+_divisor_sum_factors: each Phi_d(P) once per (P, d), piece by piece.
 
 The second half of the module is the exponent calculus.  A candidate
 perfect polynomial is an exponent vector over _SLOT_PRIMES, the one
 slot layout: x, x+1, M1..M5 and S1..S8.  sigma is multiplicative, so
 the exponent of each slot prime in sigma of a candidate is a sum of
 one slot term per prime power; slot_term computes each term once from
-factor_full of the factored form above, under the paper's rule for
-odd parts outside the domain, and sigma_exponents sums them.  The
-sieve then works on bare ints: a few dozen small factorizations,
-cached, instead of one per candidate.  The shape parameters of the
-Mersenne and 2-Mersenne primes live here too, and with them DOMAIN,
-the one table of the search domain: the (t range, s values) of each
-slot, which slot_term's rule reads and the sieve in search iterates.
-Nothing here needs the catalog layer above.
+_divisor_sum_factors, under the paper's rule for odd parts outside
+the domain, and sigma_exponents sums them.  The sieve then works on
+bare ints: a few dozen small factorizations, cached, instead of one
+per candidate.  The shape parameters of the Mersenne and 2-Mersenne
+primes live here too, and with them DOMAIN, the one table of the
+search domain: the (t range, s values) of each slot, which
+slot_term's rule reads and the sieve in search iterates.  Nothing
+here needs the catalog layer above.
 """
 
 from __future__ import annotations
@@ -103,22 +105,22 @@ def sigma_prime_power(p: Poly, e: int) -> Poly:
 
 
 # Holds every d = 2h + 1 of an explicit budget, h <= catalog.MAX_H_BUDGET =
-# 128; the catalog's degree rule reaches d = 185, past the 40 entries below.
+# 128; the catalog's degree rule reaches d = 185, past the 41 entries below.
 @lru_cache(maxsize=128)
 def _order2(d):
-    """ord_d(2), the least k with d | 2^k - 1, for odd d > 1."""
+    """ord_d(2), the least k with d | 2^k - 1, for odd d >= 1."""
     order, r = 1, 2 % d
-    while r != 1:
+    while r > 1:
         order, r = order + 1, 2 * r % d
     return order
 
 
-# The d the conjecture scans ask for: the odd d in 3..81 that divide
-# 2h + 1 for some h <= search.MAX_SCAN_H = 40, 40 values in all.
-@lru_cache(maxsize=40)
+# d = 1 for the slot terms, and the odd d in 3..81 dividing some 2h + 1,
+# h <= search.MAX_SCAN_H = 40, for the conjecture scans: 41 values in all.
+@lru_cache(maxsize=41)
 def _cyclotomic_factors(d):
     """(ord_d(2), the prime factors of Phi_d(Y) over GF(2) on bits), for
-    odd d > 1.  Y^d - 1 is square-free and the product of Phi_e(Y) over
+    odd d >= 1.  Y^d - 1 is square-free and the product of Phi_e(Y) over
     e | d, so dividing out its gcd with Y^e - 1 for each proper divisor
     e leaves Phi_d(Y); each of its primes has degree ord_d(2)."""
     phi = (1 << d) | 1
@@ -130,7 +132,7 @@ def _cyclotomic_factors(d):
 
 def _cyclotomic_pieces(p: int, d: int) -> tuple[int, tuple[int, ...]]:
     """(ord_d(2), the pieces R_i(p) of Phi_d(p) on bits, one per prime
-    factor R_i of Phi_d(Y), each by Horner), for odd d > 1 and any p.
+    factor R_i of Phi_d(Y), each by Horner), for odd d >= 1 and any p.
 
     For even e, n = e + 1 is odd and sigma(P^e) = (P^n - 1) / (P - 1)
     is the product of Phi_d(P) over d | n, d > 1 (Canaday's
@@ -151,6 +153,28 @@ def _cyclotomic_pieces(p: int, d: int) -> tuple[int, tuple[int, ...]]:
             acc = _mul(acc, p) ^ (r >> i & 1)
         pieces.append(acc)
     return order, tuple(pieces)
+
+
+# Shared within one call (a scan's (base, d) over h, the slot table's (q, d)
+# over t: at most 40 and 34 keys), not across calls: conjecture M1..M13
+# --hmax 20 asks 260 keys, which a sweep repeating the verb would memoize.
+@lru_cache(maxsize=64)
+def _phi_factors(p, d):
+    """The (prime bits, exponent) pairs of Phi_d(p), odd d >= 1: each
+    piece of _cyclotomic_pieces factored with its step ord_d(2)."""
+    step, pieces = _cyclotomic_pieces(p, d)
+    return tuple((r.bits, k) for w in pieces for r, k in factor_full(Poly(w), step))
+
+
+def _divisor_sum_factors(q: int, e: int) -> FactorMap:
+    """The factorization of sigma(q^e) = 1 + q + ... + q^e, q on bits,
+    by Canaday's form above; Phi_1(q) drops out when t = 0."""
+    t, s = decompose_exponent(e)
+    return FactorMap(
+        (r, k << t if d > 1 else k * ((1 << t) - 1))
+        for d in range(1 if t else 3, s + 1, 2) if s % d == 0
+        for r, k in _phi_factors(q, d)
+    )
 
 
 def sigma(a: Poly) -> Poly:
@@ -292,18 +316,6 @@ _SLOT_PRIMES = (X.bits, X1.bits, *(mersenne(i).bits for i in range(1, 6)),
                 *(two_mersenne(j).bits for j in range(1, 9)))
 
 
-@lru_cache(maxsize=64)
-def _slot_vector(bits):
-    """The exponent vector of bits over _SLOT_PRIMES, from factor_full;
-    None when a prime outside the slots divides it."""
-    exps = dict.fromkeys(_SLOT_PRIMES, 0)
-    for p, e in factor_full(Poly(bits)):
-        if p.bits not in exps:
-            return None
-        exps[p.bits] = e
-    return tuple(exps.values())
-
-
 # The domain's 145 (slot, exponent) pairs and 42 more S2..S8 ones stage 2 admits.
 @lru_cache(maxsize=256)
 def slot_term(k: int, e: int) -> tuple[int, ...]:
@@ -318,10 +330,11 @@ def slot_term(k: int, e: int) -> tuple[int, ...]:
     """
     t, s = decompose_exponent(e)
     q = _SLOT_PRIMES[k]
-    odd = _slot_vector(_sigma_pp(q, s - 1) if s in DOMAIN[k][1] else 1)
-    if odd is None:
+    kept = e if s in DOMAIN[k][1] else (1 << t) - 1
+    exps = {p.bits: n for p, n in _divisor_sum_factors(q, kept)}
+    if not exps.keys() <= set(_SLOT_PRIMES):
         raise ValueError(f"sigma(({Poly(q).text()})^{e}) has a prime outside the slots")
-    return tuple((2**t - 1) * a + (b << t) for a, b in zip(_slot_vector(q ^ 1), odd))
+    return tuple(exps.get(b, 0) for b in _SLOT_PRIMES)
 
 
 def sigma_exponents(pairs, components) -> tuple[int, ...]:

@@ -457,7 +457,20 @@ def test_parse_exponent_bound():
         assert exc.value.offset == 4
 
 
-@pytest.mark.parametrize("text, offset", [("0xZZ", 0), ("0XZZ", 0), ("  0XZZ", 2)])
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("0xZZ", 0),
+        ("0XZZ", 0),
+        ("  0XZZ", 2),
+        # int(_, 16) reads each of these three as 0x13 ...
+        ("0x1_3", 0),
+        ("0X_13", 0),
+        ("0x\u0661\u0663", 0),
+        # ... and this one too, once its first prefix is cut.
+        (" 0x0x13", 1),
+    ],
+)
 def test_malformed_hex_reports_the_prefix_offset(text, offset):
     with pytest.raises(PolyParseError, match="malformed hex") as exc:
         Poly.parse(text)

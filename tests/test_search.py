@@ -1,6 +1,7 @@
 """The sieve, the factor tables, and the survey routines."""
 
 import hashlib
+import importlib
 import json
 from functools import reduce
 from itertools import product
@@ -42,7 +43,9 @@ from gf2perfect.sigma import (
     U1S,
     U23S,
     US,
+    _cyclotomic_factors,
     _cyclotomic_pieces,
+    _phi_factors,
     _sigma_of_vector,
     assemble,
     decompose_exponent,
@@ -80,6 +83,8 @@ from oracles import (
     prefix_exponents,
     split_identity_solutions,
 )
+
+sigma_module = importlib.import_module("gf2perfect.sigma")
 
 
 # -- the sieve -------------------------------------------------------------
@@ -540,14 +545,21 @@ def test_scan_input_validation():
         conjecture_scan(mersenne(1), h_max=MAX_SCAN_H + 1)
 
 
-def test_scan_degree_cap(monkeypatch):
+def test_scan_degree_cap(monkeypatch, request):
     # x^64+x^4+x^3+x+1 is irreducible.  At the cap the scan runs (its
     # factoring stubbed out: each piece of Phi_d(base) passes for a
     # prime, and no prime is a witness); one h past it, it is refused
-    # before the irreducibility test and any factoring.
+    # before the irreducibility test and any factoring.  The Phi_d(Y)
+    # table is built first with the real factor_full, and the Phi_d(base)
+    # cache starts and ends empty, so every piece reaches the stub and
+    # no stubbed factorization outlives the test.
     base = Poly.parse("x^64+x^4+x^3+x+1")
     h_cap = MAX_SCAN_DEGREE // (2 * base.degree)
     assert 2 * h_cap * base.degree == MAX_SCAN_DEGREE
+    for d in range(3, 2 * h_cap + 2, 2):
+        _cyclotomic_factors(d)
+    _phi_factors.cache_clear()
+    request.addfinalizer(_phi_factors.cache_clear)
     steps = {}
 
     def one_prime(p, step):
@@ -555,7 +567,7 @@ def test_scan_degree_cap(monkeypatch):
         steps[p.bits] = step
         return FactorMap([(p, 1)])
 
-    monkeypatch.setattr(search_module, "factor_full", one_prime)
+    monkeypatch.setattr(sigma_module, "factor_full", one_prime)
     monkeypatch.setattr(search_module, "chain_length", lambda p: 1)
     scan = conjecture_scan(base, h_max=h_cap)
     assert [r.h for r in scan.rows] == list(range(2, h_cap + 1))
@@ -578,7 +590,7 @@ def test_scan_degree_cap(monkeypatch):
         raise AssertionError("work started above the degree cap")
 
     monkeypatch.setattr(search_module, "is_irreducible", no_work)
-    monkeypatch.setattr(search_module, "factor_full", no_work)
+    monkeypatch.setattr(sigma_module, "factor_full", no_work)
     with pytest.raises(ValueError, match="deg"):
         conjecture_scan(base, h_max=h_cap + 1)
 

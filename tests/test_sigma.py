@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gf2perfect.catalog import MAX_H_BUDGET, by_name, perfect_family, prime_family
@@ -27,6 +27,7 @@ from gf2perfect.sigma import (
     U23S,
     _cyclotomic_factors,
     _cyclotomic_pieces,
+    _divisor_sum_factors,
     _order2,
     assemble,
     decompose_exponent,
@@ -50,6 +51,7 @@ from oracles import (
     divisor_sum_bits,
     i_mul,
     o_order2,
+    sieve_primes,
     sigma_sweep,
 )
 
@@ -130,10 +132,12 @@ def test_degree_step_divides_every_prime_degree():
 
 def test_cyclotomic_factor_table_matches_list_division():
     # Every odd d > 1 that divides some 2h + 1, h <= MAX_SCAN_H, fits
-    # in the cache at once.
+    # in the cache at once, and so does d = 1, which the slot terms ask
+    # for: Phi_1(Y) = Y + 1.
     ds = range(3, 2 * MAX_SCAN_H + 2, 2)
     assert len(ds) == 40
-    assert _cyclotomic_factors.cache_info().maxsize >= len(ds)
+    assert _cyclotomic_factors.cache_info().maxsize >= len(ds) + 1
+    assert _cyclotomic_factors(1) == (1, (X1.bits,))
     for d in ds:
         # Phi_d(Y) is the oracle's Phi_d(P) at P = x.
         phi, order = cyclotomic_pieces(X.bits, d)[d]
@@ -156,6 +160,28 @@ def test_order_of_two_matches_brute_force():
     assert _order2.cache_info().maxsize >= len(ds)
     for d in ds:
         assert _order2(d) == o_order2(d), d
+
+
+# The 71 irreducibles of degree 1..8, x and x+1 among them, from the
+# oracle's own sieve.
+PRIMES_TO_8 = sieve_primes(8)
+
+
+def test_phi_1_is_the_one_piece_q_plus_1():
+    assert _order2(1) == 1
+    for q in PRIMES_TO_8:
+        assert _cyclotomic_pieces(q, 1) == (1, (q ^ 1,)), q
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(PRIMES_TO_8), st.integers(min_value=0, max_value=64))
+@example(X.bits, 63)
+@example(X1.bits, 64)
+def test_divisor_sum_factors_match_factor_full(q, e):
+    # Canaday's split over Phi_d(q), Phi_1(q) = 1 + q included, against
+    # factoring the whole sum.
+    expected = factor_full(sigma_prime_power(Poly(q), e))
+    assert _divisor_sum_factors(q, e) == expected, (q, e)
 
 
 def test_cyclotomic_primes_have_the_order_of_two_as_degree():

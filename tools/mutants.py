@@ -17,7 +17,7 @@ survives, when its mutated file does not compile (reported as BROKEN,
 since such an entry tests nothing), when its old text is missing or
 not unique, or when a selector fails or selects nothing before any
 mutation.  It is kept out of Tier-1: each mutant costs one pytest
-launch, and the 44 below take about 2.5 min on a 2-vCPU Xeon.  A change
+launch, and the 46 below take about 2.5 min on a 2-vCPU Xeon.  A change
 that guards a kernel adds its mutants here.
 """
 
@@ -61,13 +61,22 @@ MUTANTS = (
      T + "test_cli.py::test_cli_outputs_are_pinned"),
     # The divisor-sum slot table and the sieve reading it.
     ("slot-term-odd-part-always-kept", S + "sigma.py",
-     "odd = _slot_vector(_sigma_pp(q, s - 1) if s in DOMAIN[k][1] else 1)",
-     "odd = _slot_vector(_sigma_pp(q, s - 1))",
+     "kept = e if s in DOMAIN[k][1] else (1 << t) - 1",
+     "kept = e",
      T + "test_sigma.py::test_slot_term_matches_the_closed_forms"),
     ("slot-term-odd-part-always-dropped", S + "sigma.py",
-     "odd = _slot_vector(_sigma_pp(q, s - 1) if s in DOMAIN[k][1] else 1)",
-     "odd = _slot_vector(1)",
+     "kept = e if s in DOMAIN[k][1] else (1 << t) - 1",
+     "kept = (1 << t) - 1",
      T + "test_sigma.py::test_slot_term_matches_the_closed_forms"),
+    # Canaday's split in the divisor-sum kernel.
+    ("divisor-sum-drops-phi-1", S + "sigma.py",
+     "for d in range(1 if t else 3, s + 1, 2)",
+     "for d in range(3, s + 1, 2)",
+     T + "test_sigma.py::test_divisor_sum_factors_match_factor_full"),
+    ("divisor-sum-phi-1-exponent-2-to-the-t", S + "sigma.py",
+     "k << t if d > 1 else k * ((1 << t) - 1)",
+     "k << t",
+     T + "test_sigma.py::test_divisor_sum_factors_match_factor_full"),
     ("sigma-exponents-drops-the-first-term", S + "sigma.py",
      "terms = [slot_term(k, e) for k, e in pairs]",
      "terms = [slot_term(k, e) for k, e in pairs][1:]",

@@ -1,7 +1,7 @@
 """The -n and --src options shared by the timing tools.
 
-tools/coldstart.py and tools/stagetime.py both launch fresh
-interpreters against one or more package trees.  parse_trees reads
+tools/coldstart.py, tools/stagetime.py and tools/worstcase.py all
+launch fresh interpreters against one or more package trees.  parse_trees reads
 their common options and gives each tree the environment its launches
 run in.
 """
