@@ -46,7 +46,7 @@ from .catalog import (
     two_mersenne_family,
 )
 from .factorize import FactorMap, is_irreducible
-from .gf2poly import Poly, X, X1, _linear, _mul, _split_linear, _strip, star
+from .gf2poly import Poly, X, X1, _bar, _linear, _mul, _split_linear, _strip, star
 from .sigma import (
     DOMAIN,
     _M1_BITS,
@@ -388,16 +388,23 @@ def sigma_factor_tables(base_set):
     base_set is "linear", "mersenne" or "two-mersenne".  For each base
     S the scan covers 1 <= h <= floor(D / (2 deg S)) with D the total
     degree of the odd prime family, keeping the rows where
-    sigma(S^(2h)) factors completely over that family.
+    sigma(S^(2h)) factors completely over that family.  A base whose
+    bar partner came first takes the partner's rows through bar: the
+    family is closed under bar, and the budget reads only degrees.
     """
     key = base_set.replace("_", "-").lower()
     if key not in _BASE_SETS:
         raise ValueError(f"unknown base set {base_set!r}")
     family = prime_family()
-    tables = []
+    tables, scanned = [], {}
     for base in _BASE_SETS[key]():
         h_max = admissibility_budget(family, base)
-        rows = tuple(split_divisor_sums(base, h_max, family))
+        partner = scanned.get(_bar(base.bits))
+        if partner is None:
+            rows = tuple(split_divisor_sums(base, h_max, family))
+        else:
+            rows = tuple((h, FactorMap((_bar(p.bits), k) for p, k in fm)) for h, fm in partner)
+        scanned[base.bits] = rows
         tables.append(SigmaTable(base, h_max, rows))
     return tuple(tables)
 

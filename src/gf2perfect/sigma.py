@@ -10,7 +10,9 @@ which the search layer leans on: it turns divisor sums of huge prime
 powers into data about small ones.  It is the one evaluation route,
 _sigma_pp: Horner over the odd part s, then t steps of squaring and
 multiplying by 1 + P.  It is the one factoring route too,
-_divisor_sum_factors: each Phi_d(P) once per (P, d), piece by piece.
+_divisor_sum_factors: each Phi_d(P) once per bar pair {P, bar P} and
+d, piece by piece; bar is a ring automorphism that keeps degrees, so
+Phi_d(bar P) = bar Phi_d(P) prime by prime.
 
 The second half of the module is the exponent calculus.  A candidate
 perfect polynomial is an exponent vector over _SLOT_PRIMES, the one
@@ -32,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 
 from .factorize import FactorMap, factor_full, is_irreducible
-from .gf2poly import Poly, X, X1, _divmod, _gcd, _linear, _mul, _pow, _product, _square
+from .gf2poly import Poly, X, X1, _bar, _divmod, _gcd, _linear, _mul, _pow, _product, _square
 
 __all__ = [
     "assemble",
@@ -155,9 +157,10 @@ def _cyclotomic_pieces(p: int, d: int) -> tuple[int, tuple[int, ...]]:
     return order, tuple(pieces)
 
 
-# Shared within one call (a scan's (base, d) over h, the slot table's (q, d)
-# over t: at most 40 and 34 keys), not across calls: conjecture M1..M13
-# --hmax 20 asks 260 keys, which a sweep repeating the verb would memoize.
+# Keyed by the smaller of each bar pair.  Shared within one call (a scan's
+# (base, d) over h, the slot table's (q, d) over t: at most 40 and 22 keys),
+# not across calls: conjecture M1..M13 --hmax 20 asks 140 keys (260 unshared),
+# which a sweep repeating the verb would memoize.
 @lru_cache(maxsize=64)
 def _phi_factors(p, d):
     """The (prime bits, exponent) pairs of Phi_d(p), odd d >= 1: each
@@ -168,12 +171,14 @@ def _phi_factors(p, d):
 
 def _divisor_sum_factors(q: int, e: int) -> FactorMap:
     """The factorization of sigma(q^e) = 1 + q + ... + q^e, q on bits,
-    by Canaday's form above; Phi_1(q) drops out when t = 0."""
+    by Canaday's form above, reading the larger of q and bar q through
+    bar; Phi_1(q) drops out when t = 0."""
     t, s = decompose_exponent(e)
+    key = min(q, _bar(q))
     return FactorMap(
-        (r, k << t if d > 1 else k * ((1 << t) - 1))
+        (r if key == q else _bar(r), k << t if d > 1 else k * ((1 << t) - 1))
         for d in range(1 if t else 3, s + 1, 2) if s % d == 0
-        for r, k in _phi_factors(q, d)
+        for r, k in _phi_factors(key, d)
     )
 
 

@@ -141,6 +141,13 @@ def test_bar_partner_tables_match_actual_conjugates():
         assert bar(e.poly) == by_name(e.bar_partner).poly
 
 
+def test_prime_family_is_closed_under_bar():
+    # The factor tables read a partner's rows through bar, which keeps
+    # them over the family only because the family maps onto itself.
+    family = {p.bits for p in prime_family()}
+    assert {bar(Poly(b)).bits for b in family} == family
+
+
 def test_bar_tables_are_involutions():
     for table in (BAR_MERSENNE, BAR_TWO_MERSENNE, BAR_PERFECT):
         for k, v in table.items():

@@ -11,11 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gf2perfect.catalog import (
+    admissibility_budget,
     by_name,
     label,
     name_of,
     prime_family,
+    split_divisor_sums,
 )
+from gf2perfect.cli import main as cli_main
 from gf2perfect.factorize import FactorMap, factor_full, factor_over_family
 from gf2perfect.gf2poly import Poly, X, X1, bar, val_x, val_x1
 from gf2perfect import search as search_module
@@ -379,6 +382,21 @@ def test_linear_tables_are_bar_conjugate():
         assert conj == rows_x1[h]
 
 
+@pytest.mark.parametrize("base_set", ["linear", "mersenne", "two-mersenne"])
+def test_shared_table_rows_match_an_unshared_scan(base_set):
+    # A base whose bar partner came first in the set takes the partner's
+    # rows through bar; each must equal a scan of its own.
+    family = prime_family()
+    tables = sigma_factor_tables(base_set)
+    seen, shared = set(), 0
+    for t in tables:
+        shared += bar(t.base).bits in seen
+        seen.add(t.base.bits)
+        assert t.h_max == admissibility_budget(family, t.base)
+        assert t.rows == tuple(split_divisor_sums(t.base, t.h_max, family)), label(t.base)
+    assert shared == {"linear": 1, "mersenne": 6, "two-mersenne": 5}[base_set]
+
+
 def test_tables_accept_underscore_alias():
     a = sigma_factor_tables("two_mersenne")
     b = sigma_factor_tables("two-mersenne")
@@ -545,15 +563,20 @@ def test_scan_input_validation():
         conjecture_scan(mersenne(1), h_max=MAX_SCAN_H + 1)
 
 
-def test_scan_degree_cap(monkeypatch, request):
-    # x^64+x^4+x^3+x+1 is irreducible.  At the cap the scan runs (its
-    # factoring stubbed out: each piece of Phi_d(base) passes for a
-    # prime, and no prime is a witness); one h past it, it is refused
-    # before the irreducibility test and any factoring.  The Phi_d(Y)
-    # table is built first with the real factor_full, and the Phi_d(base)
-    # cache starts and ends empty, so every piece reaches the stub and
-    # no stubbed factorization outlives the test.
-    base = Poly.parse("x^64+x^4+x^3+x+1")
+def _scan_at_the_degree_cap(monkeypatch, request, partner):
+    # x^64+x^4+x^3+x+1 is irreducible, and the smaller of its bar pair,
+    # so the kernel factors its pieces for either scanned base and maps
+    # them through bar for the partner x^64+x^4+x^3+x^2+1.  At the cap
+    # the scan runs (its factoring stubbed out: each piece of Phi_d(base)
+    # passes for a prime, and no prime is a witness); one h past it, it
+    # is refused before the irreducibility test and any factoring.  The
+    # Phi_d(Y) table is built first with the real factor_full, and the
+    # Phi_d(base) cache starts and ends empty, so every piece reaches
+    # the stub and no stubbed factorization outlives the test.
+    small = Poly.parse("x^64+x^4+x^3+x+1")
+    assert small.bits < bar(small).bits == Poly.parse("x^64+x^4+x^3+x^2+1").bits
+    base = bar(small) if partner else small
+    key = (lambda bits: bar(Poly(bits)).bits) if partner else (lambda bits: bits)
     h_cap = MAX_SCAN_DEGREE // (2 * base.degree)
     assert 2 * h_cap * base.degree == MAX_SCAN_DEGREE
     for d in range(3, 2 * h_cap + 2, 2):
@@ -571,6 +594,7 @@ def test_scan_degree_cap(monkeypatch, request):
     monkeypatch.setattr(search_module, "chain_length", lambda p: 1)
     scan = conjecture_scan(base, h_max=h_cap)
     assert [r.h for r in scan.rows] == list(range(2, h_cap + 1))
+    assert set(steps) == {key(p.bits) for r in scan.rows for p, _ in r.factors}
     for r in scan.rows:
         pieces = [p for p, _ in r.factors]
         assert sum(p.degree for p in pieces) == 2 * r.h * 64
@@ -582,9 +606,9 @@ def test_scan_degree_cap(monkeypatch, request):
             for phi_d, order in cyclotomic_pieces(X.bits, 2 * r.h + 1).values()
             for _ in range((phi_d.bit_length() - 1) // order)
         ]
-        assert sorted(steps[p.bits] for p in pieces) == sorted(orders), r.h
+        assert sorted(steps[key(p.bits)] for p in pieces) == sorted(orders), r.h
         for p in pieces:
-            assert p.degree == 64 * steps[p.bits], r.h
+            assert p.degree == 64 * steps[key(p.bits)], r.h
 
     def no_work(*args):
         raise AssertionError("work started above the degree cap")
@@ -593,6 +617,57 @@ def test_scan_degree_cap(monkeypatch, request):
     monkeypatch.setattr(sigma_module, "factor_full", no_work)
     with pytest.raises(ValueError, match="deg"):
         conjecture_scan(base, h_max=h_cap + 1)
+
+
+def test_scan_degree_cap(monkeypatch, request):
+    _scan_at_the_degree_cap(monkeypatch, request, partner=False)
+
+
+def test_scan_degree_cap_of_the_bar_partner(monkeypatch, request):
+    _scan_at_the_degree_cap(monkeypatch, request, partner=True)
+
+
+def _count_factor_full(monkeypatch):
+    calls = []
+    real = sigma_module.factor_full
+    monkeypatch.setattr(sigma_module, "factor_full", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_scan_of_a_bar_partner_factors_no_piece(monkeypatch, request):
+    # M3 = bar M2: right after M2's scan, M3's reads every Phi_d through
+    # bar from the cache, and its rows are the bar images of M2's.
+    _phi_factors.cache_clear()
+    request.addfinalizer(_phi_factors.cache_clear)
+    calls = _count_factor_full(monkeypatch)
+    m2 = conjecture_scan(mersenne(2))
+    assert calls
+    calls.clear()
+    m3 = conjecture_scan(mersenne(3))
+    assert calls == []
+    assert [r.factors for r in m3.rows] == [
+        FactorMap((bar(p), k) for p, k in r.factors) for r in m2.rows
+    ]
+
+
+def test_repeated_conjecture_verb_is_not_memoized(monkeypatch, request, capsys):
+    # M1..M13 are M1 and six bar pairs: 7 bases to factor, each at the
+    # 20 d in 3..41, so 140 Phi_d keys a run.  That exceeds the cache,
+    # so a second run in the same process factors every piece again.
+    for d in range(3, 42, 2):
+        _cyclotomic_factors(d)
+    _phi_factors.cache_clear()
+    request.addfinalizer(_phi_factors.cache_clear)
+    calls = _count_factor_full(monkeypatch)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        misses = _phi_factors.cache_info().misses
+        assert cli_main(["conjecture", *(f"M{i}" for i in range(1, 14)), "--hmax", "20"]) == 0
+        assert _phi_factors.cache_info().misses - misses == 140
+        counts.append(len(calls))
+    capsys.readouterr()
+    assert counts[0] == counts[1] > 0
 
 
 def assert_in_cyclotomic_pieces(base, h, factors):

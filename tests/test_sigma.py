@@ -29,6 +29,7 @@ from gf2perfect.sigma import (
     _cyclotomic_pieces,
     _divisor_sum_factors,
     _order2,
+    _phi_factors,
     assemble,
     decompose_exponent,
     is_indecomposable_perfect,
@@ -182,6 +183,24 @@ def test_divisor_sum_factors_match_factor_full(q, e):
     # factoring the whole sum.
     expected = factor_full(sigma_prime_power(Poly(q), e))
     assert _divisor_sum_factors(q, e) == expected, (q, e)
+
+
+@pytest.mark.parametrize("partner_first", [False, True])
+def test_divisor_sum_factors_share_the_bar_partner(partner_first, request):
+    # bar is a ring automorphism of GF(2)[x] that keeps degrees, so
+    # sigma((bar q)^e) = bar sigma(q^e) prime by prime: the kernel
+    # factors one of q and bar q and reads the other through bar,
+    # whichever of the two it is asked for first.
+    request.addfinalizer(_phi_factors.cache_clear)
+    rng = random.Random(64)
+    for q in PRIMES_TO_8:
+        p = bar(Poly(q)).bits
+        order = (p, q) if partner_first else (q, p)
+        for e in rng.sample(range(65), 3):
+            _phi_factors.cache_clear()
+            got = {r: _divisor_sum_factors(r, e) for r in order}
+            image = FactorMap((bar(r), k) for r, k in got[q])
+            assert got[p] == image == factor_full(sigma_prime_power(Poly(p), e)), (q, e)
 
 
 def test_cyclotomic_primes_have_the_order_of_two_as_degree():

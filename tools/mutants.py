@@ -17,7 +17,7 @@ survives, when its mutated file does not compile (reported as BROKEN,
 since such an entry tests nothing), when its old text is missing or
 not unique, or when a selector fails or selects nothing before any
 mutation.  It is kept out of Tier-1: each mutant costs one pytest
-launch, and the 46 below take about 2.5 min on a 2-vCPU Xeon.  A change
+launch, and the 48 below take about 2.5 min on a 2-vCPU Xeon.  A change
 that guards a kernel adds its mutants here.
 """
 
@@ -77,6 +77,14 @@ MUTANTS = (
      "k << t if d > 1 else k * ((1 << t) - 1)",
      "k << t",
      T + "test_sigma.py::test_divisor_sum_factors_match_factor_full"),
+    ("divisor-sum-bar-share-skips-the-map", S + "sigma.py",
+     "(r if key == q else _bar(r), ",
+     "(r, ",
+     T + "test_sigma.py::test_divisor_sum_factors_share_the_bar_partner"),
+    ("tables-bar-share-keeps-the-partner-rows", S + "search.py",
+     "rows = tuple((h, FactorMap((_bar(p.bits), k) for p, k in fm)) for h, fm in partner)",
+     "rows = partner",
+     T + "test_search.py::test_shared_table_rows_match_an_unshared_scan"),
     ("sigma-exponents-drops-the-first-term", S + "sigma.py",
      "terms = [slot_term(k, e) for k, e in pairs]",
      "terms = [slot_term(k, e) for k, e in pairs][1:]",
