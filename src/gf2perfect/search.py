@@ -4,22 +4,19 @@ The centerpiece is a three-stage sieve over candidate shapes
 
     x^a (x+1)^b M1^c1 ... M5^c5 S1^d1 ... S8^d8
 
-(the exponent vector's slot layout is sigma._SLOT_PRIMES, the domain
-of each slot sigma.DOMAIN) driven by integer arithmetic on the
-divisor-sum exponents sigma.sigma_exponents sums from slot terms,
-each factored once per (slot, exponent) on the first run, then a
-fixed-point test on the factorization each survivor was assembled
-from, confirmed by an independent sigma.  Stage 1 sums per-slot
-tables of slot terms; stage 2 tests the slot exponents stage 1
-carries against sets; stage 3 filters rows on ints by the degrees the
-free M3..M5 slots can balance.
-M3 takes its exponent from (n2, u2); a witness's n3 only balances
-degrees (n3 != n2 in 9 of the 44), the rule that reproduces the
-reference count and is kept.  run_search walks the stage table _STAGES
-in one process.  Stage counts are compared against fixed reference
-values; a mismatch is never hidden, it is reported together with the
-counts of the documented filter variants so the divergence can be
-localized.
+(slot layout sigma._SLOT_PRIMES, domain sigma.DOMAIN) on the ints
+sigma.sigma_exponents sums from slot terms, then a fixed-point test on
+the factorization each survivor was assembled from, confirmed by an
+independent sigma.  Stages 1 and 2 pass groups (head, block): a kept
+prefix (n, u, m, v) in domain order and the tuple of its parts, a
+flat row being head + part.  A part reads its head only through the
+summed x and x+1 slot terms, so the 595 heads share 230 blocks, each
+built (stage 1), filtered (stage 2) and given its linear-prime
+valuations (stage 3) once per run.  Stage 3 keeps the rows the free
+M3..M5 slots balance; M3 takes its exponent from (n2, u2), the rule
+that reproduces the reference count of 44.  run_search walks the
+stage table _STAGES; a stage count that misses its reference is
+reported with the counts of the documented filter variants.
 
 The module also holds the smaller sweeps: divisor-sum factor tables
 over the fixed prime family, the reciprocal-polynomial exploration,
@@ -111,36 +108,50 @@ def _stage1_terms():
              for t, s in product(*DOMAIN[k])} for k in range(3)]
 
 
-def _stage1_rows():
-    """Rows (n, u, m, v, n1, u1, n2, u2, d1, ..., d8), one per (prefix,
-    n1, u1) whose M2 exponent 2^n2 u2 - 1 is representable; d1..d8 are
-    the S1..S8 exponents in sigma of the candidate."""
+def _stage1_groups():
+    """Groups (head, block) with head = (n, u, m, v), 1 <= a <= b, and
+    block the parts (n1, u1, n2, u2, d1, ..., d8), one per (n1, u1) whose
+    M2 exponent 2^n2 u2 - 1 is representable; d1..d8 are the S1..S8
+    exponents in sigma.  One block per summed x and x+1 term vector."""
     x_terms, x1_terms, m1_terms = _stage1_terms()
-    rows = []
+    blocks, groups = {}, []
     for n, u, m, v in product(*DOMAIN[0], *DOMAIN[1]):
         a = (u << n) - 1
         if a < 1 or a > (v << m) - 1:
             continue
-        p0, p1, p2, p3, p4, p5, p6, p7, p8 = map(add, x_terms[n, u], x1_terms[m, v])
-        for (n1, u1), (g, d1, d2, d3, d4, d5, d6, d7, d8) in m1_terms.items():
-            shape = _SHAPES.get(p0 + g)
-            if shape is not None:
-                rows.append((n, u, m, v, n1, u1, *shape, p1 + d1, p2 + d2, p3 + d3,
-                             p4 + d4, p5 + d5, p6 + d6, p7 + d7, p8 + d8))
-    return rows
+        p = tuple(map(add, x_terms[n, u], x1_terms[m, v]))
+        block = blocks.get(p)
+        if block is None:
+            p0, p1, p2, p3, p4, p5, p6, p7, p8 = p
+            block = blocks[p] = tuple(
+                (n1, u1, *shape, p1 + d1, p2 + d2, p3 + d3, p4 + d4, p5 + d5,
+                 p6 + d6, p7 + d7, p8 + d8)
+                for (n1, u1), (g, d1, d2, d3, d4, d5, d6, d7, d8) in m1_terms.items()
+                if (shape := _SHAPES.get(p0 + g)) is not None
+            )
+        groups.append(((n, u, m, v), block))
+    return groups
 
 
-def _stage2_kept(rows1, rule):
-    """Stage-1 rows: first slot representable, later slots in the rule's set."""
+def _stage2_groups(groups, rule):
+    """The groups that keep a part: first slot representable, later slots
+    in the rule's set, the first slot's (n, u) appended once.  Each
+    distinct block is filtered once."""
     allowed = STAGE2_RULES[rule].issuperset
-    return (
-        r for r in rows1 if r[8] in REPRESENTABLE_EXPONENTS and allowed(r[9:16])
-    )
+    kept, out = {}, []
+    for head, block in groups:
+        parts = kept.get(block)
+        if parts is None:
+            parts = kept[block] = tuple(p[:12] + _SHAPES[p[4]] for p in block
+                                        if p[4] in REPRESENTABLE_EXPONENTS and allowed(p[5:12]))
+        if parts:
+            out.append((head, parts))
+    return out
 
 
-def _stage2_rows(rows1, rule):
-    """The kept stage-1 rows, each extended by its first slot's (n, u)."""
-    return [r + _SHAPES[r[8]] for r in _stage2_kept(rows1, rule)]
+def _size(groups):
+    """The number of flat rows in groups."""
+    return sum(len(block) for _head, block in groups)
 
 
 @lru_cache(maxsize=1)
@@ -155,49 +166,48 @@ def _free_slot_witness():
     return table
 
 
-def _stage3_rows(rows):
+def _stage3_rows(groups):
     """(bits, stage-2 row, free-slot witness, Mersenne exponents) of each
     candidate whose linear-prime valuations a free-slot witness balances.
 
-    Filters on ints: the exponents of x and x+1 in sigma of the row's
-    candidate, summed from slot terms cached per (n, m, n1, n2) and per
-    S1..S8 tail, then one free-slot witness lookup.  x and x+1 divide
-    no sigma(q^(s-1)) with s odd, for its value at 0 and at 1 is odd,
-    so a head slot's linear part reads only its t, at s = 1.  Survivors are
-    assembled from ints: M1 takes its exponent in sigma of the row with
-    M3..M5 empty.  M3 takes its exponent from (n2, u2); the witness's
-    n3 only balances degrees (n3 != n2 in 9 of the 44), the rule kept
-    because it reproduces the reference count.
+    The exponents of x and x+1 in sigma of a row's candidate sum the
+    slot terms of its head, once per (n, m), and of its part, once per
+    block, each such sum once per call.  x and x+1 divide no
+    sigma(q^(s-1)) with s odd (its value at 0 and at 1 is odd), so a
+    slot's linear part reads only its t.  M1 takes its exponent in sigma
+    of the row with M3..M5 empty, M3 that of M2.
     """
     witnesses = _free_slot_witness()
-    heads, tails, out = {}, {}, []
-    for row in rows:
-        n, u, m, v, n1, u1, n2, u2 = row[:8]
-        head, tail = row[:8:2], row[8:16]
-        if head not in heads:
-            heads[head] = sigma_exponents(enumerate((1 << t) - 1 for t in head), (0, 1))
-        if tail not in tails:
-            tails[tail] = sigma_exponents(zip(range(7, 15), tail), (0, 1, 2))
-        (ha, hb), (ta, tb, tg) = heads[head], tails[tail]
+    linear = lru_cache(maxsize=None)(lambda slots, e: sigma_exponents(zip(slots, e), (0, 1)))
+    blocks, out = {}, []
+    for head, block in groups:
+        parts = blocks.get(block)
+        if parts is None:
+            parts = blocks[block] = [
+                (*map(add, linear((2, 3), ((1 << p[0]) - 1, (1 << p[2]) - 1)),
+                      linear(range(7, 15), p[4:12])), p)
+                for p in block
+            ]
+        n, u, m, v = head
         a, b = (u << n) - 1, (v << m) - 1
-        witness = witnesses.get((a - ha - ta, b - hb - tb))
-        if witness is None:
-            continue
-        _n3, n4, n5 = witness
-        c2 = (u2 << n2) - 1
-        gamma1 = tg + sigma_exponents(enumerate((a, b, (u1 << n1) - 1, c2)), (2,))[0]
-        c = (gamma1, c2, c2, (1 << n4) - 1, (1 << n5) - 1)
-        out.append((assemble(a, b, c, tail).bits, row, witness, c))
+        ha, hb = linear((0, 1), ((1 << n) - 1, (1 << m) - 1))
+        for pa, pb, part in parts:
+            witness = witnesses.get((a - ha - pa, b - hb - pb))
+            if witness is None:
+                continue
+            n1, u1, n2, u2, *tail = part[:12]
+            c1, c2 = (u1 << n1) - 1, (u2 << n2) - 1
+            gamma1 = sigma_exponents(zip((0, 1, 2, 3, *range(7, 15)), (a, b, c1, c2, *tail)), (2,))
+            c = (*gamma1, c2, c2, (1 << witness[1]) - 1, (1 << witness[2]) - 1)
+            out.append((assemble(a, b, c, tail).bits, head + part, witness, c))
     return out
 
 
-def _stage3_candidates(rows2):
+def _stage3_candidates(groups2):
     """The distinct stage-3 candidates in domain order, each bits -> its
     exponent vector (a, b, c1..c5, d1..d8) over sigma._SLOT_PRIMES."""
-    return {
-        bits: ((row[1] << row[0]) - 1, (row[3] << row[2]) - 1, *c, *row[8:16])
-        for bits, row, _witness, c in _stage3_rows(rows2)
-    }
+    return {bits: ((row[1] << row[0]) - 1, (row[3] << row[2]) - 1, *c, *row[8:16])
+            for bits, row, _witness, c in _stage3_rows(groups2)}
 
 
 def _fixed_points(candidates):
@@ -221,11 +231,11 @@ def _fixed_points(candidates):
 
 
 # The sieve's stages in order, each mapping (the rows of the stage
-# before, the stage-2 rule) to its own rows.
+# before, the stage-2 rule) to its own rows: groups for stages 1 and 2.
 _STAGES = {
-    "1": lambda _rows, _rule: _stage1_rows(),
-    "2": _stage2_rows,
-    "3": lambda rows2, _rule: _stage3_candidates(rows2),
+    "1": lambda _rows, _rule: _stage1_groups(),
+    "2": _stage2_groups,
+    "3": lambda groups2, _rule: _stage3_candidates(groups2),
     "final": lambda candidates, _rule: _fixed_points(candidates),
 }
 
@@ -318,12 +328,10 @@ def run_search(stage, stage2_rule="uniform", jobs=1) -> StageResult:
         raise ValueError(f"unknown stage {stage!r}")
     if stage2_rule not in STAGE2_RULES:
         raise ValueError(f"unknown stage-2 rule {stage2_rule!r}")
-    counts = {}
-    diff = {}
-    rows = None
+    counts, diff, rows = {}, {}, None
     for name, step in _STAGES.items():
         previous, rows = rows, step(rows, stage2_rule)
-        counts[name] = len(rows)
+        counts[name] = _size(rows) if name in ("1", "2") else len(rows)
         reference = REFERENCE_STAGE_COUNTS.get(name)
         if reference is not None and counts[name] != reference:
             diff[name] = {"reference": reference, "count": counts[name]}
@@ -332,14 +340,16 @@ def run_search(stage, stage2_rule="uniform", jobs=1) -> StageResult:
                 # A rule no wider than stage2_rule keeps a subset of its rows.
                 within = STAGE2_RULES[stage2_rule].issuperset
                 diff[name]["variants"] = {
-                    rule: counts[name] if rule == stage2_rule else sum(1 for _ in _stage2_kept(
+                    rule: counts[name] if rule == stage2_rule else _size(_stage2_groups(
                         rows if within(STAGE2_RULES[rule]) else previous, rule))
                     for rule in STAGE2_RULES
                 }
         if name == key:
             break
     if key == "1":
-        rows = (r[:8] for r in rows)
+        rows = (head + part[:4] for head, block in rows for part in block)
+    elif key == "2":
+        rows = (head + part for head, block in rows for part in block)
     elif key == "3":
         rows = map(Poly, rows)
     return StageResult(key, tuple(rows), counts[key], counts, diff or None)

@@ -5,6 +5,7 @@ import importlib
 import json
 from functools import reduce
 from itertools import product
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -36,8 +37,8 @@ from gf2perfect.search import (
     sigma_factor_tables,
     _fixed_points,
     _solve_linear,
-    _stage1_rows,
-    _stage2_rows,
+    _stage1_groups,
+    _stage2_groups,
     _stage3_candidates,
     _stage3_rows,
     verify_split_identities,
@@ -96,6 +97,15 @@ sigma_module = importlib.import_module("gf2perfect.sigma")
 @pytest.fixture(scope="module")
 def final_result():
     return run_search("final")
+
+
+def _flat(groups):
+    """The flat rows head + part of stage groups, in order."""
+    return [head + part for head, block in groups for part in block]
+
+
+def _groups2(rule="uniform"):
+    return _stage2_groups(_stage1_groups(), rule)
 
 
 def test_stage_counts(final_result):
@@ -167,7 +177,7 @@ def test_stage1_rows_carry_the_exponents_of_their_prefix():
     # Stage 1 evaluates the formulas on bare ints without validating;
     # every prefix it keeps must still be in the search domain and agree
     # with sigma_exponents.
-    rows = _stage1_rows()
+    rows = _flat(_stage1_groups())
     assert len(rows) == EXPECTED_STAGE_COUNTS["1"]
     for row in rows:
         n, u, m, v, n1, u1 = row[:6]
@@ -181,7 +191,7 @@ def test_stage1_rows_carry_the_exponents_of_their_prefix():
 
 
 def test_stage1_rows_match_the_per_row_oracle():
-    assert _stage1_rows() == naive_stage1_rows()
+    assert _flat(_stage1_groups()) == naive_stage1_rows()
 
 
 def test_prefix_exponents_are_a_sum_of_slot_terms():
@@ -203,17 +213,81 @@ def test_prefix_exponents_are_a_sum_of_slot_terms():
 def test_stage2_matches_the_slot_by_slot_rules(rule):
     # The set-valued rules keep the rows, and count the variants, that
     # testing every slot against the rule's exponents does.
-    rows1 = _stage1_rows()
+    groups1 = _stage1_groups()
+    rows1 = _flat(groups1)
     assert set(STAGE2_RULES) == set(NAIVE_STAGE2_RULES)
-    assert _stage2_rows(rows1, rule) == naive_stage2_rows(rows1, rule)
+    assert _flat(_stage2_groups(groups1, rule)) == naive_stage2_rows(rows1, rule)
     variants = run_search("2", stage2_rule=rule).filter_diff["2"]["variants"]
     assert variants == {r: len(naive_stage2_rows(rows1, r)) for r in STAGE2_RULES}
 
 
 @pytest.mark.parametrize("rule", list(STAGE2_RULES))
 def test_stage3_rows_match_the_per_row_oracle(rule):
+    groups2 = _groups2(rule)
     rows2 = run_search("2", stage2_rule=rule).tuples
-    assert _stage3_rows(rows2) == naive_stage3_rows(rows2)
+    assert tuple(_flat(groups2)) == rows2
+    assert _stage3_rows(groups2) == naive_stage3_rows(rows2)
+
+
+@pytest.mark.parametrize("rule", list(STAGE2_RULES))
+def test_stage_groups_share_their_blocks(rule):
+    # Stage 1 builds one block per summed x and x+1 term vector, and
+    # stage 2 filters each distinct block once, so heads that share a
+    # stage-1 block share its stage-2 block too.  The per-row oracle
+    # tests above check what the groups flatten to.
+    x_terms, x1_terms, _m1_terms = search_module._stage1_terms()
+    groups1 = _stage1_groups()
+    heads = [head for head, _block in groups1]
+    assert heads == [(n, u, m, v) for n, u, m, v in product(range(5), US, range(5), US)
+                     if 1 <= (u << n) - 1 <= (v << m) - 1]
+    assert len(heads) == 595
+    blocks_of = {}
+    for (n, u, m, v), block in groups1:
+        vector = tuple(map(add, x_terms[n, u], x1_terms[m, v]))
+        blocks_of.setdefault(vector, set()).add(id(block))
+    assert len(blocks_of) == 230
+    assert all(len(ids) == 1 for ids in blocks_of.values())
+    assert len({id(block) for _head, block in groups1}) <= 230
+    kept_of = {id(block): set() for _head, block in groups1}
+    groups2 = dict(_stage2_groups(groups1, rule))
+    for head, block in groups1:
+        if head in groups2:
+            kept_of[id(block)].add(id(groups2[head]))
+    assert all(len(ids) <= 1 for ids in kept_of.values())
+    assert len({id(block) for block in groups2.values()}) <= 230
+
+
+def test_each_search_rebuilds_its_blocks(monkeypatch):
+    # Blocks live for one run_search: each search builds and filters
+    # them (_SHAPES lookups) and sums their slot terms (sigma_exponents)
+    # again.  Only the slot tables, built on the first search, persist.
+    run_search("final")
+    calls = dict.fromkeys(("get", "getitem", "sigma_exponents"), 0)
+
+    class CountingShapes(dict):
+        def get(self, key, default=None):
+            calls["get"] += 1
+            return super().get(key, default)
+
+        def __getitem__(self, key):
+            calls["getitem"] += 1
+            return super().__getitem__(key)
+
+    def counting_sigma_exponents(pairs, components):
+        calls["sigma_exponents"] += 1
+        return sigma_exponents(pairs, components)
+
+    monkeypatch.setattr(search_module, "_SHAPES", CountingShapes(search_module._SHAPES))
+    monkeypatch.setattr(search_module, "sigma_exponents", counting_sigma_exponents)
+    per_search = []
+    for _ in range(2):
+        calls.update(dict.fromkeys(calls, 0))
+        counts = run_search("final").stage_counts
+        assert counts == {**EXPECTED_STAGE_COUNTS, "2": COMPUTED_STAGE2_UNIFORM}
+        per_search.append(dict(calls))
+    assert per_search[0] == per_search[1]
+    assert per_search[0]["get"] == 230 * len(search_module._stage1_terms()[2])
+    assert per_search[0]["getitem"] > 0 and per_search[0]["sigma_exponents"] > 44
 
 
 def test_free_slot_witness_is_the_first_in_loop_order(monkeypatch):
@@ -249,7 +323,7 @@ def test_stage2_rows_carry_the_exponents_of_their_candidate(rule):
     # assembles its survivors without validation, so the domain is
     # checked here: M2 and every divisor-sum slot have 2-adic valuation
     # at most 3 and odd part 1 or 3.
-    rows1 = set(_stage1_rows())
+    rows1 = set(_flat(_stage1_groups()))
     for row in run_search("2", stage2_rule=rule).tuples:
         assert row[:16] in rows1
         assert row[16:18] == decompose_exponent(row[8])
@@ -267,7 +341,7 @@ def test_search_json_is_pinned(stage, rule):
 def test_stage3_candidates_are_internally_consistent():
     mers = [mersenne(i) for i in range(1, 6)]
     twos = [two_mersenne(j) for j in range(1, 9)]
-    rows = _stage3_rows(run_search("2").tuples)
+    rows = _stage3_rows(_groups2())
     assert len({bits for bits, _, _, _ in rows}) == 44
     for bits, row, witness, c in rows:
         poly = Poly(bits)
@@ -299,7 +373,7 @@ def test_stage3_m1_exponent_matches_a_factorization():
     m1 = mersenne(1)
     twos = [two_mersenne(j) for j in range(1, 9)]
     family = {X.bits, X1.bits, *(p.bits for p in prime_family())}
-    rows = _stage3_rows(run_search("2").tuples)
+    rows = _stage3_rows(_groups2())
     assert len(rows) == 44
     slot_rows, gap_rows, slots, degrees = 0, 0, set(), set()
     for _bits, row, _witness, c in rows:
@@ -322,7 +396,7 @@ def test_stage3_exponent_vectors_match_factor_full(rule, count):
     # survivors with sigma, so a wrong vector could drop a true fixed
     # point unseen; this compares every candidate's vector with its bits
     # and its divisor sum with the one sigma gets from factor_full.
-    candidates = _stage3_candidates(run_search("2", stage2_rule=rule).tuples)
+    candidates = _stage3_candidates(_groups2(rule))
     assert len(candidates) == count
     for bits, exps in candidates.items():
         assert len(exps) == 15
@@ -332,7 +406,7 @@ def test_stage3_exponent_vectors_match_factor_full(rule, count):
 
 def test_final_stage_rejects_a_perturbed_exponent_vector():
     t2 = by_name("T2").poly
-    candidates = _stage3_candidates(run_search("2").tuples)
+    candidates = _stage3_candidates(_groups2())
     exps = candidates[t2.bits]
     assert _fixed_points({t2.bits: exps}) == (t2,)
     for i, e in enumerate(exps):

@@ -17,7 +17,7 @@ survives, when its mutated file does not compile (reported as BROKEN,
 since such an entry tests nothing), when its old text is missing or
 not unique, or when a selector fails or selects nothing before any
 mutation.  It is kept out of Tier-1: each mutant costs one pytest
-launch, and the 48 below take about 2.5 min on a 2-vCPU Xeon.  A change
+launch, and the 50 below take about 2.5 min on a 2-vCPU Xeon.  A change
 that guards a kernel adds its mutants here.
 """
 
@@ -90,16 +90,16 @@ MUTANTS = (
      "terms = [slot_term(k, e) for k, e in pairs][1:]",
      T + "test_sigma.py::test_exponent_formulas_match_actual_divisor_sums"),
     ("stage3-head-reads-the-wrong-linear-component", S + "search.py",
-     "sigma_exponents(enumerate((1 << t) - 1 for t in head), (0, 1))",
-     "sigma_exponents(enumerate((1 << t) - 1 for t in head), (1, 0))",
+     "ha, hb = linear((0, 1), ((1 << n) - 1, (1 << m) - 1))",
+     "hb, ha = linear((0, 1), ((1 << n) - 1, (1 << m) - 1))",
      T + "test_search.py::test_stage3_rows_match_the_per_row_oracle"),
     ("witness-table-keeps-the-last-witness", S + "search.py",
      "table.setdefault(need, w)",
      "table[need] = w",
      T + "test_search.py::test_free_slot_witness_is_the_first_in_loop_order"),
     ("witness-table-built-at-import", S + "search.py",
-     "\ndef _stage3_rows(rows):",
-     "\n_free_slot_witness()\n\n\ndef _stage3_rows(rows):",
+     "\ndef _stage3_rows(groups):",
+     "\n_free_slot_witness()\n\n\ndef _stage3_rows(groups):",
      T + "test_layers.py::test_imports_build_no_slot_table"),
     ("admissible-budget-cap-off-by-one", S + "catalog.py",
      "2 * h_budget * p.degree > MAX_SIGMA_DEGREE:",
@@ -167,13 +167,24 @@ MUTANTS = (
      "(range(5), U23S), *((range(2), (1,)),) * 7,",
      T + "test_sigma.py::test_domain_validation"),
     ("stage2-pinned-to-uniform", S + "search.py",
-     '"2": _stage2_rows,',
-     '"2": lambda rows1, _rule: _stage2_rows(rows1, "uniform"),',
+     '"2": _stage2_groups,',
+     '"2": lambda groups1, _rule: _stage2_groups(groups1, "uniform"),',
      T + "test_search.py::test_strict_rule_prunes_harder"),
     ("stage2-variant-always-counted-over-stage-2", S + "search.py",
      "rows if within(STAGE2_RULES[rule]) else previous, rule",
      "rows, rule",
      T + "test_search.py::test_stage2_matches_the_slot_by_slot_rules"),
+    # The sieve's shared blocks: each distinct block filtered, and its
+    # parts' slot terms summed, once per search.
+    ("stage2-memo-keyed-by-head", S + "search.py",
+     "parts = kept.get(block)\n        if parts is None:\n            parts = kept[block] =",
+     "parts = kept.get(head)\n        if parts is None:\n            parts = kept[head] =",
+     T + "test_search.py::test_stage_groups_share_their_blocks"),
+    ("stage3-block-terms-reused-for-another-block", S + "search.py",
+     "parts = blocks.get(block)\n        if parts is None:\n            parts = blocks[block] =",
+     "parts = blocks.get(len(block))\n        if parts is None:\n"
+     "            parts = blocks[len(block)] =",
+     T + "test_search.py::test_stage3_rows_match_the_per_row_oracle"),
     # The linear solver of the identity sweep.
     ("solve-linear-screen-inverted", S + "search.py",
      "screened = (bits >> b).bit_count() == 1 << c.bit_count()",

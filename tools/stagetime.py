@@ -6,19 +6,23 @@ Every launch imports gf2perfect.search from one tree and first times
 
 which pays for the process's one-time work, such as building the
 divisor-sum slot table; it gives one sample per launch.  The launch
-then builds each stage's input once and times these calls, each after
-one untimed call:
+then builds each stage's input once through the stage table
+search._STAGES, whose entries map (the stage before's rows, the
+stage-2 rule) to a stage's rows, and times these calls, each after one
+untimed call:
 
-    stage1   _stage1_rows()
-    stage2   _stage2_rows(rows1, "uniform")
-    strict   the "strict" variant count over rows1, as run_search takes it
-    stage3   _stage3_rows(rows2)
-    final    _fixed_points(_stage3_candidates(rows2))
+    stage1   _STAGES["1"](None, "uniform")
+    stage2   _STAGES["2"](rows1, "uniform")
+    strict   _STAGES["2"](rows2, "strict"): the "strict" rule over the
+             uniform stage-2 rows, the input run_search counts it over
+    stage3   _STAGES["3"](rows2, "uniform")
+    final    _STAGES["final"](candidates, "uniform")
     search   run_search("final")
 
-No stage time is the difference of two cumulative runs, so none can
-read below zero.  The median ms of each call over all launches and
-repeats is printed per tree.  Given several ``--src`` trees, the
+Only the table is read, so one child runs on trees whose stages pass
+flat rows or grouped ones.  No stage time is the difference of two
+cumulative runs, so none can read below zero.  The median ms of each
+call over all launches and repeats is printed per tree.  Given several ``--src`` trees, the
 launches of all of them alternate, so that drift in the machine's
 speed falls on each tree alike.  Uses only the standard library:
 
@@ -46,15 +50,16 @@ from gf2perfect import search as s
 start = time.perf_counter()
 s.run_search("final")
 times = {{"first": [time.perf_counter() - start]}}
-rows1 = s._stage1_rows()
-rows2 = s._stage2_rows(rows1, "uniform")
-candidates = s._stage3_candidates(rows2)
+stage = s._STAGES
+rows1 = stage["1"](None, "uniform")
+rows2 = stage["2"](rows1, "uniform")
+candidates = stage["3"](rows2, "uniform")
 calls = dict(zip({STEPS[1:]!r}, (
-    s._stage1_rows,
-    lambda: s._stage2_rows(rows1, "uniform"),
-    lambda: sum(1 for _ in s._stage2_kept(rows1, "strict")),
-    lambda: s._stage3_rows(rows2),
-    lambda: s._fixed_points(candidates),
+    lambda: stage["1"](None, "uniform"),
+    lambda: stage["2"](rows1, "uniform"),
+    lambda: stage["2"](rows2, "strict"),
+    lambda: stage["3"](rows2, "uniform"),
+    lambda: stage["final"](candidates, "uniform"),
     lambda: s.run_search("final"),
 )))
 for name, call in calls.items():
