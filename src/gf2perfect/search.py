@@ -7,16 +7,17 @@ The centerpiece is a three-stage sieve over candidate shapes
 (slot layout sigma._SLOT_PRIMES, domain sigma.DOMAIN) on the ints
 sigma.sigma_exponents sums from slot terms, then a fixed-point test on
 the factorization each survivor was assembled from, confirmed by an
-independent sigma.  Stages 1 and 2 pass groups (head, block): a kept
-prefix (n, u, m, v) in domain order and the tuple of its parts, a
-flat row being head + part.  A part reads its head only through the
-summed x and x+1 slot terms, so the 595 heads share 230 blocks, each
-built (stage 1), filtered (stage 2) and given its linear-prime
-valuations (stage 3) once per run.  Stage 3 keeps the rows the free
-M3..M5 slots balance; M3 takes its exponent from (n2, u2), the rule
-that reproduces the reference count of 44.  run_search walks the
-stage table _STAGES; a stage count that misses its reference is
-reported with the counts of the documented filter variants.
+independent sigma.  Stages 1 and 2 pass (heads, blocks): a list of
+tuples of parts, and the kept prefixes (n, u, m, v) in domain order,
+each with the index of its block; a flat row is head + part.  A part
+reads its head only through the summed x and x+1 slot terms, so the
+595 heads point into 230 blocks, each built (stage 1), filtered (stage
+2) and given its linear-prime valuations (stage 3) once per run, at
+one index throughout.  Stage 3 keeps the rows the free M3..M5 slots
+balance; M3 takes its exponent from (n2, u2), the rule that reproduces
+the reference count of 44.  run_search walks the stage table _STAGES;
+a stage count that misses its reference is reported with the counts of
+the documented filter variants.
 
 The module also holds the smaller sweeps: divisor-sum factor tables
 over the fixed prime family, the reciprocal-polynomial exploration,
@@ -109,49 +110,48 @@ def _stage1_terms():
 
 
 def _stage1_groups():
-    """Groups (head, block) with head = (n, u, m, v), 1 <= a <= b, and
-    block the parts (n1, u1, n2, u2, d1, ..., d8), one per (n1, u1) whose
-    M2 exponent 2^n2 u2 - 1 is representable; d1..d8 are the S1..S8
-    exponents in sigma.  One block per summed x and x+1 term vector."""
+    """(heads, blocks): blocks holds one tuple of parts (n1, u1, n2, u2,
+    d1, ..., d8) per summed x and x+1 term vector, in first-seen order,
+    a part per (n1, u1) whose M2 exponent 2^n2 u2 - 1 is representable,
+    d1..d8 the S1..S8 exponents in sigma; heads lists ((n, u, m, v), i),
+    1 <= a <= b, in domain order, i the index of the head's block."""
     x_terms, x1_terms, m1_terms = _stage1_terms()
-    blocks, groups = {}, []
+    index, heads, blocks = {}, [], []
     for n, u, m, v in product(*DOMAIN[0], *DOMAIN[1]):
         a = (u << n) - 1
         if a < 1 or a > (v << m) - 1:
             continue
         p = tuple(map(add, x_terms[n, u], x1_terms[m, v]))
-        block = blocks.get(p)
-        if block is None:
+        i = index.setdefault(p, len(blocks))
+        if i == len(blocks):
             p0, p1, p2, p3, p4, p5, p6, p7, p8 = p
-            block = blocks[p] = tuple(
+            blocks.append(tuple(
                 (n1, u1, *shape, p1 + d1, p2 + d2, p3 + d3, p4 + d4, p5 + d5,
                  p6 + d6, p7 + d7, p8 + d8)
                 for (n1, u1), (g, d1, d2, d3, d4, d5, d6, d7, d8) in m1_terms.items()
                 if (shape := _SHAPES.get(p0 + g)) is not None
-            )
-        groups.append(((n, u, m, v), block))
-    return groups
+            ))
+        heads.append(((n, u, m, v), i))
+    return heads, blocks
 
 
 def _stage2_groups(groups, rule):
-    """The groups that keep a part: first slot representable, later slots
-    in the rule's set, the first slot's (n, u) appended once.  Each
-    distinct block is filtered once."""
+    """(heads, blocks) with each block cut to the parts whose first slot
+    is representable and later slots in the rule's set, the first slot's
+    (n, u) appended once: the list keeps its length and every index,
+    and only the heads whose block kept a part stay."""
+    heads, blocks = groups
     allowed = STAGE2_RULES[rule].issuperset
-    kept, out = {}, []
-    for head, block in groups:
-        parts = kept.get(block)
-        if parts is None:
-            parts = kept[block] = tuple(p[:12] + _SHAPES[p[4]] for p in block
-                                        if p[4] in REPRESENTABLE_EXPONENTS and allowed(p[5:12]))
-        if parts:
-            out.append((head, parts))
-    return out
+    blocks = [tuple(p[:12] + _SHAPES[p[4]] for p in block
+                    if p[4] in REPRESENTABLE_EXPONENTS and allowed(p[5:12]))
+              for block in blocks]
+    return [head for head in heads if blocks[head[1]]], blocks
 
 
 def _size(groups):
     """The number of flat rows in groups."""
-    return sum(len(block) for _head, block in groups)
+    heads, blocks = groups
+    return sum(len(blocks[i]) for _head, i in heads)
 
 
 @lru_cache(maxsize=1)
@@ -170,28 +170,24 @@ def _stage3_rows(groups):
     """(bits, stage-2 row, free-slot witness, Mersenne exponents) of each
     candidate whose linear-prime valuations a free-slot witness balances.
 
-    The exponents of x and x+1 in sigma of a row's candidate sum the
-    slot terms of its head, once per (n, m), and of its part, once per
-    block, each such sum once per call.  x and x+1 divide no
-    sigma(q^(s-1)) with s odd (its value at 0 and at 1 is odd), so a
-    slot's linear part reads only its t.  M1 takes its exponent in sigma
-    of the row with M3..M5 empty, M3 that of M2.
+    The exponents of x and x+1 in sigma of a row's candidate sum the slot
+    terms of its head, once per (n, m), and of its part, once per block
+    into a tuple at its index (empty blocks share ()), each sum once per
+    call.  x and x+1 divide no sigma(q^(s-1)) with s odd (its value at 0
+    and at 1 is odd), so a slot's linear part reads only its t.  M1 takes
+    its exponent in sigma of the row with M3..M5 empty, M3 that of M2.
     """
     witnesses = _free_slot_witness()
     linear = lru_cache(maxsize=None)(lambda slots, e: sigma_exponents(zip(slots, e), (0, 1)))
-    blocks, out = {}, []
-    for head, block in groups:
-        parts = blocks.get(block)
-        if parts is None:
-            parts = blocks[block] = [
-                (*map(add, linear((2, 3), ((1 << p[0]) - 1, (1 << p[2]) - 1)),
-                      linear(range(7, 15), p[4:12])), p)
-                for p in block
-            ]
+    heads, blocks = groups
+    terms = [tuple((*map(add, linear((2, 3), ((1 << p[0]) - 1, (1 << p[2]) - 1)),
+                         linear(range(7, 15), p[4:12])), p) for p in block) for block in blocks]
+    out = []
+    for head, i in heads:
         n, u, m, v = head
         a, b = (u << n) - 1, (v << m) - 1
         ha, hb = linear((0, 1), ((1 << n) - 1, (1 << m) - 1))
-        for pa, pb, part in parts:
+        for pa, pb, part in terms[i]:
             witness = witnesses.get((a - ha - pa, b - hb - pb))
             if witness is None:
                 continue
@@ -231,7 +227,7 @@ def _fixed_points(candidates):
 
 
 # The sieve's stages in order, each mapping (the rows of the stage
-# before, the stage-2 rule) to its own rows: groups for stages 1 and 2.
+# before, the stage-2 rule) to its own rows: (heads, blocks) for 1 and 2.
 _STAGES = {
     "1": lambda _rows, _rule: _stage1_groups(),
     "2": _stage2_groups,
@@ -346,10 +342,9 @@ def run_search(stage, stage2_rule="uniform", jobs=1) -> StageResult:
                 }
         if name == key:
             break
-    if key == "1":
-        rows = (head + part[:4] for head, block in rows for part in block)
-    elif key == "2":
-        rows = (head + part for head, block in rows for part in block)
+    if key in ("1", "2"):
+        heads, blocks = rows
+        rows = (head + part[:4 if key == "1" else None] for head, i in heads for part in blocks[i])
     elif key == "3":
         rows = map(Poly, rows)
     return StageResult(key, tuple(rows), counts[key], counts, diff or None)

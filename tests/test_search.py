@@ -100,8 +100,9 @@ def final_result():
 
 
 def _flat(groups):
-    """The flat rows head + part of stage groups, in order."""
-    return [head + part for head, block in groups for part in block]
+    """The flat rows head + part of stage groups (heads, blocks), in order."""
+    heads, blocks = groups
+    return [head + part for head, i in heads for part in blocks[i]]
 
 
 def _groups2(rule="uniform"):
@@ -231,30 +232,29 @@ def test_stage3_rows_match_the_per_row_oracle(rule):
 
 @pytest.mark.parametrize("rule", list(STAGE2_RULES))
 def test_stage_groups_share_their_blocks(rule):
-    # Stage 1 builds one block per summed x and x+1 term vector, and
-    # stage 2 filters each distinct block once, so heads that share a
-    # stage-1 block share its stage-2 block too.  The per-row oracle
-    # tests above check what the groups flatten to.
+    # Stage 1 builds one block per summed x and x+1 term vector, in the
+    # order the vectors are first seen, and each head carries its block's
+    # index.  Stage 2 filters each block into a list of the same length,
+    # so an index means the same block in both stages.  The per-row
+    # oracle tests above check what the groups flatten to.
     x_terms, x1_terms, _m1_terms = search_module._stage1_terms()
-    groups1 = _stage1_groups()
-    heads = [head for head, _block in groups1]
+    heads1, blocks1 = _stage1_groups()
+    heads = [head for head, _i in heads1]
     assert heads == [(n, u, m, v) for n, u, m, v in product(range(5), US, range(5), US)
                      if 1 <= (u << n) - 1 <= (v << m) - 1]
     assert len(heads) == 595
-    blocks_of = {}
-    for (n, u, m, v), block in groups1:
+    assert len(blocks1) == 230
+    first_seen = {}
+    for (n, u, m, v), i in heads1:
         vector = tuple(map(add, x_terms[n, u], x1_terms[m, v]))
-        blocks_of.setdefault(vector, set()).add(id(block))
-    assert len(blocks_of) == 230
-    assert all(len(ids) == 1 for ids in blocks_of.values())
-    assert len({id(block) for _head, block in groups1}) <= 230
-    kept_of = {id(block): set() for _head, block in groups1}
-    groups2 = dict(_stage2_groups(groups1, rule))
-    for head, block in groups1:
-        if head in groups2:
-            kept_of[id(block)].add(id(groups2[head]))
-    assert all(len(ids) <= 1 for ids in kept_of.values())
-    assert len({id(block) for block in groups2.values()}) <= 230
+        assert i == first_seen.setdefault(vector, len(first_seen))
+    assert len(first_seen) == 230
+    heads2, blocks2 = _stage2_groups((heads1, blocks1), rule)
+    assert len(blocks2) == len(blocks1)
+    for head, i in heads1:
+        rows1 = [head + part for part in blocks1[i]]
+        assert [head + part for part in blocks2[i]] == naive_stage2_rows(rows1, rule)
+    assert heads2 == [(head, i) for head, i in heads1 if blocks2[i]]
 
 
 def test_each_search_rebuilds_its_blocks(monkeypatch):

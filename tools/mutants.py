@@ -17,7 +17,7 @@ survives, when its mutated file does not compile (reported as BROKEN,
 since such an entry tests nothing), when its old text is missing or
 not unique, or when a selector fails or selects nothing before any
 mutation.  It is kept out of Tier-1: each mutant costs one pytest
-launch, and the 50 below take about 2.5 min on a 2-vCPU Xeon.  A change
+launch, and the 51 below take about 2.5 min on a 2-vCPU Xeon.  A change
 that guards a kernel adds its mutants here.
 """
 
@@ -174,16 +174,19 @@ MUTANTS = (
      "rows if within(STAGE2_RULES[rule]) else previous, rule",
      "rows, rule",
      T + "test_search.py::test_stage2_matches_the_slot_by_slot_rules"),
-    # The sieve's shared blocks: each distinct block filtered, and its
-    # parts' slot terms summed, once per search.
-    ("stage2-memo-keyed-by-head", S + "search.py",
-     "parts = kept.get(block)\n        if parts is None:\n            parts = kept[block] =",
-     "parts = kept.get(head)\n        if parts is None:\n            parts = kept[head] =",
+    # The sieve's shared blocks: heads carry block indices, and every
+    # stage keeps each block at the index stage 1 gave it.
+    ("stage1-new-block-takes-the-previous-index", S + "search.py",
+     "i = index.setdefault(p, len(blocks))",
+     "i = index.setdefault(p, len(blocks) - 1)",
      T + "test_search.py::test_stage_groups_share_their_blocks"),
-    ("stage3-block-terms-reused-for-another-block", S + "search.py",
-     "parts = blocks.get(block)\n        if parts is None:\n            parts = blocks[block] =",
-     "parts = blocks.get(len(block))\n        if parts is None:\n"
-     "            parts = blocks[len(block)] =",
+    ("stage2-drops-empty-blocks-shifting-indices", S + "search.py",
+     "              for block in blocks]\n",
+     "              for block in blocks]\n    blocks = [block for block in blocks if block]\n",
+     T + "test_search.py::test_stage_groups_share_their_blocks"),
+    ("stage3-reads-the-neighbouring-block", S + "search.py",
+     "for pa, pb, part in terms[i]:",
+     "for pa, pb, part in terms[i - 1]:",
      T + "test_search.py::test_stage3_rows_match_the_per_row_oracle"),
     # The linear solver of the identity sweep.
     ("solve-linear-screen-inverted", S + "search.py",

@@ -19,12 +19,14 @@ untimed call:
     final    _STAGES["final"](candidates, "uniform")
     search   run_search("final")
 
-Only the table is read, so one child runs on trees whose stages pass
-flat rows or grouped ones.  No stage time is the difference of two
-cumulative runs, so none can read below zero.  The median ms of each
-call over all launches and repeats is printed per tree.  Given several ``--src`` trees, the
-launches of all of them alternate, so that drift in the machine's
-speed falls on each tree alike.  Uses only the standard library:
+Only the table is read, so one child runs on trees whose stages 1 and
+2 pass flat rows, groups (head, block) or (heads, blocks): a block
+list and the heads, each with the index of its block.  No stage time
+is the difference of two cumulative runs, so none can read below
+zero.  The median ms of each call over all launches and repeats is
+printed per tree.  Given several ``--src`` trees, the launches of all
+of them alternate, so that drift in the machine's speed falls on each
+tree alike.  Uses only the standard library:
 
     python3 tools/stagetime.py                         # this checkout
     python3 tools/stagetime.py --src ../old/src --src src -n 11
