@@ -47,7 +47,6 @@ __all__ = [
     "is_admissible",
     "mersenne_family",
     "name_of",
-    "perfect_family",
     "prime_family",
     "representation",
     "two_mersenne_family",
@@ -170,10 +169,6 @@ def two_mersenne_family() -> tuple[Poly, ...]:
 
 def prime_family() -> tuple[Poly, ...]:
     return tuple(e.poly for e in catalog_constants() if e.kind != "perfect")
-
-
-def perfect_family() -> tuple[Poly, ...]:
-    return tuple(e.poly for e in catalog_constants() if e.kind == "perfect")
 
 
 def family_degree_sum() -> int:

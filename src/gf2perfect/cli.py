@@ -14,7 +14,10 @@ exit status: 0 on success, 1 when a verification came out negative (a
 count off its reference, a scan row without a witness, an inadmissible
 family, a mismatched identity) or a CatalogError says the catalog
 self-check failed, and 2, through argparse, for a malformed invocation
-or any ValueError a verb raises.
+or any ValueError a verb raises.  --json text comes from _dumps, the
+one JSON writer: byte for byte what json.dumps(payload, indent=2)
+writes, built by joins per container, since with indent set
+json.dumps runs its pure-Python encoder (CPython 3.11).
 
 Each verb is one row of _VERBS: name, handler, help text and
 arguments.  The parser is one loop over that table, built on the first
@@ -215,6 +218,36 @@ _VERBS = (
 )
 
 
+def _dumps(obj) -> str:
+    """What json.dumps(obj, indent=2) writes, for the values verbs
+    return: str, int, bool, None, and lists, tuples and str-keyed dicts
+    of them, matched by exact type.  Any other value, or a key that is
+    not a str, raises TypeError."""
+    from json.encoder import encode_basestring_ascii as string
+
+    # indent is the newline and the spaces that open a line at v's depth.
+    def array(v, indent):
+        inner = indent + "  "
+        parts = [render[type(item)](item, inner) for item in v]
+        return "[" + inner + ("," + inner).join(parts) + indent + "]" if v else "[]"
+
+    def mapping(v, indent):
+        inner = indent + "  "
+        parts = [string(k) + ": " + render[type(item)](item, inner) for k, item in v.items()]
+        return "{" + inner + ("," + inner).join(parts) + indent + "}" if v else "{}"
+
+    render = {
+        str: lambda v, _: string(v), int: lambda v, _: repr(v),
+        bool: lambda v, _: "true" if v else "false", type(None): lambda v, _: "null",
+        list: array, tuple: array, dict: mapping,
+    }
+    try:
+        return render[type(obj)](obj, "\n")
+    except KeyError as exc:
+        name = exc.args[0].__name__
+        raise TypeError(f"Object of type {name} is not JSON serializable") from None
+
+
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -239,12 +272,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         res = args.func(args)
-        if args.json:
-            import json
-
-            out = json.dumps(res.to_json(), indent=2)
-        else:
-            out = res.text()
+        out = _dumps(res.to_json()) if args.json else res.text()
     except CatalogError as exc:
         print(f"catalog self-check failed: {exc}", file=sys.stderr)
         return 1

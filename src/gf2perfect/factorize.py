@@ -56,7 +56,6 @@ __all__ = [
     "factor_full",
     "factor_over_family",
     "is_irreducible",
-    "is_squarefree",
 ]
 
 
@@ -86,24 +85,6 @@ def is_irreducible(p: Poly) -> bool:
     if _degree(p.bits) < 1:
         raise ValueError("irreducibility is a question for degree >= 1")
     return _is_irreducible_bits(p.bits)
-
-
-def is_squarefree(p: Poly) -> bool:
-    """True when no irreducible factor of p repeats.
-
-    A vanishing derivative means the polynomial is a square of
-    something nonconstant (false, except for the unit).  Otherwise
-    square-freeness is exactly gcd(p, p') = 1.
-    """
-    a = p.bits
-    if a == 0:
-        raise ValueError("square-freeness of the zero polynomial")
-    if a == 1:
-        return True
-    d = _derivative(a)
-    if d == 0:
-        return False
-    return _gcd(a, d) == 1
 
 
 class FactorMap(tuple):

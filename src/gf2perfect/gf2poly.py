@@ -18,6 +18,9 @@ _gcd is Euclid with each remainder taken by inline shift-XOR steps.
 _reducer serves repeated reduction by one modulus, _mod the one-off
 remainder.  _pow and _product build powers and products of prime
 powers, and _strip divides a prime out as often as it goes.
+Poly.text selects its terms with compress from a list of term
+strings, extended on first need up to a cap of 4,097 entries (about
+0.25 MB); higher exponents are formatted per call.
 
 Two structural maps beyond ring arithmetic appear throughout the
 package: ``bar`` substitutes x by x+1 (an involutive automorphism) and
@@ -27,6 +30,7 @@ package: ``bar`` substitutes x by x+1 (an involutive automorphism) and
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress, count
 
 __all__ = [
     "ONE",
@@ -40,8 +44,6 @@ __all__ = [
     "is_even",
     "is_odd",
     "star",
-    "val_x",
-    "val_x1",
 ]
 
 NEG_INF = float("-inf")
@@ -321,6 +323,24 @@ def _split_linear(a):
     return i, j, _bar(b >> j)
 
 
+# Term strings by exponent, at most _TERMS_CAP of them (about 0.25 MB).
+# Growth binds a longer copy, never extends in place, so a reader always
+# holds a whole list.  _BINARY maps the digits b"0" and b"1" to 0 and 1.
+_TERMS_CAP = 4097
+_TERMS = ["1", "x"]
+_BINARY = bytes.maketrans(b"01", b"\0\1")
+
+
+def _terms(n):
+    """The term list, with at least min(n, _TERMS_CAP) entries."""
+    global _TERMS
+    terms = _TERMS
+    if len(terms) < min(n, _TERMS_CAP):
+        size = min(max(n, 2 * len(terms)), _TERMS_CAP)
+        terms = _TERMS = terms + list(map("x^{}".format, range(len(terms), size)))
+    return terms
+
+
 # ---------------------------------------------------------------------------
 # the value type
 
@@ -401,20 +421,16 @@ class Poly:
     # -- rendering ---------------------------------------------------------
 
     def text(self):
-        """Canonical text: strictly decreasing exponents, "0" for zero."""
-        a = self.bits
-        if a == 0:
-            return "0"
-        terms = []
-        for i in range(a.bit_length() - 1, -1, -1):
-            if (a >> i) & 1:
-                if i == 0:
-                    terms.append("1")
-                elif i == 1:
-                    terms.append("x")
-                else:
-                    terms.append(f"x^{i}")
-        return "+".join(terms)
+        """Canonical text: strictly decreasing exponents, "0" for zero.
+
+        The binary digits, lowest first, select the set terms: below
+        _TERMS_CAP from the term list, from it up formatted per call.
+        """
+        digits = bin(self.bits)[:1:-1].encode().translate(_BINARY)
+        terms = [*compress(_terms(len(digits)), digits),
+                 *map("x^{}".format, compress(count(_TERMS_CAP), digits[_TERMS_CAP:]))]
+        terms.reverse()
+        return "+".join(terms) or "0"
 
     def hex(self):
         """Compact coefficient-bits form, e.g. "0x7" for x^2+x+1."""
@@ -519,20 +535,6 @@ def star(a: Poly) -> Poly:
     if a.bits == 0:
         raise ValueError("the zero polynomial has no reciprocal")
     return Poly(_reverse(a.bits))
-
-
-def val_x(a: Poly) -> int:
-    """Multiplicity of x in a, i.e. the index of the lowest set bit."""
-    if a.bits == 0:
-        raise ValueError("valuation of the zero polynomial")
-    return (a.bits & -a.bits).bit_length() - 1
-
-
-def val_x1(a: Poly) -> int:
-    """Multiplicity of x+1 in a."""
-    if a.bits == 0:
-        raise ValueError("valuation of the zero polynomial")
-    return val_x(bar(a))
 
 
 def is_even(a: Poly) -> bool:

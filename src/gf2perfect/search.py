@@ -340,6 +340,7 @@ def run_search(stage, stage2_rule="uniform", jobs=1) -> StageResult:
                         rows if within(STAGE2_RULES[rule]) else previous, rule))
                     for rule in STAGE2_RULES
                 }
+        previous = None  # only stage 2's variant count reads the rows before it
         if name == key:
             break
     if key in ("1", "2"):

@@ -32,6 +32,8 @@ from functools import reduce
 from itertools import product
 from typing import NamedTuple
 
+from gf2perfect.catalog import catalog_constants
+from gf2perfect.gf2poly import bar, derivative, gcd
 from gf2perfect.sigma import (
     MERSENNE_AB,
     TWO_MERSENNE_ABN,
@@ -135,6 +137,55 @@ def o_bar(a):
 def o_star(a):
     """Coefficient reversal: x^deg * a(1/x)."""
     return _trim(list(reversed(_trim(list(a)))))
+
+
+def o_text(bits):
+    """Canonical text of an int bit-vector: its set terms, highest
+    exponent first, as "1", "x" or "x^k", joined by "+"; "0" for zero."""
+    coeffs = to_list(bits)
+    terms = []
+    for i in reversed(range(len(coeffs))):
+        if coeffs[i]:
+            terms.append("1" if i == 0 else "x" if i == 1 else "x^" + str(i))
+    return "+".join(terms) or "0"
+
+
+# -- test helpers -------------------------------------------------------------
+# Questions about a Poly that only the tests ask.  They read the package's
+# public gcd, derivative and bar, which the suites check against the list
+# layer above, and the catalog.
+
+
+def val_x(p):
+    """Multiplicity of x in the Poly p: the index of its lowest set bit."""
+    if p.bits == 0:
+        raise ValueError("valuation of the zero polynomial")
+    return (p.bits & -p.bits).bit_length() - 1
+
+
+def val_x1(p):
+    """Multiplicity of x+1 in the Poly p: that of x in p(x+1)."""
+    return val_x(bar(p))
+
+
+def is_squarefree(p):
+    """True when no irreducible factor of the Poly p repeats.
+
+    A vanishing derivative means p is the square of something
+    nonconstant (false, except for the unit).  Otherwise square-freeness
+    is exactly gcd(p, p') = 1.
+    """
+    if p.bits == 0:
+        raise ValueError("square-freeness of the zero polynomial")
+    if p.bits == 1:
+        return True
+    d = derivative(p)
+    return bool(d) and gcd(p, d).bits == 1
+
+
+def perfect_family():
+    """The catalog's perfect entries, in catalog order."""
+    return tuple(e.poly for e in catalog_constants() if e.kind == "perfect")
 
 
 # -- int layer --------------------------------------------------------------

@@ -20,7 +20,7 @@ from gf2perfect.catalog import (
     representation,
     two_mersenne_family,
 )
-from gf2perfect.factorize import factor_full, is_irreducible, is_squarefree
+from gf2perfect.factorize import factor_full, is_irreducible
 from gf2perfect.gf2poly import ONE, Poly, X, X1, bar, gcd, star
 from gf2perfect.search import (
     conjecture_scan,
@@ -41,7 +41,7 @@ from expected import (
     EXPECTED_TABLE_ROWS,
     EXPECTED_BASE_NAMES,
 )
-from oracles import i_factor, sigma_sweep
+from oracles import i_factor, is_squarefree, sigma_sweep
 
 
 def _verdict(n, ok, detail):

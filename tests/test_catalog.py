@@ -26,7 +26,6 @@ from gf2perfect.catalog import (
     is_admissible,
     mersenne_family,
     name_of,
-    perfect_family,
     prime_family,
     representation,
     split_divisor_sums,
@@ -47,6 +46,7 @@ from oracles import (
     i_is_prime,
     i_mul,
     o_order2,
+    perfect_family,
     sieve_primes,
 )
 

@@ -5,6 +5,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gf2perfect import catalog, cli, search
 from gf2perfect.cli import main
@@ -288,6 +290,45 @@ def test_catalog_failure_exits_1(capsys, monkeypatch, mode):
     assert rc == 1
     assert out == ""
     assert err == "catalog self-check failed: M1 = x^2+x+1 is not irreducible\n"
+
+
+# -- the JSON indenter ---------------------------------------------------------------
+
+_text = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600", "</"]
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(1 << 100), 1 << 100) | _text,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_text, inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@given(_json_values)
+def test_dumps_matches_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, {1, 2}, {1: "a"}, [0, {"k": [2.5]}], {"k": {3: None}}, ({True: 1},)]
+)
+def test_dumps_refuses_other_values_and_keys(value):
+    with pytest.raises(TypeError):
+        cli._dumps(value)
+
+
+def test_json_mode_calls_no_json_dumps(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    rc, out, _ = run(capsys, "repr", "S7", "--json")
+    assert rc == 0
+    assert json.loads(out)["pairs"] == [[1, 1]] * 4
 
 
 # -- every cheap invocation, byte for byte ----------------------------------------

@@ -27,7 +27,6 @@ from gf2perfect.factorize import (
     factor_full,
     factor_over_family,
     is_irreducible,
-    is_squarefree,
 )
 from gf2perfect.gf2poly import ONE, Poly, X, X1
 from gf2perfect.search import conjecture_scan
@@ -41,6 +40,7 @@ from oracles import (
     i_factor_over,
     i_is_prime,
     i_mul,
+    is_squarefree,
     sieve_primes,
 )
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gf2perfect import gf2poly
 from gf2perfect.gf2poly import (
     MAX_PARSE_EXPONENT,
     ONE,
@@ -33,8 +34,6 @@ from gf2perfect.gf2poly import (
     is_even,
     is_odd,
     star,
-    val_x,
-    val_x1,
 )
 from oracles import (
     i_divmod,
@@ -48,8 +47,11 @@ from oracles import (
     o_multiplicity,
     o_pow,
     o_star,
+    o_text,
     to_bits,
     to_list,
+    val_x,
+    val_x1,
 )
 
 small = st.integers(min_value=0, max_value=(1 << 65) - 1)
@@ -418,6 +420,31 @@ def test_parity(a):
 
 
 # -- text and ordering ---------------------------------------------------------
+
+
+@given(small | wide)
+def test_text_matches_oracle(a):
+    assert Poly(a).text() == o_text(a)
+
+
+# Around the term list's cap of 4,097 entries: the top term of degree
+# 4,096 is the list's last, and from degree 4,097 up the top terms are
+# formatted per call.
+_DENSE = random.Random(4096)
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [0, 1, 2, 3, 4, (1 << 4097) - 1, 1 << 4096 | _DENSE.getrandbits(4096),
+     (1 << 4098) - 1, 1 << 4097 | 1, (1 << 5001) - 1, 1 << 5000 | _DENSE.getrandbits(5000)],
+)
+def test_text_edge_cases_match_oracle(bits):
+    assert Poly(bits).text() == o_text(bits)
+
+
+def test_term_list_stops_at_its_cap():
+    Poly(1 << 5000 | 1).text()
+    assert len(gf2poly._TERMS) == gf2poly._TERMS_CAP
 
 
 @given(big)

@@ -21,7 +21,7 @@ from gf2perfect.catalog import (
 )
 from gf2perfect.cli import main as cli_main
 from gf2perfect.factorize import FactorMap, factor_full, factor_over_family
-from gf2perfect.gf2poly import Poly, X, X1, bar, val_x, val_x1
+from gf2perfect.gf2poly import Poly, X, X1, bar
 from gf2perfect import search as search_module
 from gf2perfect.search import (
     FINAL_REFERENCE_NAMES,
@@ -86,6 +86,8 @@ from oracles import (
     naive_stage3_rows,
     prefix_exponents,
     split_identity_solutions,
+    val_x,
+    val_x1,
 )
 
 sigma_module = importlib.import_module("gf2perfect.sigma")

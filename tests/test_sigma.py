@@ -8,14 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gf2perfect.catalog import MAX_H_BUDGET, by_name, perfect_family, prime_family
+from gf2perfect.catalog import MAX_H_BUDGET, by_name, prime_family
 from gf2perfect.factorize import (
     FactorMap,
     factor_full,
     factor_over_family,
     is_irreducible,
 )
-from gf2perfect.gf2poly import ONE, Poly, X, X1, bar, val_x, val_x1
+from gf2perfect.gf2poly import ONE, Poly, X, X1, bar
 from gf2perfect.sigma import (
     MAX_OMEGA_FOR_DECOMPOSITION,
     MAX_PRIME_POWER_EXP,
@@ -52,8 +52,11 @@ from oracles import (
     divisor_sum_bits,
     i_mul,
     o_order2,
+    perfect_family,
     sieve_primes,
     sigma_sweep,
+    val_x,
+    val_x1,
 )
 
 # The package re-exports the function sigma under the submodule's name.

@@ -17,7 +17,7 @@ survives, when its mutated file does not compile (reported as BROKEN,
 since such an entry tests nothing), when its old text is missing or
 not unique, or when a selector fails or selects nothing before any
 mutation.  It is kept out of Tier-1: each mutant costs one pytest
-launch, and the 51 below take about 2.5 min on a 2-vCPU Xeon.  A change
+launch, and the 57 below take about 3 min on a 2-vCPU Xeon.  A change
 that guards a kernel adds its mutants here.
 """
 
@@ -262,6 +262,32 @@ MUTANTS = (
      '    "is_admissible",\n',
      '    "is_admissible",\n    "is_perfect",\n',
      T + "test_layers.py"),
+    # The JSON indenter.
+    ("indenter-writes-comma-space-between-items", S + "cli.py",
+     'return "[" + inner + ("," + inner).join(parts)',
+     'return "[" + inner + (", " + inner).join(parts)',
+     T + "test_cli.py::test_dumps_matches_json_dumps"),
+    ("indenter-nests-one-space-short", S + "cli.py",
+     '    def mapping(v, indent):\n        inner = indent + "  "',
+     '    def mapping(v, indent):\n        inner = indent + " "',
+     T + "test_cli.py::test_dumps_matches_json_dumps"),
+    # Poly.text and its term list.
+    ("text-drops-the-constant-term", S + "gf2poly.py",
+     "*compress(_terms(len(digits)), digits)",
+     "*compress(_terms(len(digits))[1:], digits[1:])",
+     T + "test_gf2poly.py::test_text_matches_oracle"),
+    ("text-term-list-one-exponent-high", S + "gf2poly.py",
+     "*compress(_terms(len(digits)), digits)",
+     "*compress(_terms(len(digits))[1:], digits)",
+     T + "test_gf2poly.py::test_text_matches_oracle"),
+    ("text-formats-from-one-past-the-cap", S + "gf2poly.py",
+     "compress(count(_TERMS_CAP), digits[_TERMS_CAP:])",
+     "compress(count(_TERMS_CAP + 1), digits[_TERMS_CAP:])",
+     T + "test_gf2poly.py::test_text_edge_cases_match_oracle"),
+    ("term-list-grows-past-its-cap", S + "gf2poly.py",
+     "size = min(max(n, 2 * len(terms)), _TERMS_CAP)",
+     "size = max(n, 2 * len(terms))",
+     T + "test_gf2poly.py::test_term_list_stops_at_its_cap"),
 )
 
 
