@@ -8,16 +8,18 @@ generator seeded by the input bits, so every run factors a given
 polynomial identically.  A factorization is a FactorMap, the sorted
 tuple of its (prime, exponent) pairs.
 
-The time goes into squaring modulo a fixed polynomial, in the
-distinct-degree walk and the trace map; each of those loops reduces
-through one gf2poly._reducer table built for its modulus.  The
-distinct-degree gcds are blocked: one gcd decides a run of degrees, and
-a run that holds a factor is split by the same walk, one degree at a
-time.  The walk also tests irreducibility: a degree-d input is prime
-exactly when it has no prime factor of degree at most d/2, repeated or
-not, so its first find is the whole input.  Most reducible inputs are
-rejected by the first block, after at most 16 squarings; a prime costs
-d/2 of them.  A caller that knows a step s dividing every prime
+The time goes into reducing, multiplying and taking gcds modulo a
+fixed polynomial, in the distinct-degree walk and the trace map; each
+of those loops works through one gf2poly._reducer table built for its
+modulus.  The distinct-degree gcds are blocked: one gcd decides a run
+of degrees, whose product the walk takes with the reducer's fused
+modular product, and a run that holds a factor is split by the same
+walk, one degree at a time.  The walk also tests irreducibility: a
+degree-d input is prime exactly when it has no prime factor of degree
+at most d/2, repeated or not, so its first find is the whole input.
+Most reducible inputs have a prime of degree 1 to 4 and are rejected
+by the first block, after 4 squarings; a prime costs d/2 of them.  A
+caller that knows a step s dividing every prime
 factor's degree (each cyclotomic piece sigma._divisor_sum_factors
 factors) saves gcds: the walk squares through every degree as before
 but multiplies in and tests the multiples of s only, and a block
@@ -43,7 +45,6 @@ from .gf2poly import (
     _derivative,
     _divmod,
     _gcd,
-    _mul,
     _product,
     _reducer,
     _sqrt,
@@ -66,8 +67,14 @@ __all__ = [
 # win from 44 (0.94-0.99x at 44-48, 0.85-0.92x at 56, 0.69x at 250,
 # 0.43-0.48x at 500-1,000).  Blocks of 8 match or beat 16 up to degree
 # 250 (0.55-0.93x) but lose at 500-1,000 (0.55-0.56x).
+# Blocks multiply through the fused product, which _reducer builds
+# from gf2poly._REDUCE_WIDE_MIN_DEGREE <= _DDF_BLOCK_MIN_DEGREE up.
 _DDF_BLOCK = 16
 _DDF_BLOCK_MIN_DEGREE = 44
+# Most inputs have a prime of degree 1 to 4, where an irreducibility
+# test ends: a narrow first block took the bench's degree-128 tests
+# from 6,000 to 10,400 a second, factoring at degree 250-1,000 level.
+_DDF_FIRST_BLOCK = 4
 
 
 # Bounded so long sweeps cannot grow it without limit; the working set
@@ -187,13 +194,15 @@ def _distinct_degree(f, step=1, h=2, k=0, last=None):
 
     One gcd per k costs more than the squarings themselves, so the
     gcds are blocked (von zur Gathen and Shoup): the values h_k - x of
-    _DDF_BLOCK consecutive k are multiplied together modulo f, and one
-    gcd of that product with f, found, decides the block.  When found
-    is 1, no prime of f has its degree in the block.  Otherwise the
-    walk splits found by running itself on it, then divides it out of
-    f.  While deg f is below _DDF_BLOCK_MIN_DEGREE a block is one k,
-    and the walk is the plain one-gcd-per-degree loop.  Each block
-    reads its size and the walk's stop from what is left of f then.
+    _DDF_BLOCK consecutive k (_DDF_FIRST_BLOCK in the first block) are
+    multiplied together modulo f by the reducer's fused product, and
+    one gcd of that product with f, found, decides the block.  When
+    found is 1, no prime of f has its degree in the block.  Otherwise
+    the walk splits found by running itself on it, then divides it out
+    of f.  While deg f is below _DDF_BLOCK_MIN_DEGREE a block is one k,
+    and the walk is the plain one-gcd-per-degree loop, which never
+    multiplies.  Each block reads its size and the walk's stop from
+    what is left of f then.
 
     The caller may promise that every prime of f has a degree divisible
     by step.  The walk still squares through every k, but only the
@@ -219,16 +228,16 @@ def _distinct_degree(f, step=1, h=2, k=0, last=None):
         if k >= top:
             break
         if reduce is None:
-            reduce = _reducer(f)
+            reduce, mulmod = _reducer(f)
             h = reduce(h)
         first, h_first = k + 1, h
         wide = last is None and d >= _DDF_BLOCK_MIN_DEGREE
-        k = min(k + (_DDF_BLOCK if wide else 1), top)
+        k = min(k + ((_DDF_BLOCK if k else _DDF_FIRST_BLOCK) if wide else 1), top)
         prod = 1  # this block: degrees first..k
         for j in range(first, k + 1):
             h = reduce(_square(h))
             if j % step == 0:  # 1 * (h - x) needs no product or reduction
-                prod = h ^ 2 if prod == 1 else reduce(_mul(prod, h ^ 2))
+                prod = h ^ 2 if prod == 1 else mulmod(prod, h ^ 2)
         if prod == 1:
             continue  # gcd(1, f) = 1
         found = _gcd(prod, f)
@@ -257,7 +266,7 @@ def _equal_degree(g, k, rng):
     # Trace map into GF(2): T(r) = r + r^2 + ... + r^(2^(k-1)) takes a
     # value in {0,1} modulo each prime factor, so gcd(T(r), g) cuts g
     # roughly in half for random r.
-    reduce = _reducer(g)
+    reduce = _reducer(g)[0]
     for _ in range(_SPLIT_TRIES):
         r = rng.getrandbits(d)
         t = 0

@@ -15,9 +15,11 @@ Python loops over bits (after Brent, Gaudry, Thome and Zimmermann,
 "Faster Multiplication in GF(2)[x]", 2008): squaring, its inverse and
 bit reversal go through 256-entry byte tables (bytes.translate), and
 _gcd is Euclid with each remainder taken by inline shift-XOR steps.
-_reducer serves repeated reduction by one modulus, _mod the one-off
-remainder.  _pow and _product build powers and products of prime
-powers, and _strip divides a prime out as often as it goes.
+_reducer serves repeated work modulo one f, _mod the one-off
+remainder; from degree 44 up its table of multiples of f also drives a
+fused modular product, _mul's loop reduced after every byte.
+_pow and _product build powers and products of prime powers, and
+_strip divides a prime out as often as it goes.
 Poly.text selects its terms with compress from a list of term
 strings, extended on first need up to a cap of 4,097 entries (about
 0.25 MB); higher exponents are formatted per call.
@@ -78,11 +80,19 @@ def _degree(a):
 _MUL_WINDOW_MIN = 16
 
 
+def _nibbles(a):
+    """The 16 multiples of a by every polynomial of degree below 4."""
+    a2, a4, a8 = a << 1, a << 2, a << 3
+    a3, a6, a12 = a2 ^ a, a4 ^ a2, a8 ^ a4
+    return [0, a, a2, a3, a4, a4 ^ a, a6, a6 ^ a,
+            a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a12, a12 ^ a, a12 ^ a2, a12 ^ a3]
+
+
 def _mul(a, b):
     # Carry-less product.  A short operand is added bit by bit
-    # (shift-XOR); otherwise the 16 multiples of the longer operand by
-    # every 4-bit value are tabulated and the shorter operand is read a
-    # byte, that is two 4-bit windows, at a time, Horner fashion.
+    # (shift-XOR); otherwise the shorter operand is read a byte, that
+    # is two 4-bit windows, at a time, Horner fashion, against the
+    # _nibbles table of the longer one.
     # The smaller int is never the longer operand, and one comparison
     # costs less than two bit_length calls (0.05-0.1 us of a 0.2-0.8 us
     # product below 16 bits).
@@ -96,11 +106,7 @@ def _mul(a, b):
             a <<= 1
             b >>= 1
         return c
-    a2 = a << 1
-    a4 = a << 2
-    table = [0, a, a2, a2 ^ a, a4, a4 ^ a, a4 ^ a2, a4 ^ a2 ^ a]
-    a8 = a << 3
-    table += [a8 ^ m for m in table]
+    table = _nibbles(a)
     c = 0
     for byte in b.to_bytes((b.bit_length() + 7) >> 3, "big"):
         c = (c << 8) ^ (table[byte >> 4] << 4) ^ table[byte & 15]
@@ -132,33 +138,40 @@ def _mod(a, b):
     return a
 
 
-# Most bits the table reduction clears per step; its table holds
-# 2**k multiples of the modulus.
-_REDUCE_MAX_BITS = 8
 # Below this modulus degree a table does not pay for itself within a
 # pass of deg f squarings, and _reducer hands back plain _mod.  Timed
 # as one table build plus deg f reduced squarings, the table costs
 # 1.04-1.59x _mod at degree 4-14, 0.89-0.94x at 16-24 and 0.73-0.79x
 # at 32-40.
 _REDUCE_TABLE_MIN_DEGREE = 16
+# From this modulus degree up, where the distinct-degree walk multiplies
+# (factorize._DDF_BLOCK_MIN_DEGREE), the table clears 8 bits a step and
+# _reducer also hands back the fused product.
+_REDUCE_WIDE_MIN_DEGREE = 44
 
 
 def _reducer(f):
-    """a -> a mod f, for reducing many times by the same f.
+    """(reduce, mulmod) for working many times modulo the same f.
 
-    Tabulates the 2**k multiples of f of degree below n + k (n = deg
-    f), indexed by their bits n..n+k-1, which tell them apart; one step
-    XORs the multiple that matches the top k bits of the dividend and
-    so clears k bits at once.  k grows with deg f up to
-    _REDUCE_MAX_BITS, keeping the table within 2**k <= n entries, no
-    more work to build than one bit-at-a-time _mod of a square.
+    reduce(a) is a mod f.  It tabulates the 2**k multiples of f of
+    degree below n + k (n = deg f), indexed by their bits n..n+k-1,
+    which tell them apart; one step XORs the multiple that matches the
+    top k bits of the dividend and so clears k bits at once.  k is 8
+    from degree _REDUCE_WIDE_MIN_DEGREE up; below it the table keeps
+    within 2**k <= n entries, no more work to build than one
+    bit-at-a-time _mod of a square.
+
+    mulmod(a, b), None below that degree, is a * b mod f for reduced a
+    and b: _mul's byte loop, with the top 8 bits cleared through the
+    table after each byte, so the running value stays within n + 8
+    bits and no 2n-bit product is built (Blakley's interleaved product).
     """
     if f == 0:
         raise ZeroDivisionError("division by zero polynomial")
     n = f.bit_length() - 1
     if n < _REDUCE_TABLE_MIN_DEGREE:
-        return lambda a: _mod(a, f)
-    k = min(_REDUCE_MAX_BITS, n.bit_length() - 1)
+        return (lambda a: _mod(a, f)), None
+    k = 8 if n >= _REDUCE_WIDE_MIN_DEGREE else n.bit_length() - 1
     table = [0]
     # multiple has bit n + i and no other bit from n to n + k - 1.
     multiple = f
@@ -177,7 +190,18 @@ def _reducer(f):
         # Now deg a < n + k: one last lookup on the bits above n.
         return a ^ table[a >> n]
 
-    return reduce
+    if k < 8:
+        return reduce, None
+
+    def mulmod(a, b):
+        nibbles = _nibbles(a)
+        c = 0
+        for byte in b.to_bytes((b.bit_length() + 7) >> 3, "big"):
+            c = (c << 8) ^ (nibbles[byte >> 4] << 4) ^ nibbles[byte & 15]
+            c ^= table[c >> n]
+        return c
+
+    return reduce, mulmod
 
 
 def _gcd(a, b):

@@ -159,8 +159,13 @@ def test_distinct_degree_matches_trial_division(block, step, parts):
         k = p.bit_length() - 1
         by_degree[k] = i_mul(by_degree.get(k, 1), p)
     min_degree = factorize._DDF_BLOCK_MIN_DEGREE if step == 1 else 1
+    # Blocks multiply from min_degree on, so the reducer's table and
+    # fused product must start there too.
     with mock.patch.object(factorize, "_DDF_BLOCK", block), \
-            mock.patch.object(factorize, "_DDF_BLOCK_MIN_DEGREE", min_degree):
+            mock.patch.object(factorize, "_DDF_BLOCK_MIN_DEGREE", min_degree), \
+            mock.patch.object(gf2poly, "_REDUCE_TABLE_MIN_DEGREE",
+                              min(min_degree, gf2poly._REDUCE_TABLE_MIN_DEGREE)), \
+            mock.patch.object(gf2poly, "_REDUCE_WIDE_MIN_DEGREE", min_degree):
         got = list(_distinct_degree(f, step))
     assert got == [(by_degree[k], k) for k in sorted(by_degree)]
 
@@ -177,6 +182,7 @@ def test_distinct_degree_takes_no_gcd_of_one():
         return gf2poly._gcd(a, b)
 
     with mock.patch.object(factorize, "_gcd", spy), \
+            mock.patch.object(factorize, "_DDF_FIRST_BLOCK", 2), \
             mock.patch.object(factorize, "_DDF_BLOCK", 2), \
             mock.patch.object(factorize, "_DDF_BLOCK_MIN_DEGREE", 1):
         got = list(_distinct_degree(i_mul(q4, q8), 4))
@@ -185,16 +191,21 @@ def test_distinct_degree_takes_no_gcd_of_one():
 
 
 def test_distinct_degree_splits_a_wide_find_by_walking_it():
-    # f = p17 p20 p32a p32b p71 has degree 172, so the walk takes blocks
-    # of 16 and stops at degree 172 // 2 = 86 at the latest.  Its gcds:
-    # - degrees 1-16 find nothing: 1 gcd;
-    # - degrees 17-32 find the degree-101 product of all but p71: 1 gcd;
-    # - the split walks that find one degree per block, from 17 up to
-    #   31 = 32 - 1, its cap: 15 gcds, which take off p17 and p20; the
-    #   degree-64 rest has only primes of degree 32 and takes no gcd;
-    # - p71 is left, so the walk stops at 35: degrees 33-35, 1 gcd.
-    # 1 + 1 + 15 + 1 = 18.
-    assert (factorize._DDF_BLOCK, factorize._DDF_BLOCK_MIN_DEGREE) == (16, 44)
+    # f = p17 p20 p32a p32b p71 has degree 172, so the walk takes a
+    # first block of 4, then blocks of 16, and stops at degree
+    # 172 // 2 = 86 at the latest.  Its gcds:
+    # - degrees 1-4 find nothing: 1 gcd;
+    # - degrees 5-20 find p17 p20: 1 gcd;
+    # - the split walks that find one degree per block, from 5 up to
+    #   17, where it takes off p17 and p20 is left: 13 gcds;
+    # - degrees 21-36 find p32 = p32a p32b: 1 gcd;
+    # - the split walks it from 21 up to 32, its stop as what is left
+    #   has degree 64: 12 gcds; the last leaves only primes of degree
+    #   32, and their split takes no gcd;
+    # - p71 is left, so the walk stops at 35, which it has passed.
+    # 1 + 1 + 13 + 1 + 12 = 28.
+    assert (factorize._DDF_FIRST_BLOCK, factorize._DDF_BLOCK,
+            factorize._DDF_BLOCK_MIN_DEGREE) == (4, 16, 44)
     p17, p20, p32a, p32b, p71 = (Poly.parse(t).bits for t in (
         "x^17+x^3+1", "x^20+x^3+1", "x^32+x^7+x^3+x^2+1", "x^32+x^22+x^2+x+1",
         "x^71+x^6+1",
@@ -210,7 +221,7 @@ def test_distinct_degree_splits_a_wide_find_by_walking_it():
     with mock.patch.object(factorize, "_gcd", spy):
         got = list(_distinct_degree(f))
     assert got == [(p17, 17), (p20, 20), (p32, 32), (p71, 71)]
-    assert len(gcds) == 18
+    assert len(gcds) == 28
 
 
 @pytest.mark.parametrize(
@@ -229,10 +240,38 @@ def test_distinct_degree_splits_a_wide_find_by_walking_it():
 def test_distinct_degree_rebuilds_its_reducer_after_a_division(primes, moduli):
     small, big = (Poly.parse(t).bits for t in primes)
     f = i_mul(small, big)
-    with mock.patch.object(factorize, "_reducer", wraps=gf2poly._reducer) as spy:
+    built = []
+
+    def spy(g):
+        built.append((g, gf2poly._reducer(g)))
+        return built[-1][1]
+
+    with mock.patch.object(factorize, "_reducer", spy):
         got = list(_distinct_degree(f))
     assert got == [(small, 2), (big, big.bit_length() - 1)]
-    assert [c.args[0] for c in spy.call_args_list] == [(f, small, big)[i] for i in moduli]
+    assert [g for g, _ in built] == [(f, small, big)[i] for i in moduli]
+    # Each reducer reduces modulo its own modulus, and has the fused
+    # product exactly when that modulus is wide enough to block.
+    for g, (reduce, mulmod) in built:
+        assert reduce(g) == 0 and reduce(g ^ 1) == 1
+        assert (mulmod is not None) == (g.bit_length() > factorize._DDF_BLOCK_MIN_DEGREE)
+
+
+def test_every_modulus_the_walk_multiplies_by_has_a_fused_product():
+    # The walk multiplies only within blocks of two or more degrees,
+    # which it takes from _DDF_BLOCK_MIN_DEGREE on, modulo f itself.
+    # The product of two primes of half that degree multiplies in every
+    # block of its walk.
+    n = factorize._DDF_BLOCK_MIN_DEGREE
+    assert gf2poly._reducer((1 << n) | 1)[1] is not None
+    rng = random.Random(n)
+    primes = set()
+    while len(primes) < 2:
+        p = (1 << (n // 2)) | rng.getrandbits(n // 2) | 1
+        if i_is_prime(p):
+            primes.add(p)
+    f = i_mul(*primes)
+    assert list(_distinct_degree(f)) == [(f, n // 2)]
 
 
 def _conjecture_bases():

@@ -180,15 +180,16 @@ def test_wide_square_matches_oracle(a):
 
 
 # Moduli of degree 0..40, where the table reduction clears fewer bits
-# per step, and wide ones.
+# per step and there is no fused product, and wide ones.
 modulus = st.integers(min_value=1, max_value=(1 << 41) - 1) | wide
 
 
 @settings(max_examples=80)
 @given(wide, modulus)
 def test_reducer_matches_mod_and_oracle(a, f):
-    reduce = _reducer(f)
+    reduce, mulmod = _reducer(f)
     n = f.bit_length() - 1
+    assert (mulmod is None) == (n < gf2poly._REDUCE_WIDE_MIN_DEGREE)
     # The dividend itself, its square, and dividends already below
     # deg f + 8 (one table lookup at most) and below deg f (no step).
     short = a >> max(0, a.bit_length() - n - 8)
@@ -196,6 +197,35 @@ def test_reducer_matches_mod_and_oracle(a, f):
     for dividend in (a, _square(a), short, below):
         expected = to_bits(o_divmod(to_list(dividend), to_list(f))[1])
         assert reduce(dividend) == _mod(dividend, f) == expected
+
+
+def _mulmod_oracle(a, b, f):
+    return to_bits(o_divmod(o_mul(to_list(a), to_list(b)), to_list(f))[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide, wide, wide)
+def test_mulmod_matches_oracle(a, b, f):
+    reduce, mulmod = _reducer(f)
+    a, b = reduce(a), reduce(b)
+    assert mulmod(a, b) == mulmod(b, a) == _mulmod_oracle(a, b, f)
+
+
+# Each side of the fused product's threshold, and operands that end
+# one bit short of a byte boundary and on it (degree 255 and 256).  Per
+# degree a sparse and a dense modulus.
+@pytest.mark.parametrize("n", [43, 44, 45, 255, 256])
+def test_mulmod_at_its_edges_matches_oracle(n):
+    rng = random.Random(n)
+    for f in ((1 << n) | 1, (1 << n) | rng.getrandbits(n) | 1):
+        mulmod = _reducer(f)[1]
+        if n < gf2poly._REDUCE_WIDE_MIN_DEGREE:
+            assert mulmod is None
+            continue
+        values = (0, 1, 2, (1 << n) - 1)
+        for a in values:
+            for b in values:
+                assert mulmod(a, b) == _mulmod_oracle(a, b, f), (f, a, b)
 
 
 # -- the inline Euclid and the byte-table kernels at their edges --------------

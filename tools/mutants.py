@@ -1,15 +1,18 @@
 """Mutation record: each mutant in MUTANTS must make its tests fail.
 
-    python3 tools/mutants.py
+    python3 tools/mutants.py                     # every mutant
+    python3 tools/mutants.py --only NAME [NAME ...]
 
 A mutant is (name, file, old text, new text, test selector).  The
 repository's src/, tests/, tools/ and bench/ (a layer test reads
 bench/spans.py) are copied once to a temporary directory, and the
-selectors run there unmutated first: they must all pass.  Then for
-each mutant the old text, which must occur exactly once in its file,
-is replaced by the new text, pytest runs the mutant's selector (node
-ids or options, split on spaces) with that copy's src/ first on
-PYTHONPATH and no bytecode written, and the file is put back.
+selectors of the mutants to run are run there unmutated first: they
+must all pass.  Then for each mutant the old text, which must occur
+exactly once in its file, is replaced by the new text, pytest runs the
+mutant's selector (node ids or options, split on spaces) with that
+copy's src/ first on PYTHONPATH and no bytecode written, and the file
+is put back.  --only runs the named mutants alone; an unknown name or
+argument exits 2 before any pytest launch.
 
 A mutant is killed when pytest reports a failed test or a collection
 error, or runs past TIMEOUT_S.  The tool exits 1 when a mutant
@@ -17,12 +20,13 @@ survives, when its mutated file does not compile (reported as BROKEN,
 since such an entry tests nothing), when its old text is missing or
 not unique, or when a selector fails or selects nothing before any
 mutation.  It is kept out of Tier-1: each mutant costs one pytest
-launch, and the 57 below take about 3 min on a 2-vCPU Xeon.  A change
+launch, and the 62 below take about 3.5 min on a 2-vCPU Xeon.  A change
 that guards a kernel adds its mutants here.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -288,6 +292,27 @@ MUTANTS = (
      "size = min(max(n, 2 * len(terms)), _TERMS_CAP)",
      "size = max(n, 2 * len(terms))",
      T + "test_gf2poly.py::test_term_list_stops_at_its_cap"),
+    # The fused modular product and the walk's blocks that use it.
+    ("mulmod-skips-its-per-byte-reduction", S + "gf2poly.py",
+     "            c ^= table[c >> n]\n",
+     "",
+     T + "test_gf2poly.py::test_mulmod_matches_oracle"),
+    ("mulmod-indexes-the-table-one-bit-high", S + "gf2poly.py",
+     "c ^= table[c >> n]",
+     "c ^= table[c >> (n + 1)]",
+     T + "test_gf2poly.py::test_mulmod_matches_oracle"),
+    ("wide-table-threshold-above-the-walks-blocks", S + "gf2poly.py",
+     "_REDUCE_WIDE_MIN_DEGREE = 44",
+     "_REDUCE_WIDE_MIN_DEGREE = 45",
+     T + "test_factorize.py::test_every_modulus_the_walk_multiplies_by_has_a_fused_product"),
+    ("ddf-product-keeps-only-the-last-degree", S + "factorize.py",
+     "else mulmod(prod, h ^ 2)",
+     "else h ^ 2",
+     T + "test_factorize.py::test_distinct_degree_matches_trial_division"),
+    ("ddf-first-block-as-wide-as-the-rest", S + "factorize.py",
+     "(_DDF_BLOCK if k else _DDF_FIRST_BLOCK)",
+     "_DDF_BLOCK",
+     T + "test_factorize.py::test_distinct_degree_splits_a_wide_find_by_walking_it"),
 )
 
 
@@ -306,7 +331,24 @@ def pytest_exit(tree, selector):
         return None
 
 
-def main():
+def parse_args(argv=None):
+    """The mutants to run: every one, or those named by --only."""
+    parser = argparse.ArgumentParser(
+        description="Run the mutation record: every mutant must make its tests fail.")
+    parser.add_argument("--only", nargs="+", metavar="NAME",
+                        help="run only the named mutants")
+    args = parser.parse_args(argv)
+    if args.only is None:
+        return MUTANTS
+    names = {m[0] for m in MUTANTS}
+    unknown = [name for name in args.only if name not in names]
+    if unknown:
+        parser.error(f"unknown mutant: {', '.join(unknown)}")
+    return tuple(m for m in MUTANTS if m[0] in args.only)
+
+
+def main(argv=None):
+    mutants = parse_args(argv)
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
@@ -315,12 +357,12 @@ def main():
         for part in ("src", "tests", "tools", "bench"):
             shutil.copytree(ROOT / part, tree / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", tree)
-        for selector in dict.fromkeys(m[4] for m in MUTANTS):
+        for selector in dict.fromkeys(m[4] for m in mutants):
             code = pytest_exit(tree, selector)
             if code != 0:
                 print(f"BASELINE {selector}: pytest exit {code} before any mutation")
                 failures += 1
-        for name, file, old, new, selector in MUTANTS:
+        for name, file, old, new, selector in mutants:
             path = tree / file
             text = path.read_text()
             if text.count(old) != 1:
@@ -346,7 +388,7 @@ def main():
             else:
                 print(f"SURVIVED {name}: pytest exit {code} on {selector}")
                 failures += 1
-    print(f"{len(MUTANTS)} mutants, {failures} failures")
+    print(f"{len(mutants)} mutants, {failures} failures")
     return 1 if failures else 0
 
 
