@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product, repeat
 from operator import add
 from typing import NamedTuple
 
@@ -44,12 +44,11 @@ from .catalog import (
     two_mersenne_family,
 )
 from .factorize import FactorMap, is_irreducible
-from .gf2poly import Poly, X, X1, _bar, _linear, _mul, _split_linear, _strip, star
+from .gf2poly import Poly, X, X1, _bar, _mul, _split_linear, _strip, star
 from .sigma import (
     DOMAIN,
     _M1_BITS,
     _divisor_sum_factors,
-    _shape,
     _sigma_of_vector,
     assemble,
     decompose_exponent,
@@ -493,11 +492,13 @@ def explore_reciprocal(max_abc=6):
     """
     if not 1 <= max_abc <= MAX_RECIPROCAL_ABC:
         raise ValueError(f"max_abc must be between 1 and {MAX_RECIPROCAL_ABC}")
+    x1_pow = _powers(X1.bits, max_abc)
+    m1_pow = _powers(_M1_BITS, max_abc)
     entries = []
     for a, b, c in product(range(1, max_abc + 1), repeat=3):
         if math.gcd(a, b, c) != 1:
             continue
-        p = _shape(a, b, c)
+        p = Poly(1 ^ _mul(x1_pow[b] << a, m1_pow[c]))
         if not is_irreducible(p):
             continue
         q = star(p)
@@ -577,19 +578,20 @@ def _powers_of_two(limit):
     return [1 << i for i in range(limit.bit_length())]
 
 
-def _solve_linear(bits):
+def _powers(bits, n):
+    """[1, bits, bits^2, ..., bits^n]."""
+    return list(accumulate(repeat(bits, n), _mul, initial=1))
+
+
+def _solve_linear(bits, x1_pow):
     """x^b (x+1)^c, with b the trailing zeros of bits != 0 and b + c its degree:
     (x+1)^c is odd with 2^popcount(c) terms (Lucas), so the term screen drops
-    no solution, and one comparison with x^b (x+1)^c decides the rest."""
+    no solution, and one comparison with x^b (x+1)^c = x1_pow[c] << b decides
+    the rest."""
     b = (bits & -bits).bit_length() - 1
     c = bits.bit_length() - 1 - b
     screened = (bits >> b).bit_count() == 1 << c.bit_count()
-    return (b, c) if screened and bits == _linear(b, c) else None
-
-
-def _solve_x_power(bits):
-    """x^c."""
-    return (bits.bit_length() - 1,) if bits & (bits - 1) == 0 else None
+    return (b, c) if screened and bits == x1_pow[c] << b else None
 
 
 def _solve_x_m1(bits):
@@ -599,68 +601,76 @@ def _solve_x_m1(bits):
     return (b, c) if cofactor == 1 else None
 
 
-def _x1_m1_rows(x1_pow, span):
-    """((a, b), (x+1)^a (x^2+x+1)^b + 1) for a, b in span, b fastest;
-    each row of fixed a steps b by one multiplication by x^2+x+1,
-    v + xv + x^2 v, in place of a general product."""
-    for a in span:
-        v = x1_pow[a]
-        for b in span:
-            v ^= (v << 1) ^ (v << 2)
-            yield (a, b), v ^ 1
-
-
 def verify_split_identities(max_exp=32):
     """Sweep the five split identities and compare with their families.
 
-    Each identity relates powers of x, x+1 and x^2+x+1.  The sweep
-    enumerates every left-hand side with exponents from 1 up to
-    max_exp (4 to MAX_IDENTITY_EXP), solves for the right-hand
-    parameters exactly, and checks that the solution set equals the
+    Each identity relates powers of x, x+1 and x^2+x+1, read from one
+    table each per call.  Every left-hand side with exponents from 1 up
+    to max_exp (4 to MAX_IDENTITY_EXP) is solved for the right-hand
+    parameters exactly, and the solution set must equal the
     parameterized family restricted to the same range; set equality
     covers both directions of each equivalence.
+
+    Identity 2 joins by the top bit instead of summing pairs: (x+1)^a
+    and (x^2+x+1)^b have degrees a and 2b and constant term 1, so for
+    a != 2b the sum is x^max(a, 2b) exactly when the power of lower
+    degree is the other less its top term.  (x+1)^a less x^a has the
+    proper submasks of a as exponents (Lucas), so it fixes a unless it
+    is 1, which no (x^2+x+1)^b is: one lookup each way per b finds every
+    solution.  The pairs a = 2b are summed directly.
     """
     if max_exp < 4:
         raise ValueError("max_exp below 4 leaves families nearly empty")
     if max_exp > MAX_IDENTITY_EXP:
         raise ValueError(f"max_exp must be at most {MAX_IDENTITY_EXP}")
     e = max_exp
-    x1_pow, m1_pow = [1], [1]
-    for _ in range(e):
-        x1_pow.append(_mul(x1_pow[-1], X1.bits))
-        m1_pow.append(_mul(m1_pow[-1], _M1_BITS))
     span = range(1, e + 1)
+    x1_pow = _powers(X1.bits, 2 * e)  # 1 + (x^2+x+1)^e has degree 2e
+    m1_pow = _powers(_M1_BITS, e)
+    x1_of = {x1_pow[a]: a for a in span}
+    x1_low = {x1_pow[a] ^ 1 << a: a for a in span}
+    two, three, four = [], [], []
+    for b in span:
+        m = m1_pow[b]
+        if (a := x1_low.get(m)) is not None:  # a > 2b
+            two.append((a, b, a))
+        if (a := x1_of.get(m ^ 1 << 2 * b)) is not None:  # a < 2b
+            two.append((a, b, 2 * b))
+        if 2 * b <= e and (s := x1_pow[2 * b] ^ m) & (s - 1) == 0:
+            two.append((2 * b, b, s.bit_length() - 1))
+    # Rows of (x+1)^a (x^2+x+1)^b step b by v + xv + x^2 v; odd, 1 + x^c has two terms.
+    for a in span:
+        v = x1_pow[a]
+        for b in span:
+            v ^= (v << 1) ^ (v << 2)
+            if v.bit_count() == 2:
+                three.append((a, b, v.bit_length() - 1))
+    for b in span:  # (x+1)^a + (x+1)^b has degree b: _solve_linear, inline
+        top = x1_pow[b]
+        for a in range(1, b):
+            s = x1_pow[a] ^ top
+            z = (s & -s).bit_length() - 1
+            d = b - z
+            if (s >> z).bit_count() == 1 << d.bit_count() and s == x1_pow[d] << z:
+                four.append((a, b, z, d))
     ks = _powers_of_two(e)
-    # (label, (left-hand parameters, bits) over the sweep, solver giving
-    # the right-hand parameters the bits have or None, parameterized family)
     identities = (
         ("1 + (x^2+x+1)^a = x^b (x+1)^c",
-         (((a,), m1_pow[a] ^ 1) for a in span),
-         _solve_linear,
+         [(a, *bc) for a in span if (bc := _solve_linear(m1_pow[a] ^ 1, x1_pow))],
          [(k, k, k) for k in ks]),
-        ("(x+1)^a + (x^2+x+1)^b = x^c",
-         (((a, b), x1_pow[a] ^ m1_pow[b]) for a, b in product(span, span)),
-         _solve_x_power,
+        ("(x+1)^a + (x^2+x+1)^b = x^c", two,
          [t for k in ks for t in ((k, k, 2 * k), (2 * k, k, k), (3 * k, k, 3 * k))
           if t[0] <= e]),
-        ("(x+1)^a (x^2+x+1)^b = 1 + x^c",
-         _x1_m1_rows(x1_pow, span),
-         _solve_x_power,
-         [(k, k, 3 * k) for k in ks]),
-        ("(x+1)^a + (x+1)^b = x^c (x+1)^d",
-         (((a, b), x1_pow[a] ^ x1_pow[b]) for a in span for b in range(a + 1, e + 1)),
-         _solve_linear,
+        ("(x+1)^a (x^2+x+1)^b = 1 + x^c", three, [(k, k, 3 * k) for k in ks]),
+        ("(x+1)^a + (x+1)^b = x^c (x+1)^d", four,
          [(a, a + k, k, a) for a in span for k in _powers_of_two(e - a)]),
         ("1 + (x+1)^a = x^b (x^2+x+1)^c",
-         (((a,), x1_pow[a] ^ 1) for a in span),
-         _solve_x_m1,
+         [(a, *bc) for a in span if (bc := _solve_x_m1(x1_pow[a] ^ 1))],
          [(k, k, 0) for k in ks] + [(3 * k, k, k) for k in _powers_of_two(e // 3)]),
     )
-    families = []
-    for name, sums, solve, expected in identities:
-        found = [params + rhs for params, bits in sums if (rhs := solve(bits)) is not None]
-        families.append(IdentityFamily(name, tuple(sorted(found)), tuple(sorted(expected))))
-    return IdentityReport(e, tuple(families))
+    return IdentityReport(e, tuple(
+        IdentityFamily(name, tuple(sorted(found)), tuple(sorted(expected)))
+        for name, found, expected in identities))
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,14 @@ and assemble from the package.
 from __future__ import annotations
 
 import importlib
+import math
 from functools import reduce
 from itertools import product
 from typing import NamedTuple
 
-from gf2perfect.catalog import catalog_constants
-from gf2perfect.gf2poly import bar, derivative, gcd
+from gf2perfect.catalog import catalog_constants, name_of
+from gf2perfect.factorize import is_irreducible
+from gf2perfect.gf2poly import Poly, bar, derivative, gcd
 from gf2perfect.sigma import (
     MERSENNE_AB,
     TWO_MERSENNE_ABN,
@@ -397,6 +399,7 @@ def o_order2(d):
 # -- split identities ----------------------------------------------------------
 
 _X, _X1, _M1 = [0, 1], [1, 1], [1, 1, 1]
+_X_BITS, _X1_BITS, _M1_BITS = 0b10, 0b11, 0b111
 
 
 def o_multiplicity(a, d):
@@ -449,6 +452,84 @@ def split_identity_solutions(max_exp):
             if rhs is not None:
                 out[label].add(params + rhs)
     return out
+
+
+def split_identity_pairs(max_exp):
+    """The found tuples of verify_split_identities, keyed by label, by the
+    pair loop on ints: every left-hand side with exponents 1..max_exp is
+    summed from i_mul-built powers and solved for its right-hand side
+    (x^c by its one set bit, x^b (x+1)^c by comparison with the power
+    of x+1 its degree names, x^b M1^c by division), with no lookup and
+    no term screen."""
+    span = range(1, max_exp + 1)
+    x1, m1 = [1], [1]
+    for _ in range(2 * max_exp):
+        x1.append(i_mul(x1[-1], _X1_BITS))
+    for _ in span:
+        m1.append(i_mul(m1[-1], _M1_BITS))
+
+    def x_power(s):
+        return (deg(s),) if s & (s - 1) == 0 else None
+
+    def linear(s):
+        b = deg(s & -s)
+        return (b, deg(s) - b) if s == x1[deg(s) - b] << b else None
+
+    def x_m1(s):
+        b = deg(s & -s)
+        pairs = i_factor_over(s >> b, (_M1_BITS,))
+        return None if pairs is None else (b, dict(pairs).get(_M1_BITS, 0))
+
+    def rows_3():
+        for a in span:
+            v = x1[a]
+            for b in span:
+                v = i_mul(v, _M1_BITS)
+                yield (a, b), v ^ 1
+
+    identities = (
+        ("1 + (x^2+x+1)^a = x^b (x+1)^c", (((a,), m1[a] ^ 1) for a in span), linear),
+        ("(x+1)^a + (x^2+x+1)^b = x^c",
+         (((a, b), x1[a] ^ m1[b]) for a in span for b in span), x_power),
+        ("(x+1)^a (x^2+x+1)^b = 1 + x^c", rows_3(), x_power),
+        ("(x+1)^a + (x+1)^b = x^c (x+1)^d",
+         (((a, b), x1[a] ^ x1[b]) for a in span for b in span if a < b), linear),
+        ("1 + (x+1)^a = x^b (x^2+x+1)^c", (((a,), x1[a] ^ 1) for a in span), x_m1),
+    )
+    return {
+        label: tuple(sorted(params + rhs for params, s in sums
+                            if (rhs := solve(s)) is not None))
+        for label, sums, solve in identities
+    }
+
+
+# -- reciprocal survey ---------------------------------------------------------
+
+
+def reciprocal_entries(max_abc):
+    """The entries of explore_reciprocal as plain tuples: each candidate
+    1 + x^a (x+1)^b M1^c built by sigma._shape and kept when the
+    package's is_irreducible accepts it; its reciprocal by o_star, and
+    the reciprocal's kind by trial division of q + 1 over x, x+1 and M1."""
+    entries = []
+    for a, b, c in product(range(1, max_abc + 1), repeat=3):
+        if math.gcd(a, b, c) != 1:
+            continue
+        p = _sigma_layer._shape(a, b, c)
+        if not is_irreducible(p):
+            continue
+        q = Poly(to_bits(o_star(to_list(p.bits))))
+        split = i_factor_over(q.bits ^ 1, (_X_BITS, _X1_BITS, _M1_BITS))
+        if q == p:
+            kind = "self"
+        elif split is not None and _M1_BITS not in dict(split):
+            kind = "mersenne"
+        elif split is not None:
+            kind = "two_mersenne"
+        else:
+            kind = "outside"
+        entries.append((a, b, c, p, name_of(p), kind, q, name_of(q)))
+    return tuple(entries)
 
 
 # -- stage-3 free slots -------------------------------------------------------

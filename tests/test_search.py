@@ -85,6 +85,8 @@ from oracles import (
     naive_stage2_rows,
     naive_stage3_rows,
     prefix_exponents,
+    reciprocal_entries,
+    split_identity_pairs,
     split_identity_solutions,
     val_x,
     val_x1,
@@ -519,6 +521,13 @@ def test_reciprocal_entries_are_two_mersenne_shapes(reciprocal):
         assert e.poly == expected
 
 
+@pytest.mark.parametrize("max_abc", range(1, MAX_RECIPROCAL_ABC + 1))
+def test_reciprocal_matches_the_shape_oracle(max_abc):
+    """Every candidate read from the power tables is the one sigma._shape
+    builds, and every entry matches the oracle's."""
+    assert explore_reciprocal(max_abc).entries == reciprocal_entries(max_abc)
+
+
 def test_reciprocal_rejects_bad_bound():
     with pytest.raises(ValueError):
         explore_reciprocal(max_abc=0)
@@ -548,12 +557,25 @@ def test_identity_solutions_match_trial_division():
         assert fam.found == tuple(sorted(oracle[fam.label])), fam.label
 
 
+@pytest.mark.parametrize("max_exp", [*range(4, 65), 128, 256])
+def test_identity_join_matches_the_pair_loop(max_exp):
+    """The sweep finds what summing every pair finds.  From 4 to 64 the
+    range covers identity 2's a > 2b, a < 2b and a = 2b solutions at odd
+    and even max_exp; 128 and 256 reach the cap."""
+    report = verify_split_identities(max_exp)
+    assert {f.label: f.found for f in report.families} == split_identity_pairs(max_exp)
+
+
 def test_identity_spot_instances():
     report = verify_split_identities(max_exp=8)
     by_label = {f.label: f for f in report.families}
     m1_power = next(f for label, f in by_label.items() if label.startswith("1 + (x^2"))
     assert (1, 1, 1) in m1_power.found
     assert (2, 2, 2) in m1_power.found
+
+
+# (x+1)^k for k < 64, past the degree of any input below.
+_X1_POWERS = [reduce(i_mul, [0b11] * k, 1) for k in range(64)]
 
 
 def _linear_oracle(bits):
@@ -568,12 +590,12 @@ def test_solve_linear_matches_trial_division(i, j, half):
     """x^i (x+1)^j is solved; times an odd c it is solved only when c is
     a power of x+1, and never when c(1) = 1 too, unless c = 1."""
     bits = reduce(i_mul, [0b11] * j, 1 << i)
-    assert _solve_linear(bits) == _linear_oracle(bits) == (i, j)
+    assert _solve_linear(bits, _X1_POWERS) == _linear_oracle(bits) == (i, j)
     c = 2 * half + 1
     product_bits = i_mul(bits, c)
-    assert _solve_linear(product_bits) == _linear_oracle(product_bits)
+    assert _solve_linear(product_bits, _X1_POWERS) == _linear_oracle(product_bits)
     if c != 1 and c.bit_count() % 2:
-        assert _solve_linear(product_bits) is None
+        assert _solve_linear(product_bits, _X1_POWERS) is None
 
 
 @settings(max_examples=300, deadline=None)
@@ -584,7 +606,7 @@ def test_solve_linear_decides_sums_past_its_term_screen(i, n, rng):
     middle = rng.sample(range(1, n), (1 << n.bit_count()) - 2)
     odd = reduce(lambda acc, m: acc | 1 << m, middle, 1 | 1 << n)
     assert odd.bit_count() == 1 << n.bit_count()
-    assert _solve_linear(odd << i) == _linear_oracle(odd << i)
+    assert _solve_linear(odd << i, _X1_POWERS) == _linear_oracle(odd << i)
 
 
 def test_identities_reject_bad_bound():

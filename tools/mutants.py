@@ -20,7 +20,7 @@ survives, when its mutated file does not compile (reported as BROKEN,
 since such an entry tests nothing), when its old text is missing or
 not unique, or when a selector fails or selects nothing before any
 mutation.  It is kept out of Tier-1: each mutant costs one pytest
-launch, and the 62 below take about 3.5 min on a 2-vCPU Xeon.  A change
+launch, and the 67 below take about 4 min on a 2-vCPU Xeon.  A change
 that guards a kernel adds its mutants here.
 """
 
@@ -202,9 +202,30 @@ MUTANTS = (
      "screened = (bits >> b).bit_count() == c.bit_count()",
      T + "test_search.py::test_solve_linear_matches_trial_division"),
     ("solve-linear-trusts-its-screen", S + "search.py",
-     "return (b, c) if screened and bits == _linear(b, c) else None",
+     "return (b, c) if screened and bits == x1_pow[c] << b else None",
      "return (b, c) if screened else None",
      T + "test_search.py::test_solve_linear_decides_sums_past_its_term_screen"),
+    # Identity 2's join by the top bit, and the reciprocal sweep's tables.
+    ("identity-join-top-bit-one-high", S + "search.py",
+     "x1_of.get(m ^ 1 << 2 * b)",
+     "x1_of.get(m ^ 1 << 2 * b + 1)",
+     T + "test_search.py::test_identity_join_matches_the_pair_loop"),
+    ("identity-join-strips-the-bit-below-the-top", S + "search.py",
+     "x1_low = {x1_pow[a] ^ 1 << a: a for a in span}",
+     "x1_low = {x1_pow[a] ^ 1 << a - 1: a for a in span}",
+     T + "test_search.py::test_identity_join_matches_the_pair_loop"),
+    ("identity-join-equal-degrees-index-one-low", S + "search.py",
+     "(s := x1_pow[2 * b] ^ m)",
+     "(s := x1_pow[2 * b - 1] ^ m)",
+     T + "test_search.py::test_identity_join_matches_the_pair_loop"),
+    ("identity-join-equal-degrees-stop-below-the-cap", S + "search.py",
+     "if 2 * b <= e and",
+     "if 2 * b < e and",
+     T + "test_search.py::test_identity_join_matches_the_pair_loop"),
+    ("reciprocal-swaps-the-x-and-x1-exponents", S + "search.py",
+     "p = Poly(1 ^ _mul(x1_pow[b] << a, m1_pow[c]))",
+     "p = Poly(1 ^ _mul(x1_pow[a] << b, m1_pow[c]))",
+     T + "test_search.py::test_reciprocal_matches_the_shape_oracle"),
     ("tables-h-max-one-short", S + "search.py",
      "h_max = admissibility_budget(family, base)",
      "h_max = admissibility_budget(family, base) - 1",

@@ -29,10 +29,12 @@ each.  Uses only the standard library:
 
 from __future__ import annotations
 
+import os
 import random
 import statistics
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -88,18 +90,25 @@ def _cases(src):
     return cases
 
 
-def _run(args, env):
-    """(wall seconds or None on timeout, exit code) of one child."""
+def _run(command, env):
+    """(wall seconds or None on timeout, exit code) of one child.
+
+    The wall runs until os.wait4 reaps the child: a blocking wait, so no
+    poll loop rounds it up.  A timer kills the child at TIMEOUT_S."""
     start = time.perf_counter()
+    child = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.DEVNULL)
+    timer = threading.Timer(TIMEOUT_S, child.kill)
+    timer.start()
     try:
-        done = subprocess.run(
-            [sys.executable, "-m", "gf2perfect.cli", *args, "--json"],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            timeout=TIMEOUT_S,
-        )
-    except subprocess.TimeoutExpired:
+        _pid, status, _usage = os.wait4(child.pid, 0)
+    finally:
+        timer.cancel()
+    wall = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if wall >= TIMEOUT_S:
         return None, None
-    return time.perf_counter() - start, done.returncode
+    return wall, child.returncode
 
 
 def main(argv=None):
@@ -110,7 +119,8 @@ def main(argv=None):
     for _ in range(launches):
         for name, args in cases:
             for src, env in envs.items():
-                wall, code = _run(args, env)
+                wall, code = _run(
+                    [sys.executable, "-m", "gf2perfect.cli", *args, "--json"], env)
                 walls[src, name].append(wall)
                 codes[src, name] = code
     width = max(len(name) for name, _ in cases)
