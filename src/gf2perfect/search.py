@@ -7,17 +7,17 @@ The centerpiece is a three-stage sieve over candidate shapes
 (slot layout sigma._SLOT_PRIMES, domain sigma.DOMAIN) on the ints
 sigma.sigma_exponents sums from slot terms, then a fixed-point test on
 the factorization each survivor was assembled from, confirmed by an
-independent sigma.  Stages 1 and 2 pass (heads, blocks): a list of
-tuples of parts, and the kept prefixes (n, u, m, v) in domain order,
-each with the index of its block; a flat row is head + part.  A part
-reads its head only through the summed x and x+1 slot terms, so the
-595 heads point into 230 blocks, each built (stage 1), filtered (stage
-2) and given its linear-prime valuations (stage 3) once per run, at
-one index throughout.  Stage 3 keeps the rows the free M3..M5 slots
-balance; M3 takes its exponent from (n2, u2), the rule that reproduces
-the reference count of 44.  run_search walks the stage table _STAGES;
-a stage count that misses its reference is reported with the counts of
-the documented filter variants.
+independent sigma.  A row is a head (n, u, m, v), the x and x+1
+slots, and a part: the M1 slot with the M2 and S1..S8 exponents in
+sigma.  Parts read their head only through the summed x and x+1 term
+vector, so stage 1 passes (heads, vectors), each of the 595 heads with
+the index of one of 230 vectors, and counts its rows from masks over
+the M1 terms.  Stage 2 builds only the parts it keeps, a block per
+vector; stage 3 groups each block by the parts' x and x+1 valuations
+and joins the groups with the free M3..M5 slots' witnesses, M3 taking
+its exponent from (n2, u2), the rule that reproduces the reference
+count of 44.  run_search walks the stage table _STAGES; a stage count
+that misses its reference is reported with its filter variants' counts.
 
 The module also holds the smaller sweeps: divisor-sum factor tables
 over the fixed prime family, the reciprocal-polynomial exploration,
@@ -28,9 +28,9 @@ bookkeeping, and the chain-length scan behind the conjecture tooling.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from itertools import accumulate, product, repeat
-from operator import add
+from functools import lru_cache, reduce
+from itertools import accumulate, compress, product, repeat
+from operator import add, and_, getitem
 from typing import NamedTuple
 
 from .catalog import (
@@ -108,56 +108,71 @@ def _stage1_terms():
              for t, s in product(*DOMAIN[k])} for k in range(3)]
 
 
+@lru_cache(maxsize=1)
+def _linear_terms():
+    """Per slot, e -> v << 16 | w, v and w (below 2^8) the exponents of x
+    and x+1 in sigma(q^e), for every e the sieve gives the slot.  They
+    divide no sigma(q^(s-1)) with s odd, so each reads the 2^t - 1 term."""
+    return [{e: v << 16 | w
+             for e in (REPRESENTABLE_EXPONENTS if k > 6 else _slot_exponents(k))
+             for v, w in [sigma_exponents([(k, (1 << decompose_exponent(e)[0]) - 1)], (0, 1))]}
+            for k in range(15)]
+
+
 def _stage1_groups():
-    """(heads, blocks): blocks holds one tuple of parts (n1, u1, n2, u2,
-    d1, ..., d8) per summed x and x+1 term vector, in first-seen order,
-    a part per (n1, u1) whose M2 exponent 2^n2 u2 - 1 is representable,
-    d1..d8 the S1..S8 exponents in sigma; heads lists ((n, u, m, v), i),
-    1 <= a <= b, in domain order, i the index of the head's block."""
-    x_terms, x1_terms, m1_terms = _stage1_terms()
-    index, heads, blocks = {}, [], []
-    for n, u, m, v in product(*DOMAIN[0], *DOMAIN[1]):
-        a = (u << n) - 1
-        if a < 1 or a > (v << m) - 1:
-            continue
-        p = tuple(map(add, x_terms[n, u], x1_terms[m, v]))
-        i = index.setdefault(p, len(blocks))
-        if i == len(blocks):
-            p0, p1, p2, p3, p4, p5, p6, p7, p8 = p
-            blocks.append(tuple(
-                (n1, u1, *shape, p1 + d1, p2 + d2, p3 + d3, p4 + d4, p5 + d5,
-                 p6 + d6, p7 + d7, p8 + d8)
-                for (n1, u1), (g, d1, d2, d3, d4, d5, d6, d7, d8) in m1_terms.items()
-                if (shape := _SHAPES.get(p0 + g)) is not None
-            ))
-        heads.append(((n, u, m, v), i))
-    return heads, blocks
+    """(heads, vectors): the summed x and x+1 term vectors (M2, S1..S8),
+    first seen first, and ((n, u, m, v), i), 1 <= a <= b, in domain order."""
+    x_terms, x1_terms, _m1_terms = _stage1_terms()
+    index, heads = {}, []
+    for (n, u), x in x_terms.items():
+        for (m, v), y in x1_terms.items():
+            if 1 <= (u << n) - 1 <= (v << m) - 1:
+                heads.append(((n, u, m, v), index.setdefault(tuple(map(add, x, y)), len(index))))
+    return heads, list(index)
+
+
+def _term_masks(vectors, rule=None):
+    """Per term vector p, the bits of the M1 terms whose M2 sum with p is
+    representable and, under a stage-2 rule, S1 sum too and S2..S8 sums
+    in the rule's set: the AND over components of one mask per value."""
+    sets = [REPRESENTABLE_EXPONENTS] * 2 + [STAGE2_RULES.get(rule)] * 7
+    columns = zip(sets if rule else sets[:1], zip(*_stage1_terms()[2].values()), zip(*vectors))
+    masks = [{v: sum(1 << i for i, d in enumerate(column) if v + d in allowed) for v in set(values)}
+             for allowed, column, values in columns]
+    return [reduce(and_, map(getitem, masks, p)) for p in vectors]
+
+
+def _count(groups1, rule=None):
+    """The rows stage-1 groups make at stage 1, or under a stage-2 rule."""
+    masks = _term_masks(groups1[1], rule)
+    return sum(masks[i].bit_count() for _head, i in groups1[0])
 
 
 def _stage2_groups(groups, rule):
-    """(heads, blocks) with each block cut to the parts whose first slot
-    is representable and later slots in the rule's set, the first slot's
-    (n, u) appended once: the list keeps its length and every index,
-    and only the heads whose block kept a part stay."""
-    heads, blocks = groups
-    allowed = STAGE2_RULES[rule].issuperset
-    blocks = [tuple(p[:12] + _SHAPES[p[4]] for p in block
-                    if p[4] in REPRESENTABLE_EXPONENTS and allowed(p[5:12]))
-              for block in blocks]
+    """(heads, blocks): at each stage-1 vector's index, the parts (n1, u1,
+    n2, u2, d1, ..., d8) of the M1 terms its mask's bits keep (bin read
+    backwards), M2 at 2^n2 u2 - 1 and S1..S8 at d1..d8, S1's (n, u) then
+    appended unless rule is None (stage 1); the heads whose block kept one."""
+    heads, vectors = groups
+    terms, masks = _stage1_terms()[2].items(), _term_masks(vectors, rule)
+    blocks = [tuple((n1, u1, *_SHAPES[p0 + g], p1 + d1, p2 + d2, p3 + d3, p4 + d4, p5 + d5,
+                     p6 + d6, p7 + d7, p8 + d8, *(_SHAPES[p1 + d1] if rule else ()))
+                    for (n1, u1), (g, d1, d2, d3, d4, d5, d6, d7, d8)
+                    in compress(terms, map(int, bin(mask)[:1:-1]))) if mask else ()
+              for (p0, p1, p2, p3, p4, p5, p6, p7, p8), mask in zip(vectors, masks)]
     return [head for head in heads if blocks[head[1]]], blocks
 
 
 def _size(groups):
-    """The number of flat rows in groups."""
-    heads, blocks = groups
-    return sum(len(blocks[i]) for _head, i in heads)
+    """The number of flat rows in groups (heads, blocks)."""
+    return sum(len(groups[1][i]) for _head, i in groups[0])
 
 
 @lru_cache(maxsize=1)
 def _free_slot_witness():
     """The first free-slot witness (n3, n4, n5), in loop order, for each
     degree contribution (a, b) the M3, M4 and M5 slots left free at stage
-    3 can make: 144 witnesses, one lookup per row."""
+    3 can make: 144 witnesses, one lookup per sum of a head's block."""
     table = {}
     for w in product(*(t for t, _s in DOMAIN[4:7])):
         need = sigma_exponents(zip((4, 5, 6), [(1 << n) - 1 for n in w]), (0, 1))
@@ -169,32 +184,30 @@ def _stage3_rows(groups):
     """(bits, stage-2 row, free-slot witness, Mersenne exponents) of each
     candidate whose linear-prime valuations a free-slot witness balances.
 
-    The exponents of x and x+1 in sigma of a row's candidate sum the slot
-    terms of its head, once per (n, m), and of its part, once per block
-    into a tuple at its index (empty blocks share ()), each sum once per
-    call.  x and x+1 divide no sigma(q^(s-1)) with s odd (its value at 0
-    and at 1 is odd), so a slot's linear part reads only its t.  M1 takes
+    They sum the _linear_terms of a row's slots.  A block's parts take at
+    most 8 sums, so a head tests one witness per sum and walks its block,
+    assembling the rows whose sum matched, only when one did.  M1 takes
     its exponent in sigma of the row with M3..M5 empty, M3 that of M2.
     """
-    witnesses = _free_slot_witness()
-    linear = lru_cache(maxsize=None)(lambda slots, e: sigma_exponents(zip(slots, e), (0, 1)))
-    heads, blocks = groups
-    terms = [tuple((*map(add, linear((2, 3), ((1 << p[0]) - 1, (1 << p[2]) - 1)),
-                         linear(range(7, 15), p[4:12])), p) for p in block) for block in blocks]
+    witnesses, linear = _free_slot_witness(), _linear_terms()
+    slots = linear[2:4] + linear[7:]
+    sums = [[sum(map(getitem, slots, ((p[1] << p[0]) - 1, (p[3] << p[2]) - 1, *p[4:12])))
+             for p in block] for block in groups[1]]
+    keys = list(map(set, sums))
     out = []
-    for head, i in heads:
-        n, u, m, v = head
-        a, b = (u << n) - 1, (v << m) - 1
-        ha, hb = linear((0, 1), ((1 << n) - 1, (1 << m) - 1))
-        for pa, pb, part in terms[i]:
-            witness = witnesses.get((a - ha - pa, b - hb - pb))
-            if witness is None:
+    for head, i in groups[0]:
+        a, b = (head[1] << head[0]) - 1, (head[3] << head[2]) - 1
+        h = linear[0][a] + linear[1][b]
+        hits = {s: w for s in keys[i]
+                if (w := witnesses.get((a - ((h + s) >> 16), b - ((h + s) & 0xFFFF))))}
+        for part, w in zip(groups[1][i], map(hits.get, sums[i])) if hits else ():
+            if w is None:
                 continue
             n1, u1, n2, u2, *tail = part[:12]
             c1, c2 = (u1 << n1) - 1, (u2 << n2) - 1
             gamma1 = sigma_exponents(zip((0, 1, 2, 3, *range(7, 15)), (a, b, c1, c2, *tail)), (2,))
-            c = (*gamma1, c2, c2, (1 << witness[1]) - 1, (1 << witness[2]) - 1)
-            out.append((assemble(a, b, c, tail).bits, head + part, witness, c))
+            c = (*gamma1, c2, c2, (1 << w[1]) - 1, (1 << w[2]) - 1)
+            out.append((assemble(a, b, c, tail).bits, head + part, w, c))
     return out
 
 
@@ -225,13 +238,13 @@ def _fixed_points(candidates):
     return points
 
 
-# The sieve's stages in order, each mapping (the rows of the stage
-# before, the stage-2 rule) to its own rows: (heads, blocks) for 1 and 2.
+# The sieve's stages in order, each (step, size): step maps the rows of
+# the stage before and the stage-2 rule to its rows, size counts them.
 _STAGES = {
-    "1": lambda _rows, _rule: _stage1_groups(),
-    "2": _stage2_groups,
-    "3": lambda groups2, _rule: _stage3_candidates(groups2),
-    "final": lambda candidates, _rule: _fixed_points(candidates),
+    "1": (lambda _rows, _rule: _stage1_groups(), _count),
+    "2": (_stage2_groups, _size),
+    "3": (lambda groups2, _rule: _stage3_candidates(groups2), len),
+    "final": (lambda candidates, _rule: _fixed_points(candidates), len),
 }
 
 
@@ -265,10 +278,8 @@ class StageResult(NamedTuple):
         return sorted(map(label, self.tuples)) == sorted(FINAL_REFERENCE_NAMES)
 
     def to_json(self):
-        if self.stage in ("3", "final"):
-            rows = [p.text() for p in self.tuples]
-        else:
-            rows = [list(r) for r in self.tuples]
+        final = self.stage in ("3", "final")
+        rows = [p.text() if final else list(p) for p in self.tuples]
         body = {
             "stage": self.stage,
             "count": self.count,
@@ -286,20 +297,15 @@ class StageResult(NamedTuple):
         """Every stage count, then the candidates of stage 3 or final,
         catalog members tagged with their name."""
         lines = [f"stage={k} count={n}" for k, n in self.stage_counts.items()]
-        if self.stage in ("3", "final"):
-            for p in self.tuples:
-                name = name_of(p)
-                lines.append(p.text() + (f"  [{name}]" if name else ""))
+        for p in self.tuples if self.stage in ("3", "final") else ():
+            lines.append(p.text() + (f"  [{name}]" if (name := name_of(p)) else ""))
         return "\n".join(lines)
 
     def notes(self):
         """Each divergent stage count with its filter variants' counts."""
         lines = []
         for key, d in (self.filter_diff or {}).items():
-            lines.append(
-                f"stage {key}: count {d['count']} differs from "
-                f"reference {d['reference']}"
-            )
+            lines.append(f"stage {key}: count {d['count']} differs from reference {d['reference']}")
             lines += [f"  variant {v}: {n}" for v, n in d.get("variants", {}).items()]
         return tuple(lines)
 
@@ -324,26 +330,20 @@ def run_search(stage, stage2_rule="uniform", jobs=1) -> StageResult:
     if stage2_rule not in STAGE2_RULES:
         raise ValueError(f"unknown stage-2 rule {stage2_rule!r}")
     counts, diff, rows = {}, {}, None
-    for name, step in _STAGES.items():
+    for name, (step, size) in _STAGES.items():
         previous, rows = rows, step(rows, stage2_rule)
-        counts[name] = _size(rows) if name in ("1", "2") else len(rows)
+        counts[name] = size(rows)
         reference = REFERENCE_STAGE_COUNTS.get(name)
         if reference is not None and counts[name] != reference:
             diff[name] = {"reference": reference, "count": counts[name]}
             if name == "2":
-                diff[name]["rule"] = stage2_rule
-                # A rule no wider than stage2_rule keeps a subset of its rows.
-                within = STAGE2_RULES[stage2_rule].issuperset
-                diff[name]["variants"] = {
-                    rule: counts[name] if rule == stage2_rule else _size(_stage2_groups(
-                        rows if within(STAGE2_RULES[rule]) else previous, rule))
-                    for rule in STAGE2_RULES
-                }
-        previous = None  # only stage 2's variant count reads the rows before it
+                diff[name].update(rule=stage2_rule, variants={
+                    rule: counts[name] if rule == stage2_rule else _count(previous, rule)
+                    for rule in STAGE2_RULES})
         if name == key:
             break
     if key in ("1", "2"):
-        heads, blocks = rows
+        heads, blocks = rows if key == "2" else _stage2_groups(rows, None)
         rows = (head + part[:4 if key == "1" else None] for head, i in heads for part in blocks[i])
     elif key == "3":
         rows = map(Poly, rows)

@@ -784,3 +784,20 @@ def naive_stage3_rows(rows):
         c = (gamma1, c2, c2, (1 << n4) - 1, (1 << n5) - 1)
         out.append((assemble(a, b, c, row[8:16]).bits, row, witness, c))
     return out
+
+
+def sigma_linear_valuations(q, e):
+    """The exponents of x and x+1 in sigma(q^e) = 1 + q + ... + q^e, q a
+    prime given as bits: the sum built term by term with i_mul, each
+    exponent counted by trial division with i_divmod."""
+    s = power = 1
+    for _ in range(e):
+        power = i_mul(power, q)
+        s ^= power
+    valuations = []
+    for p in (_X_BITS, _X1_BITS):
+        k = 0
+        while not (qr := i_divmod(s, p))[1]:
+            s, k = qr[0], k + 1
+        valuations.append(k)
+    return tuple(valuations)

@@ -119,9 +119,9 @@ def test_imports_build_no_slot_table():
         "import gf2perfect.search as search\n"
         "sigma = sys.modules['gf2perfect.sigma']",
         "[f.cache_info().currsize for f in (sigma.slot_term,"
-        " search._stage1_terms, search._free_slot_witness)]",
+        " search._stage1_terms, search._linear_terms, search._free_slot_witness)]",
     )
-    assert sizes == [0, 0, 0]
+    assert sizes == [0, 0, 0, 0]
 
 
 def test_reading_a_search_name_loads_search():

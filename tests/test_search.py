@@ -35,6 +35,7 @@ from gf2perfect.search import (
     explore_reciprocal,
     run_search,
     sigma_factor_tables,
+    _count,
     _fixed_points,
     _solve_linear,
     _stage1_groups,
@@ -86,6 +87,7 @@ from oracles import (
     naive_stage3_rows,
     prefix_exponents,
     reciprocal_entries,
+    sigma_linear_valuations,
     split_identity_pairs,
     split_identity_solutions,
     val_x,
@@ -111,6 +113,12 @@ def _flat(groups):
 
 def _groups2(rule="uniform"):
     return _stage2_groups(_stage1_groups(), rule)
+
+
+def _rows1():
+    """Stage 1's flat rows, its parts built by the stage-2 builder with
+    no rule, as run_search builds them for --stage 1."""
+    return _flat(_stage2_groups(_stage1_groups(), None))
 
 
 def test_stage_counts(final_result):
@@ -182,7 +190,7 @@ def test_stage1_rows_carry_the_exponents_of_their_prefix():
     # Stage 1 evaluates the formulas on bare ints without validating;
     # every prefix it keeps must still be in the search domain and agree
     # with sigma_exponents.
-    rows = _flat(_stage1_groups())
+    rows = _rows1()
     assert len(rows) == EXPECTED_STAGE_COUNTS["1"]
     for row in rows:
         n, u, m, v, n1, u1 = row[:6]
@@ -196,7 +204,21 @@ def test_stage1_rows_carry_the_exponents_of_their_prefix():
 
 
 def test_stage1_rows_match_the_per_row_oracle():
-    assert _flat(_stage1_groups()) == naive_stage1_rows()
+    rows = naive_stage1_rows()
+    assert _rows1() == rows
+    assert run_search("1").tuples == tuple(row[:8] for row in rows)
+
+
+def test_stage1_count_builds_no_part(monkeypatch):
+    # Stage 1 and the stage-2 variant counts read the masks over the M1
+    # terms alone: with the shape table that every part reads gone, the
+    # counts still equal the per-row oracle's.
+    groups1 = _stage1_groups()
+    rows1 = naive_stage1_rows()
+    monkeypatch.setattr(search_module, "_SHAPES", None)
+    assert _count(groups1) == len(rows1) == EXPECTED_STAGE_COUNTS["1"]
+    for rule in STAGE2_RULES:
+        assert _count(groups1, rule) == len(naive_stage2_rows(rows1, rule))
 
 
 def test_prefix_exponents_are_a_sum_of_slot_terms():
@@ -219,7 +241,7 @@ def test_stage2_matches_the_slot_by_slot_rules(rule):
     # The set-valued rules keep the rows, and count the variants, that
     # testing every slot against the rule's exponents does.
     groups1 = _stage1_groups()
-    rows1 = _flat(groups1)
+    rows1 = _rows1()
     assert set(STAGE2_RULES) == set(NAIVE_STAGE2_RULES)
     assert _flat(_stage2_groups(groups1, rule)) == naive_stage2_rows(rows1, rule)
     variants = run_search("2", stage2_rule=rule).filter_diff["2"]["variants"]
@@ -236,25 +258,27 @@ def test_stage3_rows_match_the_per_row_oracle(rule):
 
 @pytest.mark.parametrize("rule", list(STAGE2_RULES))
 def test_stage_groups_share_their_blocks(rule):
-    # Stage 1 builds one block per summed x and x+1 term vector, in the
-    # order the vectors are first seen, and each head carries its block's
-    # index.  Stage 2 filters each block into a list of the same length,
-    # so an index means the same block in both stages.  The per-row
-    # oracle tests above check what the groups flatten to.
+    # Stage 1 keeps one term vector per summed x and x+1 slot terms, in
+    # the order the vectors are first seen, and each head carries its
+    # vector's index.  Stage 2 builds one block per vector, so an index
+    # means the same vector in both stages.  The per-row oracle tests
+    # above check what the groups flatten to.
     x_terms, x1_terms, _m1_terms = search_module._stage1_terms()
-    heads1, blocks1 = _stage1_groups()
+    heads1, vectors = _stage1_groups()
     heads = [head for head, _i in heads1]
     assert heads == [(n, u, m, v) for n, u, m, v in product(range(5), US, range(5), US)
                      if 1 <= (u << n) - 1 <= (v << m) - 1]
     assert len(heads) == 595
-    assert len(blocks1) == 230
+    assert len(vectors) == 230
     first_seen = {}
     for (n, u, m, v), i in heads1:
         vector = tuple(map(add, x_terms[n, u], x1_terms[m, v]))
         assert i == first_seen.setdefault(vector, len(first_seen))
+        assert vectors[i] == vector
     assert len(first_seen) == 230
-    heads2, blocks2 = _stage2_groups((heads1, blocks1), rule)
-    assert len(blocks2) == len(blocks1)
+    _heads, blocks1 = _stage2_groups((heads1, vectors), None)
+    heads2, blocks2 = _stage2_groups((heads1, vectors), rule)
+    assert len(blocks1) == len(blocks2) == len(vectors)
     for head, i in heads1:
         rows1 = [head + part for part in blocks1[i]]
         assert [head + part for part in blocks2[i]] == naive_stage2_rows(rows1, rule)
@@ -262,17 +286,14 @@ def test_stage_groups_share_their_blocks(rule):
 
 
 def test_each_search_rebuilds_its_blocks(monkeypatch):
-    # Blocks live for one run_search: each search builds and filters
-    # them (_SHAPES lookups) and sums their slot terms (sigma_exponents)
-    # again.  Only the slot tables, built on the first search, persist.
+    # Blocks live for one run_search: each search builds its stage-2
+    # parts (two _SHAPES lookups each) and assembles its 44 stage-3 rows
+    # (one sigma_exponents sum each) again.  Only the tables keyed by
+    # slot and exponent, built on the first search, persist.
     run_search("final")
-    calls = dict.fromkeys(("get", "getitem", "sigma_exponents"), 0)
+    calls = dict.fromkeys(("getitem", "sigma_exponents"), 0)
 
     class CountingShapes(dict):
-        def get(self, key, default=None):
-            calls["get"] += 1
-            return super().get(key, default)
-
         def __getitem__(self, key):
             calls["getitem"] += 1
             return super().__getitem__(key)
@@ -289,9 +310,31 @@ def test_each_search_rebuilds_its_blocks(monkeypatch):
         counts = run_search("final").stage_counts
         assert counts == {**EXPECTED_STAGE_COUNTS, "2": COMPUTED_STAGE2_UNIFORM}
         per_search.append(dict(calls))
-    assert per_search[0] == per_search[1]
-    assert per_search[0]["get"] == 230 * len(search_module._stage1_terms()[2])
-    assert per_search[0]["getitem"] > 0 and per_search[0]["sigma_exponents"] > 44
+    parts = sum(map(len, _groups2()[1]))
+    assert per_search[0] == per_search[1] == {"getitem": 2 * parts, "sigma_exponents": 44}
+
+
+def test_linear_terms_match_trial_division():
+    # Stage 3 reads the exponents of x and x+1 in sigma(q^e) from one
+    # table per slot, packed as v << 16 | w.  Every entry, and so every
+    # (slot, exponent) the heads and the stage-2 rows of both rules reach,
+    # matches sigma(q^e) summed term by term and divided out.
+    primes = [X.bits, X1.bits, *(mersenne(i).bits for i in range(1, 6)),
+              *(two_mersenne(j).bits for j in range(1, 9))]
+    table = search_module._linear_terms()
+    reached = set()
+    for (n, u, m, v), _i in _stage1_groups()[0]:
+        reached |= {(0, (u << n) - 1), (1, (v << m) - 1)}
+    for rule in STAGE2_RULES:
+        for row in run_search("2", stage2_rule=rule).tuples:
+            n1, u1, n2, u2 = row[4:8]
+            reached |= {(2, (u1 << n1) - 1), (3, (u2 << n2) - 1), *zip(range(7, 15), row[8:16])}
+    assert reached <= {(k, e) for k, slot in enumerate(table) for e in slot}
+    for k, slot in enumerate(table):
+        for e, packed in slot.items():
+            v, w = divmod(packed, 1 << 16)
+            assert max(v, w) < 1 << 8
+            assert (v, w) == sigma_linear_valuations(primes[k], e), (k, e)
 
 
 def test_free_slot_witness_is_the_first_in_loop_order(monkeypatch):
@@ -327,7 +370,7 @@ def test_stage2_rows_carry_the_exponents_of_their_candidate(rule):
     # assembles its survivors without validation, so the domain is
     # checked here: M2 and every divisor-sum slot have 2-adic valuation
     # at most 3 and odd part 1 or 3.
-    rows1 = set(_flat(_stage1_groups()))
+    rows1 = set(_rows1())
     for row in run_search("2", stage2_rule=rule).tuples:
         assert row[:16] in rows1
         assert row[16:18] == decompose_exponent(row[8])
@@ -340,6 +383,24 @@ def test_stage2_rows_carry_the_exponents_of_their_candidate(rule):
 def test_search_json_is_pinned(stage, rule):
     blob = json.dumps(run_search(stage, stage2_rule=rule).to_json(), sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == SEARCH_JSON_SHA256[rule][stage]
+
+
+def test_stage3_rows_keep_block_order_across_sums():
+    # Stage 3 tests one witness per valuation sum of a block.  No head of
+    # the sieve matches two sums, so this builds a block that makes one
+    # do: after head (0, 3, 0, 5), parts of witnesses w1, w2, w1, two
+    # sums interleaved.  The rows keep block order, as the oracle's do.
+    head = (0, 3, 0, 5)
+    parts = sorted({part for block in _groups2()[1] for part in block})
+    matched = [(row[4:], witness) for _bits, row, witness, _c
+               in naive_stage3_rows([head + part for part in parts])]
+    w1 = matched[0][1]
+    first = [part for part, witness in matched if witness == w1]
+    other, w2 = next((part, witness) for part, witness in matched if witness != w1)
+    for block in ((first[0], other, first[1]), (first[1], other, first[0])):
+        rows = _stage3_rows(([(head, 0)], [block]))
+        assert rows == naive_stage3_rows([head + part for part in block])
+        assert [witness for _bits, _row, witness, _c in rows] == [w1, w2, w1]
 
 
 def test_stage3_candidates_are_internally_consistent():

@@ -20,7 +20,7 @@ survives, when its mutated file does not compile (reported as BROKEN,
 since such an entry tests nothing), when its old text is missing or
 not unique, or when a selector fails or selects nothing before any
 mutation.  It is kept out of Tier-1: each mutant costs one pytest
-launch, and the 67 below take about 4 min on a 2-vCPU Xeon.  A change
+launch, and the 74 below take about 5 min on a 2-vCPU Xeon.  A change
 that guards a kernel adds its mutants here.
 """
 
@@ -94,8 +94,8 @@ MUTANTS = (
      "terms = [slot_term(k, e) for k, e in pairs][1:]",
      T + "test_sigma.py::test_exponent_formulas_match_actual_divisor_sums"),
     ("stage3-head-reads-the-wrong-linear-component", S + "search.py",
-     "ha, hb = linear((0, 1), ((1 << n) - 1, (1 << m) - 1))",
-     "hb, ha = linear((0, 1), ((1 << n) - 1, (1 << m) - 1))",
+     "h = linear[0][a] + linear[1][b]",
+     "h = linear[1][a] + linear[0][b]",
      T + "test_search.py::test_stage3_rows_match_the_per_row_oracle"),
     ("witness-table-keeps-the-last-witness", S + "search.py",
      "table.setdefault(need, w)",
@@ -171,27 +171,57 @@ MUTANTS = (
      "(range(5), U23S), *((range(2), (1,)),) * 7,",
      T + "test_sigma.py::test_domain_validation"),
     ("stage2-pinned-to-uniform", S + "search.py",
-     '"2": _stage2_groups,',
-     '"2": lambda groups1, _rule: _stage2_groups(groups1, "uniform"),',
+     '"2": (_stage2_groups, _size),',
+     '"2": (lambda groups1, _rule: _stage2_groups(groups1, "uniform"), _size),',
      T + "test_search.py::test_strict_rule_prunes_harder"),
-    ("stage2-variant-always-counted-over-stage-2", S + "search.py",
-     "rows if within(STAGE2_RULES[rule]) else previous, rule",
-     "rows, rule",
+    ("stage2-variant-counted-under-the-search-rule", S + "search.py",
+     "_count(previous, rule)",
+     "_count(previous, stage2_rule)",
      T + "test_search.py::test_stage2_matches_the_slot_by_slot_rules"),
+    # Stage 1 counts, and stage 2 builds, from one mask per term vector.
+    ("stage1-count-skips-the-m2-test", S + "search.py",
+     "return sum(masks[i].bit_count() for _head, i in groups1[0])",
+     "return sum(len(_stage1_terms()[2]) for _head, i in groups1[0])",
+     T + "test_search.py::test_stage1_count_builds_no_part"),
+    ("stage2-drops-the-first-slot-test", S + "search.py",
+     "sets = [REPRESENTABLE_EXPONENTS] * 2 + [STAGE2_RULES.get(rule)] * 7",
+     "sets = [REPRESENTABLE_EXPONENTS, range(99)] + [STAGE2_RULES.get(rule)] * 7",
+     T + "test_search.py::test_stage1_count_builds_no_part"),
+    ("stage2-holds-the-first-slot-to-the-rule", S + "search.py",
+     "sets = [REPRESENTABLE_EXPONENTS] * 2 + [STAGE2_RULES.get(rule)] * 7",
+     "sets = [REPRESENTABLE_EXPONENTS] + [STAGE2_RULES.get(rule)] * 8",
+     T + "test_search.py::test_stage2_matches_the_slot_by_slot_rules"),
+    ("stage2-reads-a-mask-one-term-late", S + "search.py",
+     "compress(terms, map(int, bin(mask)[:1:-1]))",
+     "compress(list(terms)[1:], map(int, bin(mask)[:1:-1]))",
+     T + "test_search.py::test_stage1_rows_match_the_per_row_oracle"),
     # The sieve's shared blocks: heads carry block indices, and every
     # stage keeps each block at the index stage 1 gave it.
-    ("stage1-new-block-takes-the-previous-index", S + "search.py",
-     "i = index.setdefault(p, len(blocks))",
-     "i = index.setdefault(p, len(blocks) - 1)",
+    ("stage1-new-vector-takes-the-previous-index", S + "search.py",
+     "len(index))))",
+     "len(index) - 1)))",
      T + "test_search.py::test_stage_groups_share_their_blocks"),
     ("stage2-drops-empty-blocks-shifting-indices", S + "search.py",
-     "              for block in blocks]\n",
-     "              for block in blocks]\n    blocks = [block for block in blocks if block]\n",
+     "in zip(vectors, masks)]\n",
+     "in zip(vectors, masks)]\n    blocks = [block for block in blocks if block]\n",
      T + "test_search.py::test_stage_groups_share_their_blocks"),
     ("stage3-reads-the-neighbouring-block", S + "search.py",
-     "for pa, pb, part in terms[i]:",
-     "for pa, pb, part in terms[i - 1]:",
+     "for s in keys[i]",
+     "for s in keys[i - 1]",
      T + "test_search.py::test_stage3_rows_match_the_per_row_oracle"),
+    # Stage 3's join on the packed x and x+1 valuations.
+    ("stage3-join-key-omits-the-m2-valuation", S + "search.py",
+     "((p[1] << p[0]) - 1, (p[3] << p[2]) - 1, *p[4:12])",
+     "((p[1] << p[0]) - 1, 0, *p[4:12])",
+     T + "test_search.py::test_stage3_rows_match_the_per_row_oracle"),
+    ("stage3-pairs-each-part-with-the-next-sum", S + "search.py",
+     "for part, w in zip(groups[1][i], map(hits.get, sums[i])) if hits else ():",
+     "for part, w in zip(groups[1][i], [*map(hits.get, sums[i])][1:]) if hits else ():",
+     T + "test_search.py::test_stage3_rows_keep_block_order_across_sums"),
+    ("linear-terms-packed-8-bits-apart", S + "search.py",
+     "return [{e: v << 16 | w",
+     "return [{e: v << 8 | w",
+     T + "test_search.py::test_linear_terms_match_trial_division"),
     # The linear solver of the identity sweep.
     ("solve-linear-screen-inverted", S + "search.py",
      "screened = (bits >> b).bit_count() == 1 << c.bit_count()",

@@ -7,21 +7,22 @@ Every launch imports gf2perfect.search from one tree and first times
 which pays for the process's one-time work, such as building the
 divisor-sum slot table; it gives one sample per launch.  The launch
 then builds each stage's input once through the stage table
-search._STAGES, whose entries map (the stage before's rows, the
-stage-2 rule) to a stage's rows, and times these calls, each after one
-untimed call:
+search._STAGES, whose entries are (step, size) pairs: step maps (the
+stage before's rows, the stage-2 rule) to a stage's rows, and size
+counts them.  It times these calls, each after one untimed call:
 
-    stage1   _STAGES["1"](None, "uniform")
-    stage2   _STAGES["2"](rows1, "uniform")
-    strict   _STAGES["2"](rows2, "strict"): the "strict" rule over the
-             uniform stage-2 rows, the input run_search counts it over
-    stage3   _STAGES["3"](rows2, "uniform")
-    final    _STAGES["final"](candidates, "uniform")
+    stage1   size1(step1(None, "uniform")): the stage-1 rows and their count
+    stage2   size2(step2(rows1, "uniform"))
+    strict   the count of the "strict" rule's stage-2 rows, as run_search
+             makes it for filter_diff: _count(rows1, "strict")
+    stage3   step3(rows2, "uniform")
+    final    step_final(candidates, "uniform")
     search   run_search("final")
 
-Only the table is read, so one child runs on trees whose stages 1 and
-2 pass flat rows, groups (head, block) or (heads, blocks): a block
-list and the heads, each with the index of its block.  No stage time
+Older trees, whose entries are the step alone and whose run_search
+counts stages 1 and 2 with _size, run too: size is _size there, and
+strict is _size(step2(rows2, "strict")), the "strict" rule over the
+uniform stage-2 rows, which is what those trees count.  No stage time
 is the difference of two cumulative runs, so none can read below
 zero.  The median ms of each call over all launches and repeats is
 printed per tree.  Given several ``--src`` trees, the launches of all
@@ -52,16 +53,21 @@ from gf2perfect import search as s
 start = time.perf_counter()
 s.run_search("final")
 times = {{"first": [time.perf_counter() - start]}}
-stage = s._STAGES
-rows1 = stage["1"](None, "uniform")
-rows2 = stage["2"](rows1, "uniform")
-candidates = stage["3"](rows2, "uniform")
+stage = [entry if isinstance(entry, tuple) else (entry, s._size) for entry in s._STAGES.values()]
+(step1, size1), (step2, size2), (step3, _), (final, _) = stage
+rows1 = step1(None, "uniform")
+rows2 = step2(rows1, "uniform")
+candidates = step3(rows2, "uniform")
+if hasattr(s, "_count"):
+    strict = lambda: s._count(rows1, "strict")
+else:
+    strict = lambda: s._size(step2(rows2, "strict"))
 calls = dict(zip({STEPS[1:]!r}, (
-    lambda: stage["1"](None, "uniform"),
-    lambda: stage["2"](rows1, "uniform"),
-    lambda: stage["2"](rows2, "strict"),
-    lambda: stage["3"](rows2, "uniform"),
-    lambda: stage["final"](candidates, "uniform"),
+    lambda: size1(step1(None, "uniform")),
+    lambda: size2(step2(rows1, "uniform")),
+    strict,
+    lambda: step3(rows2, "uniform"),
+    lambda: final(candidates, "uniform"),
     lambda: s.run_search("final"),
 )))
 for name, call in calls.items():
